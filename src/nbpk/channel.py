@@ -16,12 +16,12 @@ import socket
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TypeVar
 
+from .wire import UDP_MAX_DATAGRAM
+
 #: Default ports: one per stream so the receiver can tell sources apart.
 DEFAULT_IMAGE_PORT = 10021
 DEFAULT_MOTION_PORT = 10022
 DEFAULT_COMMAND_PORT = 10023
-
-UDP_MAX_DATAGRAM = 65507
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
@@ -93,6 +93,7 @@ class UdpEndpoint:
         except OSError:
             pass  # the OS clamps oversized requests; best effort
         self._sock.bind((cfg.bind_host, cfg.bind_port))
+        self._timeout = self._sock.gettimeout()
 
     @property
     def local_port(self) -> int:
@@ -120,7 +121,9 @@ class UdpEndpoint:
         than the configured receive buffer (silent truncation would
         corrupt the stream).
         """
-        self._sock.settimeout(timeout)
+        if timeout != self._timeout:
+            self._sock.settimeout(timeout)
+            self._timeout = timeout
         try:
             data, ancdata, msg_flags, address = self._sock.recvmsg(self.cfg.recv_buffer)
         except socket.timeout:

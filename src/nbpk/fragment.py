@@ -10,6 +10,7 @@ frame are orphans; repeats of an already-stored fragment are duplicates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -24,49 +25,59 @@ from .wire import (
     PacketKind,
     StreamId,
     WireError,
+    checked_header,
     decode_header,
     decode_start_meta,
-    encode_header,
     encode_start_meta,
+    pack_header,
 )
 
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
+_START, _FRAGMENT = PacketKind.START.value, PacketKind.FRAGMENT.value
+_tuple_new = tuple.__new__  # builds a Packet or header with no checks
 
-@dataclass(frozen=True)
-class Packet:
-    """One datagram: validated header plus payload bytes."""
 
-    header: PacketHeader
-    payload: bytes = b""
+def _check_size(payload_len: int, datagram_len: int) -> None:
+    if datagram_len != HEADER_SIZE + payload_len:
+        raise InvariantError(
+            f"header announces {payload_len} payload bytes, got {datagram_len - HEADER_SIZE}"
+        )
+    if datagram_len > UDP_MAX_DATAGRAM:
+        raise InvariantError(
+            f"datagram of {datagram_len} bytes exceeds UDP maximum {UDP_MAX_DATAGRAM}"
+        )
 
-    def __post_init__(self) -> None:
-        if self.header.payload_len != len(self.payload):
-            raise InvariantError(
-                f"header announces {self.header.payload_len} payload bytes, got {len(self.payload)}"
-            )
-        if HEADER_SIZE + len(self.payload) > UDP_MAX_DATAGRAM:
-            raise InvariantError(
-                f"datagram of {HEADER_SIZE + len(self.payload)} bytes exceeds UDP maximum {UDP_MAX_DATAGRAM}"
-            )
+
+class Packet(namedtuple("Packet", "header payload")):
+    """One datagram: validated header plus payload bytes.
+
+    Every way to get a Packet checks it exactly once: the constructor runs
+    the header validator and the length checks, :meth:`from_bytes` gets the
+    header checked by ``decode_header``, and ``packetize_image`` checks a
+    frame's START and derives its fragments. So :meth:`to_bytes` only packs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, header: PacketHeader, payload: bytes = b"") -> "Packet":
+        header = checked_header(*header)
+        _check_size(header.payload_len, HEADER_SIZE + len(payload))
+        return _tuple_new(cls, (header, payload))
 
     @property
     def size(self) -> int:
         return HEADER_SIZE + len(self.payload)
 
     def to_bytes(self) -> bytes:
-        return encode_header(self.header) + self.payload
+        return pack_header(self.header) + self.payload
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "Packet":
         header = decode_header(b)
-        payload = bytes(b[HEADER_SIZE:])
-        if len(payload) != header.payload_len:
-            raise InvariantError(
-                f"datagram carries {len(payload)} payload bytes, header announces {header.payload_len}"
-            )
-        return cls(header=header, payload=payload)
+        _check_size(header.payload_len, len(b))
+        return _tuple_new(cls, (header, bytes(b[HEADER_SIZE:])))
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -145,24 +156,19 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD,
                           encoding=img.encoding, frag_payload=frag_payload)
     frag_count = meta.frag_count
     meta_bytes = encode_start_meta(meta)
-    packets = [Packet(
-        header=PacketHeader(
-            stream_id=StreamId.IMAGE, kind=PacketKind.START, seq=seq,
-            frag_index=0, frag_count=frag_count, payload_len=len(meta_bytes),
-            timestamp_us=img.timestamp_us,
-        ),
-        payload=meta_bytes,
-    )]
+    start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, seq, 0, frag_count,
+                                len(meta_bytes), img.timestamp_us), meta_bytes)
+    # The START passed every check its fragments need (seq, timestamp and
+    # frag_count in range), and each fragment's index < frag_count and
+    # length <= MAX_FRAG_PAYLOAD hold by construction: build them unchecked.
+    stream, _, seq, _, _, _, timestamp_us, flags, version = start.header
+    kind = PacketKind.FRAGMENT
+    packets = [start]
     for i in range(frag_count):
         chunk = data[i * frag_payload:(i + 1) * frag_payload]
-        packets.append(Packet(
-            header=PacketHeader(
-                stream_id=StreamId.IMAGE, kind=PacketKind.FRAGMENT, seq=seq,
-                frag_index=i, frag_count=frag_count, payload_len=len(chunk),
-                timestamp_us=img.timestamp_us,
-            ),
-            payload=chunk,
-        ))
+        header = _tuple_new(PacketHeader, (stream, kind, seq, i, frag_count, len(chunk),
+                                           timestamp_us, flags, version))
+        packets.append(_tuple_new(Packet, (header, chunk)))
     return packets
 
 
@@ -173,25 +179,27 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
             f"payload of {len(payload)} bytes does not fit one datagram "
             f"(max {UDP_MAX_DATAGRAM - HEADER_SIZE})"
         )
-    return Packet(
-        header=PacketHeader(
-            stream_id=stream_id, kind=PacketKind.SINGLE, seq=seq,
-            payload_len=len(payload), timestamp_us=timestamp_us,
-        ),
-        payload=bytes(payload),
-    )
+    return Packet(PacketHeader(stream_id, PacketKind.SINGLE, seq, payload_len=len(payload),
+                               timestamp_us=timestamp_us), bytes(payload))
 
 
-@dataclass
 class _Slot:
-    seq: int
-    meta: ImageStartMeta
-    frag_count: int
-    buffer: bytearray
-    received: list[bool]
-    received_count: int
-    timestamp_us: int
-    started_now_us: Optional[int]
+    """One in-flight frame. ``active_us`` is when it last accepted a packet."""
+
+    __slots__ = ("seq", "meta", "frag_payload", "total_len", "buffer", "missing",
+                 "remaining", "timestamp_us", "active_us")
+
+    def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int,
+                 now_us: Optional[int]):
+        self.seq = seq
+        self.meta = meta
+        self.frag_payload = meta.frag_payload
+        self.total_len = meta.total_len
+        self.buffer = bytearray(meta.total_len)
+        self.missing = [True] * meta.frag_count
+        self.remaining = meta.frag_count
+        self.timestamp_us = timestamp_us
+        self.active_us = now_us
 
 
 class Reassembler:
@@ -200,7 +208,7 @@ class Reassembler:
     One instance per receive loop. Frames are kept in one slot per stream;
     the only evictions are preemption by the next frame's START and, when
     ``timeout_us`` is set, explicit :meth:`poll` calls. Feed packets whose
-    headers already passed validation (``Packet.from_bytes`` does).
+    headers already passed validation (every ``Packet`` has).
     """
 
     def __init__(self, timeout_us: Optional[int] = None):
@@ -218,31 +226,30 @@ class Reassembler:
 
     def step(self, pkt: Packet, now_us: Optional[int] = None) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
-        st = self._stats
-        st.bytes_received += pkt.size
-        h = pkt.header
-        if h.kind == PacketKind.SINGLE:
-            return SingleDelivered(stream_id=h.stream_id, payload=pkt.payload,
-                                   seq=h.seq, timestamp_us=h.timestamp_us)
-        if h.kind == PacketKind.START:
-            return self._on_start(pkt, now_us)
-        return self._on_fragment(pkt, now_us)
+        h, payload = pkt
+        self._stats.bytes_received += HEADER_SIZE + len(payload)
+        kind = h.kind
+        if kind == _FRAGMENT:
+            return self._on_fragment(h, payload, now_us)
+        if kind == _START:
+            return self._on_start(h, payload, now_us)
+        return SingleDelivered(stream_id=h.stream_id, payload=payload,
+                               seq=h.seq, timestamp_us=h.timestamp_us)
 
     def poll(self, now_us: int) -> Optional[Dropped]:
-        """Evict a frame whose slot exceeded the inactivity timeout, if any."""
+        """Evict a frame that accepted no packet for longer than the timeout, if any."""
         if self.timeout_us is None:
             return None
         for stream, slot in self._slots.items():
-            if slot.started_now_us is not None and now_us - slot.started_now_us > self.timeout_us:
+            if slot.active_us is not None and now_us - slot.active_us > self.timeout_us:
                 del self._slots[stream]
                 self._stats.frames_dropped_timeout += 1
                 return Dropped(seq=slot.seq)
         return None
 
-    def _on_start(self, pkt: Packet, now_us: Optional[int]) -> Optional[Event]:
-        h = pkt.header
+    def _on_start(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
         try:
-            meta = decode_start_meta(pkt.payload)
+            meta = decode_start_meta(payload)
         except WireError:
             self._stats.orphan_fragments += 1
             return Orphan(seq=h.seq)
@@ -259,53 +266,36 @@ class Reassembler:
         if slot is not None:
             evicted = Dropped(seq=slot.seq)
             self._stats.frames_dropped_preempted += 1
-
-        self._slots[h.stream_id] = _Slot(
-            seq=h.seq,
-            meta=meta,
-            frag_count=h.frag_count,
-            buffer=bytearray(meta.total_len),
-            received=[False] * h.frag_count,
-            received_count=0,
-            timestamp_us=h.timestamp_us,
-            started_now_us=now_us,
-        )
+        self._slots[h.stream_id] = _Slot(h.seq, meta, h.timestamp_us, now_us)
         return evicted
 
-    def _on_fragment(self, pkt: Packet, now_us: Optional[int]) -> Optional[Event]:
-        h = pkt.header
-        slot = self._slots.get(h.stream_id)
-        if slot is None or slot.seq != h.seq:
+    def _on_fragment(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
+        stream, _, seq, index = h[:4]
+        slot = self._slots.get(stream)
+        if slot is None or slot.seq != seq or index >= len(slot.missing):
             self._stats.orphan_fragments += 1
-            return Orphan(seq=h.seq, frag_index=h.frag_index)
-        if h.frag_index >= slot.frag_count:
+            return Orphan(seq=seq, frag_index=index)
+        offset = index * slot.frag_payload
+        end = min(offset + slot.frag_payload, slot.total_len)
+        if len(payload) != end - offset:
             self._stats.orphan_fragments += 1
-            return Orphan(seq=h.seq, frag_index=h.frag_index)
-        offset = h.frag_index * slot.meta.frag_payload
-        expected_len = min(slot.meta.frag_payload, slot.meta.total_len - offset)
-        if len(pkt.payload) != expected_len:
-            self._stats.orphan_fragments += 1
-            return Orphan(seq=h.seq, frag_index=h.frag_index)
-        if slot.received[h.frag_index]:
+            return Orphan(seq=seq, frag_index=index)
+        if not slot.missing[index]:
             self._stats.duplicate_fragments += 1
-            return Duplicate(seq=h.seq, frag_index=h.frag_index)
+            return Duplicate(seq=seq, frag_index=index)
 
-        slot.buffer[offset:offset + expected_len] = pkt.payload
-        slot.received[h.frag_index] = True
-        slot.received_count += 1
-        if slot.received_count < slot.frag_count:
+        slot.buffer[offset:end] = payload
+        slot.missing[index] = False
+        slot.active_us = now_us
+        slot.remaining -= 1
+        if slot.remaining:
             return None
 
-        del self._slots[h.stream_id]
+        del self._slots[stream]
         self._stats.frames_complete += 1
         if now_us is not None:
             self._stats.latency_accumulator_us += max(0, now_us - slot.timestamp_us)
-        image = Image(
-            width=slot.meta.width,
-            height=slot.meta.height,
-            pixels=bytes(slot.buffer),
-            encoding=slot.meta.encoding,
-            seq=slot.seq,
-            timestamp_us=slot.timestamp_us,
-        )
-        return ImageComplete(image=image)
+        meta = slot.meta
+        return ImageComplete(image=Image(width=meta.width, height=meta.height,
+                                         pixels=bytes(slot.buffer), encoding=meta.encoding,
+                                         seq=seq, timestamp_us=slot.timestamp_us))

@@ -16,6 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 MAGIC = b"NBPK"
 WIRE_VERSION = 1
@@ -92,12 +93,13 @@ def _check_uint(name: str, value: int, bits: int) -> None:
         raise InvariantError(f"{name} must be an unsigned {bits}-bit integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     """Fixed 26-byte prefix of every datagram.
 
     ``seq`` counts messages per stream; all packets belonging to one
-    message share the same ``seq`` and ``timestamp_us``.
+    message share the same ``seq`` and ``timestamp_us``. Constructing a
+    header checks nothing; :func:`encode_header`, :func:`decode_header`
+    and ``Packet`` do, through one validator.
     """
 
     stream_id: StreamId
@@ -110,84 +112,82 @@ class PacketHeader:
     flags: int = 0
     version: int = WIRE_VERSION
 
-    def validate(self) -> None:
-        if self.version != WIRE_VERSION:
-            raise BadVersionError(f"unsupported version {self.version}")
-        if self.stream_id not in StreamId.__members__.values():
-            raise InvariantError(f"unknown stream id {self.stream_id!r}")
-        if self.kind not in PacketKind.__members__.values():
-            raise InvariantError(f"unknown packet kind {self.kind!r}")
-        if self.flags != 0:
-            raise InvariantError(f"reserved flags must be 0, got {self.flags:#x}")
-        _check_uint("seq", self.seq, 32)
-        _check_uint("frag_index", self.frag_index, 16)
-        _check_uint("frag_count", self.frag_count, 16)
-        _check_uint("payload_len", self.payload_len, 16)
-        _check_uint("timestamp_us", self.timestamp_us, 64)
-        if self.kind == PacketKind.SINGLE:
-            if self.frag_index != 0 or self.frag_count != 0:
-                raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")
-        elif self.kind == PacketKind.START:
-            if self.frag_index != 0:
-                raise InvariantError("START packets must carry frag_index=0")
-            if self.frag_count < 1:
-                raise InvariantError("START packets must announce frag_count >= 1")
-        elif self.kind == PacketKind.FRAGMENT:
-            if self.frag_index >= self.frag_count:
-                raise InvariantError(
-                    f"fragment index {self.frag_index} out of range for frag_count {self.frag_count}"
-                )
+
+_STREAM_IDS = {s.value: s for s in StreamId}
+_KINDS = {k.value: k for k in PacketKind}
+_SINGLE, _START = PacketKind.SINGLE.value, PacketKind.START.value
+_U16, _U32, _U64 = 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_tuple_new = tuple.__new__  # _tuple_new(PacketHeader, fields) skips the checks
+
+
+def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
+                   timestamp_us, flags, version) -> PacketHeader:
+    """The one header validator, shared by encode and decode.
+
+    Returns the header with ``stream_id`` and ``kind`` as enum members, or
+    raises ``BadVersionError`` for a foreign version and ``InvariantError``
+    for any other broken field rule (FORMAT.md, "Kind invariants").
+    """
+    if version != WIRE_VERSION:
+        raise BadVersionError(f"unsupported version {version}")
+    try:
+        stream = _STREAM_IDS[stream_id]
+    except (KeyError, TypeError):
+        raise InvariantError(f"unknown stream id {stream_id!r}") from None
+    try:
+        kind_ = _KINDS[kind]
+    except (KeyError, TypeError):
+        raise InvariantError(f"unknown packet kind {kind!r}") from None
+    if flags != 0:
+        raise InvariantError(f"reserved flags must be 0, got {flags!r}")
+    if not (type(seq) is int and type(frag_index) is int and type(frag_count) is int
+            and type(payload_len) is int and type(timestamp_us) is int
+            and 0 <= seq <= _U32 and 0 <= frag_index <= _U16 and 0 <= frag_count <= _U16
+            and 0 <= payload_len <= _U16 and 0 <= timestamp_us <= _U64):
+        # not all plain ints in range: in-range int subclasses (bool, IntEnum)
+        # still pass, anything else is named in the error
+        _check_uint("seq", seq, 32)
+        _check_uint("frag_index", frag_index, 16)
+        _check_uint("frag_count", frag_count, 16)
+        _check_uint("payload_len", payload_len, 16)
+        _check_uint("timestamp_us", timestamp_us, 64)
+    if kind == _SINGLE:
+        if frag_index != 0 or frag_count != 0:
+            raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")
+    elif kind == _START:
+        if frag_index != 0:
+            raise InvariantError("START packets must carry frag_index=0")
+        if frag_count < 1:
+            raise InvariantError("START packets must announce frag_count >= 1")
+    elif frag_index >= frag_count:
+        raise InvariantError(f"fragment index {frag_index} out of range for frag_count {frag_count}")
+    return _tuple_new(PacketHeader, (stream, kind_, seq, frag_index, frag_count, payload_len,
+                                     timestamp_us, flags, version))
+
+
+def pack_header(h: PacketHeader) -> bytes:
+    """Wire form of a header that already passed :func:`checked_header`."""
+    stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us, flags, version = h
+    return _HEADER.pack(MAGIC, version, stream_id, kind, flags, seq, frag_index,
+                        frag_count, payload_len, timestamp_us)
 
 
 def encode_header(h: PacketHeader) -> bytes:
     """Serialize a header to its 26-byte wire form. Raises on invalid fields."""
-    h.validate()
-    return _HEADER.pack(
-        MAGIC,
-        h.version,
-        int(h.stream_id),
-        int(h.kind),
-        h.flags,
-        h.seq,
-        h.frag_index,
-        h.frag_count,
-        h.payload_len,
-        h.timestamp_us,
-    )
+    return pack_header(checked_header(*h))
 
 
 def decode_header(b: bytes) -> PacketHeader:
     """Parse the first 26 bytes of ``b`` into a validated header."""
     if len(b) < HEADER_SIZE:
         raise TooShortError(f"header needs {HEADER_SIZE} bytes, got {len(b)}")
-    magic, version, stream_raw, kind_raw, flags, seq, frag_index, frag_count, payload_len, ts = (
+    magic, version, stream_id, kind, flags, seq, frag_index, frag_count, payload_len, ts = (
         _HEADER.unpack_from(b)
     )
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise BadVersionError(f"unsupported version {version}")
-    try:
-        stream_id = StreamId(stream_raw)
-    except ValueError:
-        raise InvariantError(f"unknown stream id {stream_raw}") from None
-    try:
-        kind = PacketKind(kind_raw)
-    except ValueError:
-        raise InvariantError(f"unknown packet kind {kind_raw}") from None
-    h = PacketHeader(
-        stream_id=stream_id,
-        kind=kind,
-        seq=seq,
-        frag_index=frag_index,
-        frag_count=frag_count,
-        payload_len=payload_len,
-        timestamp_us=ts,
-        flags=flags,
-        version=version,
-    )
-    h.validate()
-    return h
+    return checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts,
+                          flags, version)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,21 @@ scalar math, direct summation) so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
+
+from nbpk.wire import (
+    MAGIC,
+    WIRE_VERSION,
+    BadMagicError,
+    BadVersionError,
+    InvariantError,
+    PacketHeader,
+    PacketKind,
+    StreamId,
+    TooShortError,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -31,6 +44,78 @@ def splitmix64_sequence(seed: int, n: int) -> list[int]:
 # First outputs for seed 0, straight from the reference implementation's
 # published test vector.
 SPLITMIX64_SEED0_FIRST = 0xE220A8397B1DCDAF
+
+
+# --- datagram header: the original one-object-per-check codec ------------
+
+_HEADER_LAYOUT = struct.Struct("<4sBBBBIHHHQ")
+
+
+def _check_uint_reference(name: str, value, bits: int) -> None:
+    if not isinstance(value, int) or not 0 <= value < (1 << bits):
+        raise InvariantError(f"{name} must be an unsigned {bits}-bit integer, got {value!r}")
+
+
+def validate_header_reference(h: PacketHeader) -> None:
+    """Every header rule of FORMAT.md, checked one field at a time through
+    enum membership scans (the library's original ``PacketHeader.validate``)."""
+    if h.version != WIRE_VERSION:
+        raise BadVersionError(f"unsupported version {h.version}")
+    if h.stream_id not in StreamId.__members__.values():
+        raise InvariantError(f"unknown stream id {h.stream_id!r}")
+    if h.kind not in PacketKind.__members__.values():
+        raise InvariantError(f"unknown packet kind {h.kind!r}")
+    if h.flags != 0:
+        raise InvariantError(f"reserved flags must be 0, got {h.flags:#x}")
+    _check_uint_reference("seq", h.seq, 32)
+    _check_uint_reference("frag_index", h.frag_index, 16)
+    _check_uint_reference("frag_count", h.frag_count, 16)
+    _check_uint_reference("payload_len", h.payload_len, 16)
+    _check_uint_reference("timestamp_us", h.timestamp_us, 64)
+    if h.kind == PacketKind.SINGLE:
+        if h.frag_index != 0 or h.frag_count != 0:
+            raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")
+    elif h.kind == PacketKind.START:
+        if h.frag_index != 0:
+            raise InvariantError("START packets must carry frag_index=0")
+        if h.frag_count < 1:
+            raise InvariantError("START packets must announce frag_count >= 1")
+    elif h.kind == PacketKind.FRAGMENT:
+        if h.frag_index >= h.frag_count:
+            raise InvariantError(
+                f"fragment index {h.frag_index} out of range for frag_count {h.frag_count}"
+            )
+
+
+def encode_header_reference(h: PacketHeader) -> bytes:
+    validate_header_reference(h)
+    return _HEADER_LAYOUT.pack(MAGIC, h.version, int(h.stream_id), int(h.kind), h.flags, h.seq,
+                               h.frag_index, h.frag_count, h.payload_len, h.timestamp_us)
+
+
+def decode_header_reference(b: bytes) -> PacketHeader:
+    if len(b) < _HEADER_LAYOUT.size:
+        raise TooShortError(f"header needs {_HEADER_LAYOUT.size} bytes, got {len(b)}")
+    magic, version, stream_raw, kind_raw, flags, seq, frag_index, frag_count, payload_len, ts = (
+        _HEADER_LAYOUT.unpack_from(b)
+    )
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}")
+    if version != WIRE_VERSION:
+        raise BadVersionError(f"unsupported version {version}")
+    try:
+        stream_id = StreamId(stream_raw)
+    except ValueError:
+        raise InvariantError(f"unknown stream id {stream_raw}") from None
+    try:
+        kind = PacketKind(kind_raw)
+    except ValueError:
+        raise InvariantError(f"unknown packet kind {kind_raw}") from None
+    h = PacketHeader(stream_id=stream_id, kind=kind, seq=seq, frag_index=frag_index,
+                     frag_count=frag_count, payload_len=payload_len, timestamp_us=ts,
+                     flags=flags, version=version)
+    validate_header_reference(h)
+    return h
 
 
 def frame_outcomes(frame_packet_counts: list[int], survived: list[bool]) -> list[bool]:

@@ -1,5 +1,6 @@
 import itertools
 import socket
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,19 @@ class TestUdpEndpoint:
     def test_recv_timeout_returns_none(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as rx:
             assert rx.recv(timeout=0.05) is None
+
+    def test_recv_honours_a_changed_timeout(self):
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as rx:
+            assert rx.recv(timeout=0.05) is None
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+                sender = threading.Timer(0.2, s.sendto, (b"late", ("127.0.0.1", rx.local_port)))
+                sender.start()
+                try:
+                    got = rx.recv(timeout=2.0)
+                finally:
+                    sender.join(timeout=5.0)
+            assert not sender.is_alive()
+            assert got is not None and got[0] == b"late"
 
     def test_ephemeral_port_assigned(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as ep:

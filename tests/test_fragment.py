@@ -1,4 +1,6 @@
 import itertools
+import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from nbpk.fragment import (
     packetize_image,
     packetize_single,
 )
+from nbpk.robotsim import gen_test_image
 from nbpk.wire import (
     HEADER_SIZE,
     Image,
@@ -77,6 +80,37 @@ class TestPacketize:
         h = PacketHeader(StreamId.MOTION, PacketKind.SINGLE, seq=0, payload_len=4)
         with pytest.raises(InvariantError):
             Packet(header=h, payload=b"abc")
+
+
+class TestGoldenBytes:
+    """The sender's bytes, built by hand from FORMAT.md's tables."""
+
+    @staticmethod
+    def header(kind, seq, frag_index, frag_count, payload_len, timestamp_us):
+        # magic, version 1, stream IMAGE = 1, kind, flags 0, seq u32,
+        # frag_index u16, frag_count u16, payload_len u16, timestamp_us u64
+        return struct.pack("<4sBBBBIHHHQ", b"NBPK", 1, 1, kind, 0, seq, frag_index,
+                           frag_count, payload_len, timestamp_us)
+
+    def test_small_frame_datagrams(self):
+        img = gen_test_image(7, 32, 24)
+        sent = b"".join(p.to_bytes() for p in packetize_image(img, 512))
+        # START payload: total_len u32, width u16, height u16, encoding u8
+        # (YUV422 = 1), reserved u8, frag_payload u16
+        meta = struct.pack("<IHHBBH", 1536, 32, 24, 1, 0, 512)
+        expected = self.header(1, 7, 0, 3, 12, img.timestamp_us) + meta
+        for i in range(3):
+            expected += (self.header(2, 7, i, 3, 512, img.timestamp_us)
+                         + img.pixels[i * 512:(i + 1) * 512])
+        assert sent == expected
+        assert meta.hex() == "00060000" "2000" "1800" "01" "00" "0002"
+
+    def test_start_header_matches_worked_example(self):
+        img = replace(gen_test_image(7, 32, 24), timestamp_us=123456789)
+        start = packetize_image(img, 512)[0].to_bytes()
+        assert start[:HEADER_SIZE].hex() == (
+            "4e42504b" "01" "01" "01" "00" "07000000" "0000" "0300" "0c00" "15cd5b0700000000")
+        assert start[:HEADER_SIZE] == self.header(1, 7, 0, 3, 12, 123456789)
 
 
 class TestReassembler:
@@ -221,6 +255,25 @@ class TestReassembler:
         assert rx.poll(1001) == Dropped(seq=1)
         assert rx.stats().frames_dropped_timeout == 1
         assert not rx.collecting
+
+    def test_timeout_counts_from_last_accepted_fragment(self):
+        rx = Reassembler(timeout_us=1000)
+        pkts = image_packets(seq=1)  # START + 6 fragments
+        rx.step(pkts[0], now_us=0)
+        rx.step(pkts[1], now_us=800)
+        rx.step(pkts[2], now_us=1600)
+        assert rx.poll(1700) is None
+        assert rx.poll(2600) is None
+        assert rx.poll(2601) == Dropped(seq=1)
+
+    def test_rejected_packets_do_not_keep_a_slot_alive(self):
+        rx = Reassembler(timeout_us=1000)
+        pkts = image_packets(seq=1)
+        rx.step(pkts[0], now_us=0)
+        rx.step(pkts[1], now_us=100)
+        assert rx.step(pkts[1], now_us=900) == Duplicate(seq=1, frag_index=0)
+        assert rx.step(pkts[0], now_us=900) == Duplicate(seq=1)
+        assert rx.poll(1101) == Dropped(seq=1)
 
     def test_latency_accumulates(self):
         rx = Reassembler()
