@@ -53,10 +53,10 @@ def _check_size(payload_len: int, datagram_len: int) -> None:
 class Packet(namedtuple("Packet", "header payload")):
     """One datagram: validated header plus payload bytes.
 
-    Every way to get a Packet checks it exactly once: the constructor runs
-    the header validator and the length checks, :meth:`from_bytes` gets the
-    header checked by ``decode_header``, and ``packetize_image`` checks a
-    frame's START and derives its fragments. So :meth:`to_bytes` only packs.
+    Every way to get a Packet checks it exactly once: the constructor and
+    :meth:`from_bytes` run the header validator and the size checks, and
+    ``packetize_image`` checks a frame's START and derives its fragments
+    from it. So :meth:`to_bytes` only packs.
     """
 
     __slots__ = ()
@@ -65,6 +65,8 @@ class Packet(namedtuple("Packet", "header payload")):
         header = checked_header(*header)
         _check_size(header.payload_len, HEADER_SIZE + len(payload))
         return _tuple_new(cls, (header, payload))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def size(self) -> int:

@@ -81,6 +81,13 @@ class TestPacketize:
         with pytest.raises(InvariantError):
             Packet(header=h, payload=b"abc")
 
+    def test_packet_checked_on_construction_and_replace(self):
+        with pytest.raises(InvariantError):
+            Packet(header=PacketHeader(StreamId.MOTION, PacketKind.SINGLE, seq=0, frag_count=1))
+        pkt = packetize_single(b"abcd", StreamId.MOTION, seq=0, timestamp_us=0)
+        with pytest.raises(InvariantError):
+            pkt._replace(payload=b"abc")
+
 
 class TestGoldenBytes:
     """The sender's bytes, built by hand from FORMAT.md's tables."""
