@@ -11,13 +11,13 @@ back to zero.
 import time
 
 from nbpk.bench import Scenario, loopback_pair
-from nbpk.bridge import TOPIC_COMMAND, TOPIC_IMAGE, TOPIC_MOTION, BoundedFifo, LatestWins, TopicBus
+from nbpk.bridge import TOPIC_COMMAND, TOPIC_IMAGE, TOPIC_MOTION, BoundedFifo, TopicBus
 from nbpk.robotsim import image_ok
 from nbpk.wire import MotionRequest
 
 bus = TopicBus()
 camera = bus.subscribe(TOPIC_IMAGE, BoundedFifo(64))
-motion = bus.subscribe(TOPIC_MOTION, LatestWins())
+motion = bus.subscribe(TOPIC_MOTION, BoundedFifo(1))
 
 sim, bridge = loopback_pair(Scenario(fps=15.0, width=160, height=120), bus)
 print(f"bridge listening on image:{bridge.image_port} motion:{bridge.motion_port}; "

@@ -59,7 +59,6 @@ from .channel import (
     TruncatedDatagramError,
     UdpEndpoint,
     impair,
-    survivor_indices,
 )
 from .robotsim import (
     RobotConfig,
@@ -68,7 +67,6 @@ from .robotsim import (
     apply_command,
     gen_motion,
     gen_test_image,
-    run_robot,
     step,
     verify_test_image,
 )
@@ -82,10 +80,8 @@ from .bridge import (
     BridgeConfig,
     BridgeStats,
     CameraFrame,
-    LatestWins,
     Subscription,
     TopicBus,
-    run_bridge,
 )
 from .recorder import (
     LogRecord,

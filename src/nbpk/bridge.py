@@ -2,9 +2,8 @@
 
 The bus is a small in-process publish/subscribe fabric: named topics,
 typed payloads, and per-subscriber queues. Publishing never blocks — each
-subscriber chooses what it can afford to lose via its queue policy
-(``LatestWins`` keeps only the newest message, ``BoundedFifo`` keeps the
-last N and counts what it sheds).
+subscriber's ``BoundedFifo`` keeps its newest N messages and counts what
+it sheds (``BoundedFifo(1)`` keeps only the newest).
 
 The bridge itself runs one receive loop per stream, publishes completed
 images on ``camera/image_raw`` and motion readings on ``motion/state``,
@@ -19,7 +18,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .channel import (
     DEFAULT_COMMAND_PORT,
@@ -56,15 +55,6 @@ TOPIC_COMMAND = "motion/request"
 # --- topic bus -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LatestWins:
-    """Depth-1 queue: a newer message silently replaces the pending one."""
-
-    @property
-    def depth(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
 class BoundedFifo:
     """Keep the newest ``depth`` messages; overflow sheds the oldest."""
 
@@ -75,13 +65,10 @@ class BoundedFifo:
             raise ValueError(f"queue depth must be >= 1, got {self.depth}")
 
 
-QueuePolicy = Union[LatestWins, BoundedFifo]
-
-
 class Subscription:
     """One subscriber's view of a topic. Created via :meth:`TopicBus.subscribe`."""
 
-    def __init__(self, bus: "TopicBus", topic: str, policy: QueuePolicy):
+    def __init__(self, bus: "TopicBus", topic: str, policy: BoundedFifo):
         self._bus = bus
         self.topic = topic
         self.policy = policy
@@ -118,11 +105,6 @@ class Subscription:
             out = list(self._dq)
             self._dq.clear()
             return out
-
-    @property
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._dq)
 
     def close(self) -> None:
         self._bus._unsubscribe(self)
@@ -187,7 +169,7 @@ class TopicBus:
         for sub in subs:
             sub._offer(message)
 
-    def subscribe(self, topic: str, policy: QueuePolicy) -> Subscription:
+    def subscribe(self, topic: str, policy: BoundedFifo) -> Subscription:
         sub = Subscription(self, topic, policy)
         with self._lock:
             self._topic(topic).subscribers.append(sub)
@@ -198,18 +180,6 @@ class TopicBus:
             t = self._topics.get(sub.topic)
             if t is not None and sub in t.subscribers:
                 t.subscribers.remove(sub)
-
-    def topics(self) -> list[str]:
-        with self._lock:
-            return sorted(self._topics)
-
-
-def publish(bus: TopicBus, topic: str, message: Any) -> None:
-    bus.publish(topic, message)
-
-
-def subscribe(bus: TopicBus, topic: str, policy: QueuePolicy) -> Subscription:
-    return bus.subscribe(topic, policy)
 
 
 # --- bridge ----------------------------------------------------------------
@@ -449,21 +419,3 @@ class Bridge:
                 self.command_forward(req)
             except (WireError, OSError):
                 self.malformed_packets += 1
-
-
-def run_bridge(cfg: BridgeConfig, bus: Optional[TopicBus] = None,
-               on_stats: Optional[Callable[[BridgeStats], None]] = None,
-               duration: Optional[float] = None) -> None:
-    """Run a bridge until interrupted (or for ``duration`` seconds)."""
-    bridge = Bridge(cfg, bus=bus, on_stats=on_stats)
-    bridge.start()
-    try:
-        if duration is not None:
-            time.sleep(duration)
-        else:
-            while True:
-                time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        bridge.stop()

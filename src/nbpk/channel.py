@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import socket
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, TypeVar
 
 from .wire import UDP_MAX_DATAGRAM
 
@@ -65,19 +65,15 @@ def _check_port(name: str, port: int) -> None:
 
 @dataclass
 class EndpointConfig:
-    """Where a UDP endpoint binds and who it talks to by default."""
+    """Where a UDP endpoint binds and how much it buffers."""
 
     bind_host: str = "0.0.0.0"
     bind_port: int = 0
-    peer_host: Optional[str] = None
-    peer_port: Optional[int] = None
     recv_buffer: int = UDP_MAX_DATAGRAM
     kernel_buffer: int = 1 << 22
 
     def __post_init__(self) -> None:
         _check_port("bind_port", self.bind_port)
-        if self.peer_port is not None:
-            _check_port("peer_port", self.peer_port)
         if self.recv_buffer < 1:
             raise ValueError("recv_buffer must be positive")
 
@@ -98,16 +94,6 @@ class UdpEndpoint:
     @property
     def local_port(self) -> int:
         return self._sock.getsockname()[1]
-
-    @property
-    def local_address(self) -> tuple[str, int]:
-        return self._sock.getsockname()[:2]
-
-    def send(self, data: bytes) -> None:
-        """Send one datagram to the configured peer."""
-        if self.cfg.peer_host is None or self.cfg.peer_port is None:
-            raise ValueError("endpoint has no peer configured")
-        self.send_to(data, (self.cfg.peer_host, self.cfg.peer_port))
 
     def send_to(self, data: bytes, addr: tuple[str, int]) -> None:
         if len(data) > UDP_MAX_DATAGRAM:
@@ -167,42 +153,16 @@ class ImpairmentConfig:
             raise ValueError("delays must be non-negative")
 
 
-def impair(cfg: ImpairmentConfig, items: Sequence[T]) -> list[T]:
-    """Apply loss, duplication and reordering to a packet stream.
-
-    Pure function of (cfg, items): the same seed yields the same output
-    every time. Items are never altered, only kept, repeated, or moved;
-    a reordered item is released ``reorder_depth`` slots late, with ties
-    broken by original send index.
-    """
-    rng = SplitMix64(cfg.seed)
-    emitted: list[tuple[int, int, int, T]] = []
-    for i, item in enumerate(items):
-        u_loss = rng.next_float()
-        u_dup = rng.next_float()
-        u_reorder = rng.next_float()
-        if u_loss < cfg.loss_p:
-            continue
-        slot = i + (cfg.reorder_depth if u_reorder < cfg.reorder_p else 0)
-        copies = 2 if u_dup < cfg.dup_p else 1
-        for c in range(copies):
-            emitted.append((slot, i, c, item))
-    emitted.sort(key=lambda e: e[:3])
-    return [item for _, _, _, item in emitted]
-
-
-def survivor_indices(cfg: ImpairmentConfig, n: int) -> list[int]:
-    """Original indices of the packets :func:`impair` would emit, in emit order."""
-    return impair(cfg, range(n))
-
-
 class StreamImpairer:
-    """Streaming form of :func:`impair`: push items one at a time.
+    """Apply loss, duplication and reordering to a packet stream, one item at a time.
 
-    Emits exactly what a single :func:`impair` call over the whole stream
-    would, in the same order, without holding the stream in memory. An
-    entry with release slot ``s`` can be emitted once item ``s`` has been
-    pushed, because every later item lands in a slot past its own index.
+    A pure function of (cfg, items pushed): the same seed yields the same
+    output every time. Items are never altered, only kept, repeated, or
+    moved; a reordered item is released ``reorder_depth`` slots late, with
+    ties broken by original send index, and duplicates release back to
+    back. An entry with release slot ``s`` is emitted once item ``s`` has
+    been pushed, because every later item lands in a slot past its own
+    index.
     """
 
     def __init__(self, cfg: ImpairmentConfig):
@@ -235,6 +195,13 @@ class StreamImpairer:
         while self._pending:
             out.append(heapq.heappop(self._pending)[3])
         return out
+
+
+def impair(cfg: ImpairmentConfig, items: Iterable[T]) -> list[T]:
+    """Batch form of :class:`StreamImpairer`: push every item, then flush."""
+    imp = StreamImpairer(cfg)
+    out = [released for item in items for released in imp.push(item)]
+    return out + imp.flush()
 
 
 def delay_stream(cfg: ImpairmentConfig) -> Iterable[int]:

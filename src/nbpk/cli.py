@@ -26,9 +26,9 @@ from . import inertial, recorder
 from .bridge import (
     TOPIC_COMMAND,
     TOPIC_MOTION,
+    BoundedFifo,
     Bridge,
     BridgeConfig,
-    LatestWins,
     TopicBus,
 )
 from .channel import (
@@ -37,7 +37,7 @@ from .channel import (
     DEFAULT_MOTION_PORT,
     ImpairmentConfig,
 )
-from .robotsim import RobotConfig, run_robot
+from .robotsim import RobotConfig, RobotSim
 from .wire import MotionRequest, StreamId
 
 log = logging.getLogger("nbpk")
@@ -132,7 +132,7 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     out = sys.stdout if out is None else out
-    sub = bus.subscribe(TOPIC_MOTION, LatestWins())
+    sub = bus.subscribe(TOPIC_MOTION, BoundedFifo(1))
     state = TeleopState(step=step)
     period = 1.0 / rate
     started = time.monotonic()
@@ -285,6 +285,18 @@ def _bridge_config(args) -> BridgeConfig:
 
 # --- subcommands -----------------------------------------------------------
 
+def _run_until_interrupt(duration: float | None) -> None:
+    """Block for ``duration`` seconds, or until Ctrl-C when it is None."""
+    try:
+        if duration is not None:
+            time.sleep(duration)
+        else:
+            while True:
+                time.sleep(0.5)
+    except KeyboardInterrupt:
+        pass
+
+
 def _cmd_robot(args) -> int:
     _check_positive("--fps", args.fps)
     _check_positive("--motion-rate", args.motion_rate)
@@ -300,24 +312,14 @@ def _cmd_robot(args) -> int:
         frag_payload=args.frag_size,
     )
     log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
-    run_robot(cfg, duration=args.duration)
+    with RobotSim(cfg):
+        _run_until_interrupt(args.duration)
     return 0
 
 
 def _cmd_bridge(args) -> int:
-    cfg = _bridge_config(args)
-    bridge = Bridge(cfg, on_stats=lambda s: print(s.to_json(), flush=True))
-    bridge.start()
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        bridge.stop()
+    with Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True)):
+        _run_until_interrupt(args.duration)
     return 0
 
 
@@ -341,13 +343,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_record(args) -> int:
     _check_positive("--duration", args.duration)
-    cfg = _bridge_config(args)
-    bridge = Bridge(cfg)
-    bridge.start()
-    try:
+    with Bridge(_bridge_config(args)) as bridge:
         n = recorder.record(bridge.bus, args.out, args.duration)
-    finally:
-        bridge.stop()
     print(json.dumps({"records": n, "path": args.out}))
     return 0
 
@@ -393,15 +390,11 @@ def _cmd_teleop(args) -> int:
     _check_positive("--step", args.step)
     if not sys.stdin.isatty():
         raise UsageError("teleop reads single keys and needs an interactive terminal")
-    cfg = _bridge_config(args)
-    bridge = Bridge(cfg)
-    bridge.start()
-    try:
-        teleop_loop(bridge.bus, rate=args.rate, step=args.step)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        bridge.stop()
+    with Bridge(_bridge_config(args)) as bridge:
+        try:
+            teleop_loop(bridge.bus, rate=args.rate, step=args.step)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

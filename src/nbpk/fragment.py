@@ -133,9 +133,6 @@ class StreamStats:
     bytes_received: int = 0
     latency_accumulator_us: int = 0
 
-    def snapshot(self) -> "StreamStats":
-        return replace(self)
-
 
 def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD,
                     seq: Optional[int] = None) -> list[Packet]:
@@ -220,7 +217,7 @@ class Reassembler:
 
     def stats(self) -> StreamStats:
         """Read-only snapshot of the counters."""
-        return self._stats.snapshot()
+        return replace(self._stats)
 
     @property
     def collecting(self) -> bool:

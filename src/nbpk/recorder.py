@@ -240,25 +240,26 @@ def record_messages(messages, path, epoch_us: Optional[int] = None) -> int:
 def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
     """Republish a log onto the bus; returns how many records went out.
 
-    Inter-record delays are the recorded timestamp deltas divided by
-    ``speed``; ``speed=math.inf`` (or anything non-finite) replays as fast
-    as possible. Sequence numbers are assigned afresh per stream, counting
-    from zero. A truncated file replays its valid prefix.
+    Each record waits for the amount its timestamp passes the largest
+    timestamp seen so far, divided by ``speed``; an older timestamp (a
+    command, logged at 0) goes out at once. ``speed=math.inf`` (or anything
+    non-finite) replays as fast as possible. Sequence numbers are assigned
+    afresh per stream, counting from zero. A truncated file replays its
+    valid prefix.
     """
     if not speed > 0:
         raise ValueError(f"speed must be positive, got {speed}")
     paced = math.isfinite(speed)
-    prev_ts: Optional[int] = None
+    latest_ts: Optional[int] = None
     seq = {s: 0 for s in StreamId}
     published = 0
     for rec in read_log(path):
         if isinstance(rec, Truncated):
             break
-        if paced and prev_ts is not None:
-            delay = (rec.timestamp_us - prev_ts) / 1e6 / speed
-            if delay > 0:
-                time.sleep(delay)
-        prev_ts = rec.timestamp_us
+        if latest_ts is None or rec.timestamp_us > latest_ts:
+            if paced and latest_ts is not None:
+                time.sleep((rec.timestamp_us - latest_ts) / 1e6 / speed)
+            latest_ts = rec.timestamp_us
         n = seq[rec.stream_id]
         if rec.stream_id == StreamId.IMAGE:
             img = image_from_record_payload(rec.payload, seq=n,

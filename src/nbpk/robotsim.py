@@ -16,7 +16,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -75,18 +75,12 @@ class RobotConfig:
     width: int = 320
     height: int = 240
     frag_payload: int = DEFAULT_FRAG_PAYLOAD
-    ramp_rate: float = DEFAULT_RAMP_RATE
-    idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fps <= 60.0:
             raise ValueError(f"fps must lie in (0, 60], got {self.fps}")
         if self.motion_rate <= 0.0:
             raise ValueError(f"motion_rate must be positive, got {self.motion_rate}")
-        if self.ramp_rate <= 0.0:
-            raise ValueError(f"ramp_rate must be positive, got {self.ramp_rate}")
-        if self.idle_timeout_s <= 0.0:
-            raise ValueError(f"idle_timeout_s must be positive, got {self.idle_timeout_s}")
 
 
 # --- test image pattern ----------------------------------------------------
@@ -248,12 +242,10 @@ class RobotSim:
 
     def __init__(self, cfg: RobotConfig):
         self.cfg = cfg
-        self._image_out = UdpEndpoint(EndpointConfig(
-            bind_host="0.0.0.0", bind_port=0,
-            peer_host=cfg.peer_host, peer_port=cfg.image_port))
-        self._motion_out = UdpEndpoint(EndpointConfig(
-            bind_host="0.0.0.0", bind_port=0,
-            peer_host=cfg.peer_host, peer_port=cfg.motion_port))
+        self._image_out = UdpEndpoint(EndpointConfig())
+        self._motion_out = UdpEndpoint(EndpointConfig())
+        self._image_addr = (cfg.peer_host, cfg.image_port)
+        self._motion_addr = (cfg.peer_host, cfg.motion_port)
         self._command_in = UdpEndpoint(EndpointConfig(
             bind_host=cfg.command_bind_host, bind_port=cfg.command_port))
         self._commands: queue.SimpleQueue[tuple[MotionRequest, float]] = queue.SimpleQueue()
@@ -299,9 +291,9 @@ class RobotSim:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _send(self, endpoint: UdpEndpoint, pkt: Packet) -> None:
+    def _send(self, endpoint: UdpEndpoint, addr: tuple[str, int], pkt: Packet) -> None:
         try:
-            endpoint.send(pkt.to_bytes())
+            endpoint.send_to(pkt.to_bytes(), addr)
         except OSError:
             self.send_errors += 1  # unreachable peers are not fatal over UDP
 
@@ -323,7 +315,7 @@ class RobotSim:
             img = gen_test_image(seq, self.cfg.width, self.cfg.height)
             img = replace(img, timestamp_us=int(now * 1e6))
             for pkt in packetize_image(img, self.cfg.frag_payload):
-                self._send(self._image_out, pkt)
+                self._send(self._image_out, self._image_addr, pkt)
             self.images_sent += 1
             seq += 1
             next_t += period
@@ -347,15 +339,13 @@ class RobotSim:
                 except queue.Empty:
                     break
                 walk = apply_command(walk, req, t_cmd)
-            walk = step(walk, now - last, now,
-                        ramp_rate=self.cfg.ramp_rate,
-                        idle_timeout=self.cfg.idle_timeout_s)
+            walk = step(walk, now - last, now)
             last = now
             self._walk = walk
             reading = gen_motion(seq, now - t0, walk)
             pkt = packetize_single(encode_motion(reading), StreamId.MOTION,
                                    seq=seq, timestamp_us=int(now * 1e6))
-            self._send(self._motion_out, pkt)
+            self._send(self._motion_out, self._motion_addr, pkt)
             self.motions_sent += 1
             seq += 1
             next_t += period
@@ -386,19 +376,3 @@ class RobotSim:
                 continue
             self._commands.put((req, time.monotonic()))
             self.commands_received += 1
-
-
-def run_robot(cfg: RobotConfig, duration: Optional[float] = None) -> None:
-    """Run an emulator until interrupted (or for ``duration`` seconds)."""
-    sim = RobotSim(cfg)
-    sim.start()
-    try:
-        if duration is not None:
-            time.sleep(duration)
-        else:
-            while True:
-                time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sim.stop()

@@ -142,6 +142,7 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
         raise InvariantError(f"reserved flags must be 0, got {flags!r}")
     if not (type(seq) is int and type(frag_index) is int and type(frag_count) is int
             and type(payload_len) is int and type(timestamp_us) is int
+            and type(flags) is int and type(version) is int
             and 0 <= seq <= _U32 and 0 <= frag_index <= _U16 and 0 <= frag_count <= _U16
             and 0 <= payload_len <= _U16 and 0 <= timestamp_us <= _U64):
         # not all plain ints in range: in-range int subclasses (bool, IntEnum)
@@ -151,6 +152,14 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
         _check_uint("frag_count", frag_count, 16)
         _check_uint("payload_len", payload_len, 16)
         _check_uint("timestamp_us", timestamp_us, 64)
+        if not (isinstance(version, int) and isinstance(flags, int)):
+            # equal to the valid value (1.0, 0.0) but not packable: any other
+            # broken rule is reported first, then the non-int field
+            checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
+                           timestamp_us, 0, WIRE_VERSION)
+            if not isinstance(version, int):
+                raise BadVersionError(f"version must be an int, got {version!r}")
+            raise InvariantError(f"reserved flags must be the int 0, got {flags!r}")
     if kind == _SINGLE:
         if frag_index != 0 or frag_count != 0:
             raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")

@@ -46,6 +46,24 @@ def splitmix64_sequence(seed: int, n: int) -> list[int]:
 SPLITMIX64_SEED0_FIRST = 0xE220A8397B1DCDAF
 
 
+def impair_reference(cfg, items: list) -> list:
+    """The channel simulator as one sort over the whole stream (the library's
+    original ``impair``): three draws per item, a survivor lands in slot
+    ``i`` or ``i + reorder_depth``, and emission order is (slot, i, copy)."""
+    draws = [(u >> 11) * 2.0**-53 for u in splitmix64_sequence(cfg.seed, 3 * len(items))]
+    emitted = []
+    for i, item in enumerate(items):
+        u_loss, u_dup, u_reorder = draws[3 * i:3 * i + 3]
+        if u_loss < cfg.loss_p:
+            continue
+        slot = i + (cfg.reorder_depth if u_reorder < cfg.reorder_p else 0)
+        copies = 2 if u_dup < cfg.dup_p else 1
+        for c in range(copies):
+            emitted.append((slot, i, c, item))
+    emitted.sort(key=lambda e: e[:3])
+    return [item for _, _, _, item in emitted]
+
+
 # --- datagram header: the original one-object-per-check codec ------------
 
 _HEADER_LAYOUT = struct.Struct("<4sBBBBIHHHQ")

@@ -13,10 +13,7 @@ from nbpk.bridge import (
     Bridge,
     BridgeConfig,
     CameraFrame,
-    LatestWins,
     TopicBus,
-    publish,
-    subscribe,
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.robotsim import verify_test_image, VerifyOk
@@ -34,11 +31,11 @@ from nbpk.wire import (
 class TestTopicBus:
     def test_publish_without_subscribers(self):
         bus = TopicBus()
-        publish(bus, "anything", 42)  # silently discarded
+        bus.publish("anything", 42)  # silently discarded
 
     def test_latest_wins_keeps_newest(self):
         bus = TopicBus()
-        sub = subscribe(bus, "t", LatestWins())
+        sub = bus.subscribe("t", BoundedFifo(1))
         for i in range(1, 6):
             bus.publish("t", i)
         assert sub.get_nowait() == 5
@@ -46,7 +43,7 @@ class TestTopicBus:
 
     def test_bounded_fifo_sheds_oldest(self):
         bus = TopicBus()
-        sub = subscribe(bus, "t", BoundedFifo(2))
+        sub = bus.subscribe("t", BoundedFifo(2))
         for i in (1, 2, 3):
             bus.publish("t", i)
         assert sub.drain() == [2, 3]
@@ -54,15 +51,15 @@ class TestTopicBus:
 
     def test_publish_order_preserved(self):
         bus = TopicBus()
-        sub = subscribe(bus, "t", BoundedFifo(100))
+        sub = bus.subscribe("t", BoundedFifo(100))
         for i in range(50):
             bus.publish("t", i)
         assert sub.drain() == list(range(50))
 
     def test_independent_subscribers(self):
         bus = TopicBus()
-        a = subscribe(bus, "t", BoundedFifo(10))
-        b = subscribe(bus, "t", LatestWins())
+        a = bus.subscribe("t", BoundedFifo(10))
+        b = bus.subscribe("t", BoundedFifo(1))
         for i in range(3):
             bus.publish("t", i)
         assert a.drain() == [0, 1, 2]
@@ -99,7 +96,7 @@ class TestTopicBus:
 
     def test_close_stops_delivery(self):
         bus = TopicBus()
-        sub = subscribe(bus, "t", BoundedFifo(10))
+        sub = bus.subscribe("t", BoundedFifo(10))
         sub.close()
         bus.publish("t", 1)
         assert sub.get(timeout=0) is None
@@ -108,7 +105,7 @@ class TestTopicBus:
         import threading
 
         bus = TopicBus()
-        sub = subscribe(bus, "t", LatestWins())
+        sub = bus.subscribe("t", BoundedFifo(1))
         got = []
         th = threading.Thread(target=lambda: got.append(sub.get(timeout=2.0)))
         th.start()

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, TopicBus
+from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.cli import (
     TeleopState,
     UsageError,
@@ -234,6 +235,28 @@ class TestLogCommands:
         assert json.loads(capsys.readouterr().out)["records"] == 0
         from nbpk.recorder import read_log
         assert list(read_log(p)) == []
+
+
+class TestRunCommands:
+    def test_bridge_prints_stats_lines(self, capsys):
+        code = main(["bridge", "--image-port", "0", "--motion-port", "0",
+                     "--stats-period", "0.1", "--duration", "0.4"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        for line in lines:
+            doc = json.loads(line)
+            assert doc["frames_published"] == 0 and "uptime_s" in doc
+
+    def test_robot_streams_for_duration(self):
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \
+                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as motion_in:
+            code = main(["robot", "--command-port", "0", "--duration", "0.3",
+                         "--image-port", str(image_in.local_port),
+                         "--motion-port", str(motion_in.local_port)])
+            assert code == 0
+            assert image_in.recv(timeout=1.0) is not None
+            assert motion_in.recv(timeout=1.0) is not None
 
 
 class TestInertiaCommand:

@@ -1,11 +1,13 @@
 import math
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nbpk import recorder
 from nbpk.bridge import (
     TOPIC_COMMAND,
     TOPIC_IMAGE,
@@ -253,6 +255,18 @@ class TestReplay:
         replay(p, bus, speed=2.0)
         elapsed = time.monotonic() - t0
         assert 0.12 <= elapsed <= 0.45  # 0.4 s of log at double speed
+
+    def test_replay_paces_a_command_between_images_by_the_image_gap(self, tmp_path, monkeypatch):
+        # commands are logged with timestamp 0; the next image must not wait
+        # out its whole timestamp again
+        p = tmp_path / "a.nbl"
+        first = replace(gen_test_image(0, 32, 24), timestamp_us=5_000_000)
+        second = replace(gen_test_image(1, 32, 24), timestamp_us=5_033_000)
+        record_messages([first, MotionRequest.stand(), second], p)
+        sleeps = []
+        monkeypatch.setattr(recorder.time, "sleep", sleeps.append)
+        assert replay(p, TopicBus(), speed=1.0) == 3
+        assert sum(sleeps) == pytest.approx(0.033)
 
     def test_replay_speed_must_be_positive(self, tmp_path):
         p = tmp_path / "a.nbl"

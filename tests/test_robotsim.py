@@ -195,8 +195,6 @@ class TestRobotConfig:
     def test_positive_rates(self):
         with pytest.raises(ValueError):
             RobotConfig(motion_rate=0)
-        with pytest.raises(ValueError):
-            RobotConfig(ramp_rate=0)
 
 
 class TestRobotSimLive:

@@ -146,6 +146,15 @@ class TestHeader:
         with pytest.raises(InvariantError):
             encode_header(PacketHeader(StreamId.IMAGE, PacketKind.SINGLE, seq=2**32))
 
+    def test_non_int_version_and_flags_rejected(self):
+        # equal to the valid value but not an int: a WireError, not struct.error
+        h = PacketHeader(StreamId.IMAGE, PacketKind.SINGLE, seq=0)
+        with pytest.raises(BadVersionError):
+            encode_header(h._replace(version=1.0))
+        with pytest.raises(InvariantError):
+            encode_header(h._replace(flags=0.0))
+        assert encode_header(h._replace(version=True, flags=False)) == encode_header(h)
+
 
 class TestStartMeta:
     def test_size(self):
