@@ -11,6 +11,7 @@ from .wire import (
     DEFAULT_JOINT_COUNT,
     HEADER_SIZE,
     MAGIC,
+    MAX_IMAGE_BYTES,
     UDP_MAX_DATAGRAM,
     WIRE_VERSION,
     BadMagicError,

@@ -26,7 +26,7 @@ from .bridge import (
     CameraFrame,
     TopicBus,
 )
-from .channel import ImpairmentConfig, StreamImpairer, delay_stream
+from .channel import ImpairmentConfig, StreamImpairer
 from .fragment import ImageComplete, Reassembler, packetize_image
 from .robotsim import RobotConfig, RobotSim, gen_test_image, image_ok
 from .wire import DEFAULT_FRAG_PAYLOAD
@@ -113,12 +113,12 @@ def _latency_stats(latencies_us: list[int]) -> tuple[float, float]:
 def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     """Simulate a run on a virtual clock; deterministic given the seed.
 
-    If ``trace_out`` is given, the seq of every delivered frame is appended
-    to it in completion order.
+    A packet arrives at the virtual time of the push that releases it, so
+    latency comes only from reordering. If ``trace_out`` is given, the seq
+    of every delivered frame is appended to it in completion order.
     """
     cfg = s.effective_impairment()
     imp = StreamImpairer(cfg)
-    delays = delay_stream(cfg)
     rx = Reassembler()
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
@@ -128,11 +128,10 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     def feed(released, t_us):
         nonlocal delivered, verify_failures
         for pkt in released:
-            arrival = t_us + next(delays)
-            event = rx.step(pkt, now_us=arrival)
+            event = rx.step(pkt, now_us=t_us)
             if isinstance(event, ImageComplete):
                 delivered += 1
-                latencies.append(arrival - event.image.timestamp_us)
+                latencies.append(t_us - event.image.timestamp_us)
                 if trace_out is not None:
                     trace_out.append(event.image.seq)
                 if not image_ok(event.image):

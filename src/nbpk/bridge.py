@@ -25,21 +25,15 @@ from .channel import (
     DEFAULT_IMAGE_PORT,
     DEFAULT_MOTION_PORT,
     EndpointConfig,
-    TruncatedDatagramError,
+    Service,
     UdpEndpoint,
 )
-from .fragment import (
-    ImageComplete,
-    Packet,
-    Reassembler,
-    SingleDelivered,
-    StreamStats,
-    packetize_single,
-)
+from .fragment import ImageComplete, Packet, Reassembler, StreamStats, packetize_single
 from .wire import (
     Image,
     MotionReading,
     MotionRequest,
+    PacketKind,
     StreamId,
     WireError,
     decode_motion,
@@ -238,7 +232,7 @@ def _now_us() -> int:
     return int(time.monotonic() * 1e6)
 
 
-class Bridge:
+class Bridge(Service):
     """Threaded receive/publish/forward engine. Use as a context manager.
 
     Frames that fail reassembly never reach the bus; frames that complete
@@ -257,6 +251,11 @@ class Bridge:
         self._motion_in = UdpEndpoint(EndpointConfig(
             bind_host=cfg.bind_host, bind_port=cfg.motion_port))
         self._command_out = UdpEndpoint(EndpointConfig(bind_host="0.0.0.0", bind_port=0))
+        super().__init__({"nbpk-bridge-image": self._image_loop,
+                          "nbpk-bridge-motion": self._motion_loop,
+                          "nbpk-bridge-stats": self._stats_loop,
+                          "nbpk-bridge-command": self._command_loop},
+                         (self._image_in, self._motion_in, self._command_out))
         self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
         timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
         self._image_rx = Reassembler(timeout_us=timeout_us)
@@ -266,18 +265,14 @@ class Bridge:
         self.bus.register(TOPIC_STATS, BridgeStats)
         self.bus.register(TOPIC_COMMAND, MotionRequest)
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._cmd_lock = threading.Lock()
         self._cmd_seq = 0
         self._last_image_seq = -1
         self._last_motion_seq = -1
-        self._started_at = time.monotonic()
         self.frames_published = 0
         self.motions_published = 0
         self.commands_forwarded = 0
         self.frames_stale = 0
-        self.malformed_packets = 0
 
     @property
     def image_port(self) -> int:
@@ -290,33 +285,6 @@ class Bridge:
     def set_robot_address(self, host: str, port: int) -> None:
         """Repoint the command back-channel (e.g. after the robot's port is known)."""
         self._robot_addr = (host, port)
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("bridge already started")
-        self._started_at = time.monotonic()
-        for name, fn in (("nbpk-bridge-image", self._image_loop),
-                         ("nbpk-bridge-motion", self._motion_loop),
-                         ("nbpk-bridge-stats", self._stats_loop),
-                         ("nbpk-bridge-command", self._command_loop)):
-            t = threading.Thread(target=fn, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def stop(self) -> None:
-        self._stop.set()
-        for t in self._threads:
-            t.join(timeout=5.0)
-        self._threads.clear()
-        for ep in (self._image_in, self._motion_in, self._command_out):
-            ep.close()
-
-    def __enter__(self) -> "Bridge":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     def stats(self) -> BridgeStats:
         return BridgeStats(
@@ -341,33 +309,9 @@ class Bridge:
         self.commands_forwarded += 1
         return pkt
 
-    def _recv_packet(self, endpoint: UdpEndpoint, expect: StreamId) -> Optional[Packet]:
-        try:
-            r = endpoint.recv(timeout=0.1)
-        except TruncatedDatagramError:
-            self.malformed_packets += 1
-            return None
-        except OSError:
-            if self._stop.is_set():
-                return None
-            raise
-        if r is None:
-            return None
-        data, _addr = r
-        try:
-            pkt = Packet.from_bytes(data)
-        except WireError:
-            self.malformed_packets += 1
-            return None
-        if pkt.header.stream_id != expect:
-            self.malformed_packets += 1
-            return None
-        return pkt
-
     def _image_loop(self) -> None:
         rx = self._image_rx
-        while not self._stop.is_set():
-            pkt = self._recv_packet(self._image_in, StreamId.IMAGE)
+        for pkt in self._packets(self._image_in, StreamId.IMAGE):
             now = _now_us()
             if pkt is not None:
                 event = rx.step(pkt, now_us=now)
@@ -383,13 +327,10 @@ class Bridge:
 
     def _motion_loop(self) -> None:
         rx = self._motion_rx
-        while not self._stop.is_set():
-            pkt = self._recv_packet(self._motion_in, StreamId.MOTION)
+        for pkt in self._packets(self._motion_in, StreamId.MOTION, PacketKind.SINGLE):
             if pkt is None:
                 continue
-            event = rx.step(pkt, now_us=_now_us())
-            if not isinstance(event, SingleDelivered):
-                continue
+            event = rx.step(pkt, now_us=_now_us())  # a SINGLE is always delivered
             try:
                 reading = decode_motion(event.payload, seq=event.seq,
                                         timestamp_us=event.timestamp_us)

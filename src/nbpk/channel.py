@@ -1,22 +1,23 @@
-"""Datagram transport and a deterministic lossy-channel simulator.
+"""Datagram transport, the service skeleton, and a deterministic lossy-channel simulator.
 
 The simulator's randomness is pinned to splitmix64 with the standard
 published constants, so a given seed produces the same loss/duplication/
 reorder trace on any platform. Exactly three draws are consumed per input
 packet, in the order loss, duplication, reorder, whether or not the
-earlier draws already decided the packet's fate. Delay jitter, when used,
-draws from a second splitmix64 stream (seed XOR the golden-ratio
-increment) so enabling it never changes which packets survive.
+earlier draws already decided the packet's fate.
 """
 
 from __future__ import annotations
 
 import heapq
 import socket
+import threading
+import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from .wire import UDP_MAX_DATAGRAM
+from .fragment import Packet
+from .wire import UDP_MAX_DATAGRAM, PacketKind, StreamId, WireError
 
 #: Default ports: one per stream so the receiver can tell sources apart.
 DEFAULT_IMAGE_PORT = 10021
@@ -27,9 +28,6 @@ _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-#: Salt for the independent jitter stream (see module docstring).
-JITTER_STREAM_SALT = SPLITMIX64_GAMMA
 
 T = TypeVar("T")
 
@@ -130,6 +128,72 @@ class UdpEndpoint:
         self.close()
 
 
+class Service:
+    """Named threads over owned endpoints: the robot's and the bridge's skeleton.
+
+    ``start`` runs each of ``loops`` on a daemon thread named by its key,
+    once; ``stop`` joins them, then closes every endpoint. A datagram that
+    breaks the wire contract is counted in ``malformed_packets`` and never
+    stops a loop.
+    """
+
+    def __init__(self, loops: dict[str, Callable[[], None]], endpoints: Iterable[UdpEndpoint]):
+        self._loops = loops
+        self._endpoints = tuple(endpoints)
+        self._stop = threading.Event()
+        self._threads: list[threading.Thread] = []
+        self._started_at = time.monotonic()
+        self.malformed_packets = 0
+
+    def start(self) -> None:
+        if self._threads:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        self._started_at = time.monotonic()
+        for name, fn in self._loops.items():
+            t = threading.Thread(target=fn, name=name, daemon=True)
+            t.start()
+            self._threads.append(t)
+
+    def stop(self) -> None:
+        self._stop.set()
+        for t in self._threads:
+            t.join(timeout=5.0)
+        for ep in self._endpoints:
+            ep.close()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def _packets(self, endpoint: UdpEndpoint, stream: StreamId,
+                 kind: Optional[PacketKind] = None) -> Iterator[Optional[Packet]]:
+        """Each valid packet of ``stream`` (and ``kind``, if given) from ``endpoint``.
+
+        Yields None after 0.1 s of silence or a rejected datagram, so the
+        caller can do periodic work, and ends once the service stops.
+        """
+        while not self._stop.is_set():
+            pkt = None
+            try:
+                got = endpoint.recv(timeout=0.1)
+                if got is not None:
+                    pkt = Packet.from_bytes(got[0])
+            except (TruncatedDatagramError, WireError):
+                self.malformed_packets += 1
+            except OSError:
+                if self._stop.is_set():
+                    return
+                raise
+            if pkt is not None and (pkt.header.stream_id != stream
+                                    or kind is not None and pkt.header.kind != kind):
+                self.malformed_packets += 1
+                pkt = None
+            yield pkt
+
+
 @dataclass(frozen=True)
 class ImpairmentConfig:
     """Per-packet impairment probabilities and the seed that fixes them."""
@@ -138,8 +202,6 @@ class ImpairmentConfig:
     dup_p: float = 0.0
     reorder_p: float = 0.0
     reorder_depth: int = 1
-    base_delay_us: int = 0
-    jitter_us: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -149,8 +211,6 @@ class ImpairmentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.reorder_depth < 1:
             raise ValueError(f"reorder_depth must be >= 1, got {self.reorder_depth}")
-        if self.base_delay_us < 0 or self.jitter_us < 0:
-            raise ValueError("delays must be non-negative")
 
 
 class StreamImpairer:
@@ -202,11 +262,3 @@ def impair(cfg: ImpairmentConfig, items: Iterable[T]) -> list[T]:
     imp = StreamImpairer(cfg)
     out = [released for item in items for released in imp.push(item)]
     return out + imp.flush()
-
-
-def delay_stream(cfg: ImpairmentConfig) -> Iterable[int]:
-    """Per-emitted-packet extra delay in microseconds, as an endless iterator."""
-    rng = SplitMix64(cfg.seed ^ JITTER_STREAM_SALT)
-    while True:
-        jitter = int(rng.next_float() * cfg.jitter_us) if cfg.jitter_us > 0 else 0
-        yield cfg.base_delay_us + jitter

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import queue
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -25,13 +24,14 @@ from .channel import (
     DEFAULT_IMAGE_PORT,
     DEFAULT_MOTION_PORT,
     EndpointConfig,
-    TruncatedDatagramError,
+    Service,
     UdpEndpoint,
 )
 from .fragment import Packet, packetize_image, packetize_single
 from .wire import (
     DEFAULT_FRAG_PAYLOAD,
     DEFAULT_JOINT_COUNT,
+    MAX_IMAGE_BYTES,
     Image,
     MotionMode,
     MotionReading,
@@ -81,6 +81,9 @@ class RobotConfig:
             raise ValueError(f"fps must lie in (0, 60], got {self.fps}")
         if self.motion_rate <= 0.0:
             raise ValueError(f"motion_rate must be positive, got {self.motion_rate}")
+        if self.width * self.height * 2 > MAX_IMAGE_BYTES:
+            raise ValueError(f"a {self.width}x{self.height} YUV422 image exceeds the "
+                             f"{MAX_IMAGE_BYTES}-byte wire limit")
 
 
 # --- test image pattern ----------------------------------------------------
@@ -232,7 +235,7 @@ def gen_motion(seq: int, t: float, walk: WalkState,
 
 # --- the emulator ----------------------------------------------------------
 
-class RobotSim:
+class RobotSim(Service):
     """Threaded emulator: image loop, motion loop, command listener.
 
     The walk state is owned by the motion loop; the command listener only
@@ -242,21 +245,21 @@ class RobotSim:
 
     def __init__(self, cfg: RobotConfig):
         self.cfg = cfg
-        self._image_out = UdpEndpoint(EndpointConfig())
-        self._motion_out = UdpEndpoint(EndpointConfig())
+        self._out = UdpEndpoint(EndpointConfig())
         self._image_addr = (cfg.peer_host, cfg.image_port)
         self._motion_addr = (cfg.peer_host, cfg.motion_port)
         self._command_in = UdpEndpoint(EndpointConfig(
             bind_host=cfg.command_bind_host, bind_port=cfg.command_port))
+        super().__init__({"nbpk-robot-image": self._image_loop,
+                          "nbpk-robot-motion": self._motion_loop,
+                          "nbpk-robot-command": self._command_loop},
+                         (self._out, self._command_in))
         self._commands: queue.SimpleQueue[tuple[MotionRequest, float]] = queue.SimpleQueue()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._walk = WalkState()
         # single-writer counters; readers only observe
         self.images_sent = 0
         self.motions_sent = 0
         self.commands_received = 0
-        self.malformed_commands = 0
         self.send_errors = 0
 
     @property
@@ -266,73 +269,35 @@ class RobotSim:
     def walk_snapshot(self) -> WalkState:
         return self._walk
 
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("emulator already started")
-        for name, fn in (("nbpk-robot-image", self._image_loop),
-                         ("nbpk-robot-motion", self._motion_loop),
-                         ("nbpk-robot-command", self._command_loop)):
-            t = threading.Thread(target=fn, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def stop(self) -> None:
-        self._stop.set()
-        for t in self._threads:
-            t.join(timeout=5.0)
-        self._threads.clear()
-        for ep in (self._image_out, self._motion_out, self._command_in):
-            ep.close()
-
-    def __enter__(self) -> "RobotSim":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _send(self, endpoint: UdpEndpoint, addr: tuple[str, int], pkt: Packet) -> None:
+    def _send(self, addr: tuple[str, int], pkt: Packet) -> None:
         try:
-            endpoint.send_to(pkt.to_bytes(), addr)
+            self._out.send_to(pkt.to_bytes(), addr)
         except OSError:
             self.send_errors += 1  # unreachable peers are not fatal over UDP
 
-    def _pace(self, next_t: float) -> float:
-        """Sleep until ``next_t`` (stop-aware); returns the current time."""
-        delay = next_t - time.monotonic()
-        if delay > 0:
-            self._stop.wait(delay)
-        return time.monotonic()
-
-    def _image_loop(self) -> None:
-        period = 1.0 / self.cfg.fps
+    def _ticks(self, rate: float) -> Iterator[float]:
+        """The time of each tick at ``rate`` Hz, sleeping between them, until stopped."""
+        period = 1.0 / rate
         next_t = time.monotonic()
-        seq = 0
-        while not self._stop.is_set():
-            now = self._pace(next_t)
-            if self._stop.is_set():
-                break
-            img = gen_test_image(seq, self.cfg.width, self.cfg.height)
-            img = replace(img, timestamp_us=int(now * 1e6))
-            for pkt in packetize_image(img, self.cfg.frag_payload):
-                self._send(self._image_out, self._image_addr, pkt)
-            self.images_sent += 1
-            seq += 1
+        while not self._stop.wait(max(0.0, next_t - time.monotonic())):
+            now = time.monotonic()
+            yield now
             next_t += period
             if now - next_t > 1.0:  # clock jumped; don't burst to catch up
                 next_t = now + period
 
+    def _image_loop(self) -> None:
+        cfg = self.cfg
+        for seq, now in enumerate(self._ticks(cfg.fps)):
+            img = replace(gen_test_image(seq, cfg.width, cfg.height), timestamp_us=int(now * 1e6))
+            for pkt in packetize_image(img, cfg.frag_payload):
+                self._send(self._image_addr, pkt)
+            self.images_sent += 1
+
     def _motion_loop(self) -> None:
-        period = 1.0 / self.cfg.motion_rate
-        t0 = time.monotonic()
-        last = t0
-        next_t = t0
-        seq = 0
+        t0 = last = time.monotonic()
         walk = WalkState()
-        while not self._stop.is_set():
-            now = self._pace(next_t)
-            if self._stop.is_set():
-                break
+        for seq, now in enumerate(self._ticks(self.cfg.motion_rate)):
             while True:
                 try:
                     req, t_cmd = self._commands.get_nowait()
@@ -345,34 +310,17 @@ class RobotSim:
             reading = gen_motion(seq, now - t0, walk)
             pkt = packetize_single(encode_motion(reading), StreamId.MOTION,
                                    seq=seq, timestamp_us=int(now * 1e6))
-            self._send(self._motion_out, self._motion_addr, pkt)
+            self._send(self._motion_addr, pkt)
             self.motions_sent += 1
-            seq += 1
-            next_t += period
-            if now - next_t > 1.0:
-                next_t = now + period
 
     def _command_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                r = self._command_in.recv(timeout=0.1)
-            except TruncatedDatagramError:
-                self.malformed_commands += 1
+        for pkt in self._packets(self._command_in, StreamId.COMMAND, PacketKind.SINGLE):
+            if pkt is None:
                 continue
-            except OSError:
-                if self._stop.is_set():
-                    break
-                raise
-            if r is None:
-                continue
-            data, _addr = r
             try:
-                pkt = Packet.from_bytes(data)
-                if pkt.header.stream_id != StreamId.COMMAND or pkt.header.kind != PacketKind.SINGLE:
-                    raise WireError("not a command packet")
                 req = decode_request(pkt.payload)
             except WireError:
-                self.malformed_commands += 1
+                self.malformed_packets += 1
                 continue
             self._commands.put((req, time.monotonic()))
             self.commands_received += 1

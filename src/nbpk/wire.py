@@ -31,6 +31,10 @@ UDP_MAX_DATAGRAM = 65507
 DEFAULT_FRAG_PAYLOAD = 1400
 DEFAULT_JOINT_COUNT = 25
 
+#: Largest image a START may announce: the NAO camera's 1280x960 YUV422
+#: mode. It bounds what one datagram can make a receiver allocate.
+MAX_IMAGE_BYTES = 1280 * 960 * 2
+
 _HEADER = struct.Struct("<4sBBBBIHHHQ")
 _START_META = struct.Struct("<IHHBBH")
 _REQUEST = struct.Struct("<BBfff")
@@ -222,6 +226,8 @@ class ImageStartMeta:
         _check_uint("width", self.width, 16)
         _check_uint("height", self.height, 16)
         _check_uint("frag_payload", self.frag_payload, 16)
+        if self.total_len > MAX_IMAGE_BYTES:
+            raise InvariantError(f"total_len {self.total_len} exceeds the {MAX_IMAGE_BYTES}-byte image limit")
         if self.encoding not in Encoding.__members__.values():
             raise InvariantError(f"unknown encoding {self.encoding!r}")
         if self.frag_payload == 0:

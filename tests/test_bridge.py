@@ -16,15 +16,18 @@ from nbpk.bridge import (
     TopicBus,
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.robotsim import verify_test_image, VerifyOk
+from nbpk.fragment import packetize_image, packetize_single
+from nbpk.robotsim import gen_test_image, verify_test_image, VerifyOk
 from nbpk.wire import (
     HEADER_SIZE,
     InvariantError,
     MotionMode,
+    MotionReading,
     MotionRequest,
     PacketKind,
     StreamId,
     decode_request,
+    encode_motion,
 )
 
 
@@ -211,16 +214,35 @@ class TestBridgeLive:
     def test_malformed_packets_counted_not_fatal(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
         bridge.start()
+        # motion travels one sample per SINGLE: a valid START/FRAGMENT pair
+        # on the motion port is off-contract, as is a motion SINGLE sent to
+        # the image port
+        motion_frame = [p._replace(header=p.header._replace(stream_id=StreamId.MOTION))
+                        for p in packetize_image(gen_test_image(0, 16, 8))]
+        assert [p.header.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
+        motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
+                                         seq=0, timestamp_us=0)
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
             tx.send_to(b"garbage", ("127.0.0.1", bridge.image_port))
             tx.send_to(b"\x00" * 40, ("127.0.0.1", bridge.motion_port))
+            for pkt in motion_frame:
+                tx.send_to(pkt.to_bytes(), ("127.0.0.1", bridge.motion_port))
+            tx.send_to(motion_single.to_bytes(), ("127.0.0.1", bridge.image_port))
         deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and bridge.malformed_packets < 2:
+        while time.monotonic() < deadline and bridge.malformed_packets < 5:
             time.sleep(0.02)
         snap = bridge.stats()
         bridge.stop()
-        assert snap.malformed_packets == 2
+        assert snap.malformed_packets == 5
         assert snap.frames_published == 0
+        assert snap.motion.frames_complete == 0
+        assert snap.motions_published == 0
+
+    def test_second_start_raises(self):
+        bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
+        with bridge:
+            with pytest.raises(RuntimeError):
+                bridge.start()
 
     def test_command_forward_wire_format(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as robot_side:

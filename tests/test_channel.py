@@ -1,4 +1,3 @@
-import itertools
 import socket
 import threading
 
@@ -15,7 +14,6 @@ from nbpk.channel import (
     StreamImpairer,
     TruncatedDatagramError,
     UdpEndpoint,
-    delay_stream,
     impair,
 )
 
@@ -104,25 +102,6 @@ class TestImpair:
         long = set(impair(cfg, range(300)))
         short = set(impair(cfg, range(100)))
         assert short == {i for i in long if i < 100}
-
-    def test_jitter_never_changes_survivors(self):
-        base = ImpairmentConfig(loss_p=0.2, dup_p=0.1, reorder_p=0.1, seed=13)
-        with_delay = ImpairmentConfig(loss_p=0.2, dup_p=0.1, reorder_p=0.1, seed=13,
-                                      base_delay_us=5000, jitter_us=2000)
-        items = list(range(400))
-        assert impair(base, items) == impair(with_delay, items)
-
-    def test_delay_stream_bounds_and_determinism(self):
-        cfg = ImpairmentConfig(base_delay_us=1000, jitter_us=500, seed=4)
-        a = list(itertools.islice(delay_stream(cfg), 200))
-        b = list(itertools.islice(delay_stream(cfg), 200))
-        assert a == b
-        assert all(1000 <= d < 1500 for d in a)
-        assert len(set(a)) > 1
-
-    def test_no_jitter_is_constant(self):
-        cfg = ImpairmentConfig(base_delay_us=250)
-        assert list(itertools.islice(delay_stream(cfg), 5)) == [250] * 5
 
 
 class TestStreamImpairer:

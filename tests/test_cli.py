@@ -175,6 +175,11 @@ class TestMainExitCodes:
         assert main(["replay", "/nonexistent/path.nbl"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_robot_image_over_wire_bound(self, capsys):
+        assert main(["robot", "--width", "2000", "--height", "2000",
+                     "--command-port", "0", "--duration", "0.1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_teleop_needs_tty(self, capsys):
         assert main(["teleop"]) == 1
         assert "terminal" in capsys.readouterr().err

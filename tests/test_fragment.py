@@ -231,6 +231,20 @@ class TestReassembler:
         assert isinstance(rx.step(lying), Orphan)
         assert not rx.collecting
 
+    def test_oversized_start_is_orphan(self):
+        def start(width, height):
+            total = width * height * 2
+            meta = struct.pack("<IHHBBH", total, width, height, 1, 0, 1400)
+            return Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, seq=3,
+                                       frag_count=-(-total // 1400), payload_len=len(meta)),
+                          meta)
+
+        rx = Reassembler()
+        assert rx.step(start(1280, 962)) == Orphan(seq=3)
+        assert not rx.collecting
+        assert rx.step(start(1280, 960)) is None
+        assert rx.collecting
+
     def test_single_packet_passthrough(self):
         rx = Reassembler()
         pkt = packetize_single(b"reading", StreamId.MOTION, seq=8, timestamp_us=44)

@@ -25,8 +25,10 @@ from nbpk.robotsim import (
     verify_test_image,
 )
 from nbpk.wire import (
+    REQUEST_SIZE,
     Image,
     MotionRequest,
+    PacketHeader,
     PacketKind,
     StreamId,
     decode_motion,
@@ -196,6 +198,11 @@ class TestRobotConfig:
         with pytest.raises(ValueError):
             RobotConfig(motion_rate=0)
 
+    def test_image_size_bound(self):
+        RobotConfig(width=1280, height=960)
+        with pytest.raises(ValueError):
+            RobotConfig(width=1280, height=962)
+
 
 class TestRobotSimLive:
     def _receivers(self):
@@ -271,6 +278,18 @@ class TestRobotSimLive:
         image_in.close()
         motion_in.close()
 
+    def test_second_start_raises(self):
+        image_in, motion_in = self._receivers()
+        cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
+                          motion_port=motion_in.local_port, command_port=0,
+                          command_bind_host="127.0.0.1", fps=5.0,
+                          motion_rate=20.0, width=32, height=24)
+        with RobotSim(cfg) as sim:
+            with pytest.raises(RuntimeError):
+                sim.start()
+        image_in.close()
+        motion_in.close()
+
     def test_malformed_commands_counted(self):
         image_in, motion_in = self._receivers()
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
@@ -278,12 +297,17 @@ class TestRobotSimLive:
                           command_bind_host="127.0.0.1", fps=5.0,
                           motion_rate=20.0, width=32, height=24)
         with RobotSim(cfg) as sim:
+            # a command travels as one SINGLE; a START is off-contract
+            start = Packet(PacketHeader(StreamId.COMMAND, PacketKind.START, seq=0,
+                                        frag_count=1, payload_len=REQUEST_SIZE),
+                           encode_request(MotionRequest.stand()))
             with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
                 tx.send_to(b"not a packet", ("127.0.0.1", sim.command_port))
+                tx.send_to(start.to_bytes(), ("127.0.0.1", sim.command_port))
                 deadline = time.monotonic() + 2.0
-                while time.monotonic() < deadline and sim.malformed_commands == 0:
+                while time.monotonic() < deadline and sim.malformed_packets < 2:
                     time.sleep(0.02)
-            assert sim.malformed_commands == 1
+            assert sim.malformed_packets == 2
             assert sim.commands_received == 0
         image_in.close()
         motion_in.close()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nbpk.wire import (
     HEADER_SIZE,
     MAGIC,
+    MAX_IMAGE_BYTES,
     REQUEST_SIZE,
     START_META_SIZE,
     WIRE_VERSION,
@@ -175,6 +176,15 @@ class TestStartMeta:
     def test_inconsistent_total_len(self):
         with pytest.raises(InvariantError):
             encode_start_meta(ImageStartMeta(total_len=100, width=320, height=240))
+
+    def test_image_size_bound(self):
+        # one START may not announce more than the largest camera mode, so a
+        # single datagram cannot make a receiver allocate gigabytes
+        assert MAX_IMAGE_BYTES == 1280 * 960 * 2
+        m = ImageStartMeta.for_image(1280, 960)
+        assert decode_start_meta(encode_start_meta(m)) == m
+        with pytest.raises(InvariantError):
+            encode_start_meta(ImageStartMeta.for_image(1280, 962))
 
     def test_reserved_byte_enforced(self):
         b = bytearray(encode_start_meta(ImageStartMeta.for_image(32, 24)))
