@@ -26,7 +26,6 @@ from .channel import (
     DEFAULT_MOTION_PORT,
     EndpointConfig,
     Service,
-    UdpEndpoint,
 )
 from .fragment import ImageComplete, Packet, Reassembler, StreamStats, packetize_single
 from .wire import (
@@ -246,24 +245,23 @@ class Bridge(Service):
         self.cfg = cfg
         self.bus = bus if bus is not None else TopicBus()
         self._on_stats = on_stats
-        self._image_in = UdpEndpoint(EndpointConfig(
-            bind_host=cfg.bind_host, bind_port=cfg.image_port))
-        self._motion_in = UdpEndpoint(EndpointConfig(
-            bind_host=cfg.bind_host, bind_port=cfg.motion_port))
-        self._command_out = UdpEndpoint(EndpointConfig(bind_host="0.0.0.0", bind_port=0))
-        super().__init__({"nbpk-bridge-image": self._image_loop,
-                          "nbpk-bridge-motion": self._motion_loop,
-                          "nbpk-bridge-stats": self._stats_loop,
-                          "nbpk-bridge-command": self._command_loop},
-                         (self._image_in, self._motion_in, self._command_out))
-        self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
-        timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
-        self._image_rx = Reassembler(timeout_us=timeout_us)
-        self._motion_rx = Reassembler()
+        # a bus whose topic carries another type fails here, before any socket opens
         self.bus.register(TOPIC_IMAGE, CameraFrame)
         self.bus.register(TOPIC_MOTION, MotionReading)
         self.bus.register(TOPIC_STATS, BridgeStats)
         self.bus.register(TOPIC_COMMAND, MotionRequest)
+        super().__init__({"nbpk-bridge-image": self._image_loop,
+                          "nbpk-bridge-motion": self._motion_loop,
+                          "nbpk-bridge-stats": self._stats_loop,
+                          "nbpk-bridge-command": self._command_loop},
+                         (EndpointConfig(bind_host=cfg.bind_host, bind_port=cfg.image_port),
+                          EndpointConfig(bind_host=cfg.bind_host, bind_port=cfg.motion_port),
+                          EndpointConfig()))
+        self._image_in, self._motion_in, self._command_out = self._endpoints
+        self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
+        timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
+        self._image_rx = Reassembler(timeout_us=timeout_us)
+        self._motion_rx = Reassembler()
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
         self._cmd_lock = threading.Lock()
         self._cmd_seq = 0

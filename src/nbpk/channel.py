@@ -9,6 +9,7 @@ earlier draws already decided the packet's fate.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import socket
 import threading
@@ -82,11 +83,13 @@ class UdpEndpoint:
     def __init__(self, cfg: EndpointConfig):
         self.cfg = cfg
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
+        with contextlib.suppress(OSError):  # the OS clamps oversized requests; best effort
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.kernel_buffer)
+        try:
+            self._sock.bind((cfg.bind_host, cfg.bind_port))
         except OSError:
-            pass  # the OS clamps oversized requests; best effort
-        self._sock.bind((cfg.bind_host, cfg.bind_port))
+            self._sock.close()
+            raise
         self._timeout = self._sock.gettimeout()
 
     @property
@@ -131,15 +134,17 @@ class UdpEndpoint:
 class Service:
     """Named threads over owned endpoints: the robot's and the bridge's skeleton.
 
-    ``start`` runs each of ``loops`` on a daemon thread named by its key,
-    once; ``stop`` joins them, then closes every endpoint. A datagram that
-    breaks the wire contract is counted in ``malformed_packets`` and never
-    stops a loop.
+    Opens one endpoint per config, all or none. ``start`` runs each of
+    ``loops`` on a daemon thread named by its key, once; ``stop`` joins
+    them, then closes every endpoint. A datagram that breaks the wire
+    contract is counted in ``malformed_packets`` and never stops a loop.
     """
 
-    def __init__(self, loops: dict[str, Callable[[], None]], endpoints: Iterable[UdpEndpoint]):
+    def __init__(self, loops: dict[str, Callable[[], None]], endpoints: Iterable[EndpointConfig]):
         self._loops = loops
-        self._endpoints = tuple(endpoints)
+        with contextlib.ExitStack() as opened:
+            self._endpoints = tuple(opened.enter_context(UdpEndpoint(cfg)) for cfg in endpoints)
+            opened.pop_all()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started_at = time.monotonic()

@@ -17,15 +17,12 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
-import numpy as np
-
 from .channel import (
     DEFAULT_COMMAND_PORT,
     DEFAULT_IMAGE_PORT,
     DEFAULT_MOTION_PORT,
     EndpointConfig,
     Service,
-    UdpEndpoint,
 )
 from .fragment import Packet, packetize_image, packetize_single
 from .wire import (
@@ -59,6 +56,7 @@ DEFAULT_RAMP_RATE = 2.0  # fraction of full speed per second
 DEFAULT_IDLE_TIMEOUT_S = 0.5  # auto-stand after this much command silence
 
 _MIN_PATTERN_BYTES = 16
+_RAMP = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,11 @@ def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
         raise ValueError(f"image of {n} bytes is too small for the test pattern (min {_MIN_PATTERN_BYTES})")
     if not 0 <= seq < (1 << 32):
         raise ValueError(f"seq must be an unsigned 32-bit integer, got {seq}")
-    body = ((np.arange(n - 4, dtype=np.uint32) + seq) & 0xFF).astype(np.uint8)
-    buf = bytearray(body.tobytes())
-    buf[0:4] = struct.pack("<I", seq)
-    crc = zlib.crc32(bytes(buf))
-    pixels = bytes(buf) + struct.pack("<I", crc)
+    start = 4 + (seq & 0xFF)  # byte j of the repeated ramp is j mod 256
+    body = memoryview(_RAMP * ((start + n) // 256 + 1))[start:start + n - 8]
+    prefix = struct.pack("<I", seq)
+    crc = zlib.crc32(body, zlib.crc32(prefix))
+    pixels = b"".join((prefix, body, struct.pack("<I", crc)))
     return Image(width=width, height=height, pixels=pixels, seq=seq)
 
 
@@ -245,15 +243,14 @@ class RobotSim(Service):
 
     def __init__(self, cfg: RobotConfig):
         self.cfg = cfg
-        self._out = UdpEndpoint(EndpointConfig())
         self._image_addr = (cfg.peer_host, cfg.image_port)
         self._motion_addr = (cfg.peer_host, cfg.motion_port)
-        self._command_in = UdpEndpoint(EndpointConfig(
-            bind_host=cfg.command_bind_host, bind_port=cfg.command_port))
         super().__init__({"nbpk-robot-image": self._image_loop,
                           "nbpk-robot-motion": self._motion_loop,
                           "nbpk-robot-command": self._command_loop},
-                         (self._out, self._command_in))
+                         (EndpointConfig(),
+                          EndpointConfig(bind_host=cfg.command_bind_host, bind_port=cfg.command_port)))
+        self._out, self._command_in = self._endpoints
         self._commands: queue.SimpleQueue[tuple[MotionRequest, float]] = queue.SimpleQueue()
         self._walk = WalkState()
         # single-writer counters; readers only observe

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -153,6 +154,20 @@ def frame_outcomes(frame_packet_counts: list[int], survived: list[bool]) -> list
         i += n
     assert i == len(survived)
     return outcomes
+
+
+def pattern_reference(seq: int, width: int, height: int) -> bytes:
+    """The camera test pattern's pixels, built elementwise with numpy.
+
+    Bytes [0, 4) hold ``seq`` little-endian, interior byte ``i`` is
+    ``(i + seq) mod 256``, and the last 4 bytes are the CRC-32 of the rest,
+    little-endian.
+    """
+    n = width * height * 2
+    body = ((np.arange(n - 4, dtype=np.uint32) + seq) & 0xFF).astype(np.uint8)
+    buf = bytearray(body.tobytes())
+    buf[0:4] = struct.pack("<I", seq)
+    return bytes(buf) + struct.pack("<I", zlib.crc32(buf))
 
 
 def yuv_to_rgb_scalar(y: int, u: int, v: int) -> tuple[int, int, int]:

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -243,6 +244,20 @@ class TestBridgeLive:
         with bridge:
             with pytest.raises(RuntimeError):
                 bridge.start()
+
+    def test_port_conflict_closes_the_endpoints_already_built(self):
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as taken:
+            with pytest.raises(OSError):
+                Bridge(BridgeConfig(image_port=0, motion_port=taken.local_port,
+                                    bind_host="127.0.0.1"))
+            gc.collect()  # a socket left open warns when it is collected
+
+    def test_bus_type_conflict_opens_no_endpoint(self):
+        bus = TopicBus()
+        bus.register(TOPIC_STATS, dict)
+        with pytest.raises(TypeError):
+            Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus)
+        gc.collect()  # a socket left open warns when it is collected
 
     def test_command_forward_wire_format(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as robot_side:

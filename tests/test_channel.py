@@ -1,3 +1,4 @@
+import gc
 import socket
 import threading
 
@@ -170,6 +171,12 @@ class TestUdpEndpoint:
                     sender.join(timeout=5.0)
             assert not sender.is_alive()
             assert got is not None and got[0] == b"late"
+
+    def test_bind_on_a_taken_port_closes_the_socket(self):
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as taken:
+            with pytest.raises(OSError):
+                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1", bind_port=taken.local_port))
+            gc.collect()  # a socket left open warns when it is collected
 
     def test_ephemeral_port_assigned(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as ep:

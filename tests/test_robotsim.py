@@ -1,3 +1,4 @@
+import gc
 import math
 import struct
 import time
@@ -6,6 +7,8 @@ import zlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import pattern_reference
 
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.fragment import ImageComplete, Reassembler, Packet
@@ -74,6 +77,19 @@ class TestTestImage:
         spliced = Image(width=32, height=24,
                         pixels=a.pixels[:512] + b.pixels[512:], seq=1)
         assert isinstance(verify_test_image(spliced), CorruptCrc)
+
+    @pytest.mark.parametrize("width,height", [(4, 2), (3, 3), (17, 1), (32, 24),
+                                              (320, 240), (640, 480), (1280, 960)])
+    def test_matches_reference(self, width, height):
+        seqs = [*range(6), *range(250, 261), *range(4095, 4098), *range(2**32 - 257, 2**32)]
+        for seq in seqs:
+            assert gen_test_image(seq, width, height).pixels == pattern_reference(seq, width, height), seq
+
+    def test_golden_4x2(self):
+        # the worked example in FORMAT.md, "Test pattern"
+        img = gen_test_image(250, 4, 2)
+        assert img.pixels == bytes.fromhex("fa000000 feff0001 02030405 bbe2912c")
+        assert verify_test_image(img) == VerifyOk(seq=250)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -289,6 +305,13 @@ class TestRobotSimLive:
                 sim.start()
         image_in.close()
         motion_in.close()
+
+    def test_port_conflict_closes_the_endpoints_already_built(self):
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as taken:
+            with pytest.raises(OSError):
+                RobotSim(RobotConfig(peer_host="127.0.0.1", command_port=taken.local_port,
+                                     command_bind_host="127.0.0.1"))
+            gc.collect()  # a socket left open warns when it is collected
 
     def test_malformed_commands_counted(self):
         image_in, motion_in = self._receivers()
