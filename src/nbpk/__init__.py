@@ -44,7 +44,6 @@ from .fragment import (
     Orphan,
     Packet,
     Reassembler,
-    SingleDelivered,
     StreamStats,
     packetize_image,
     packetize_single,

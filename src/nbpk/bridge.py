@@ -194,7 +194,7 @@ class BridgeStats:
     """One stats-tick snapshot, published on ``bridge/stats``."""
 
     image: StreamStats
-    motion: StreamStats
+    motion: StreamStats  # only bytes_received: a reading needs no reassembly
     frames_published: int
     motions_published: int
     commands_forwarded: int
@@ -261,7 +261,7 @@ class Bridge(Service):
         self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
         timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
         self._image_rx = Reassembler(timeout_us=timeout_us)
-        self._motion_rx = Reassembler()
+        self._motion_bytes = 0
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
         self._cmd_lock = threading.Lock()
         self._cmd_seq = 0
@@ -287,7 +287,7 @@ class Bridge(Service):
     def stats(self) -> BridgeStats:
         return BridgeStats(
             image=self._image_rx.stats(),
-            motion=self._motion_rx.stats(),
+            motion=StreamStats(bytes_received=self._motion_bytes),
             frames_published=self.frames_published,
             motions_published=self.motions_published,
             commands_forwarded=self.commands_forwarded,
@@ -295,6 +295,11 @@ class Bridge(Service):
             malformed_packets=self.malformed_packets,
             uptime_s=time.monotonic() - self._started_at,
         )
+
+    def stop(self) -> None:
+        """Stop the loops, close the sockets, then leave ``motion/request``."""
+        super().stop()
+        self._cmd_sub.close()
 
     def command_forward(self, req: MotionRequest) -> Packet:
         """Send one command packet to the robot; returns what went on the wire."""
@@ -309,7 +314,8 @@ class Bridge(Service):
 
     def _image_loop(self) -> None:
         rx = self._image_rx
-        for pkt in self._packets(self._image_in, StreamId.IMAGE):
+        for pkt in self._packets(self._image_in, StreamId.IMAGE,
+                                 (PacketKind.START, PacketKind.FRAGMENT)):
             now = _now_us()
             if pkt is not None:
                 event = rx.step(pkt, now_us=now)
@@ -324,14 +330,13 @@ class Bridge(Service):
             rx.poll(now)
 
     def _motion_loop(self) -> None:
-        rx = self._motion_rx
-        for pkt in self._packets(self._motion_in, StreamId.MOTION, PacketKind.SINGLE):
+        for pkt in self._packets(self._motion_in, StreamId.MOTION, (PacketKind.SINGLE,)):
             if pkt is None:
                 continue
-            event = rx.step(pkt, now_us=_now_us())  # a SINGLE is always delivered
+            self._motion_bytes += pkt.size
+            h = pkt.header
             try:
-                reading = decode_motion(event.payload, seq=event.seq,
-                                        timestamp_us=event.timestamp_us)
+                reading = decode_motion(pkt.payload, seq=h.seq, timestamp_us=h.timestamp_us)
             except WireError:
                 self.malformed_packets += 1
                 continue

@@ -174,8 +174,8 @@ class Service:
         self.stop()
 
     def _packets(self, endpoint: UdpEndpoint, stream: StreamId,
-                 kind: Optional[PacketKind] = None) -> Iterator[Optional[Packet]]:
-        """Each valid packet of ``stream`` (and ``kind``, if given) from ``endpoint``.
+                 kinds: tuple[PacketKind, ...]) -> Iterator[Optional[Packet]]:
+        """Each valid packet of ``stream`` and one of ``kinds`` from ``endpoint``.
 
         Yields None after 0.1 s of silence or a rejected datagram, so the
         caller can do periodic work, and ends once the service stops.
@@ -193,7 +193,7 @@ class Service:
                     return
                 raise
             if pkt is not None and (pkt.header.stream_id != stream
-                                    or kind is not None and pkt.header.kind != kind):
+                                    or pkt.header.kind not in kinds):
                 self.malformed_packets += 1
                 pkt = None
             yield pkt

@@ -1,11 +1,13 @@
 """Image fragmentation and single-slot reassembly.
 
 Large frames travel as one START packet announcing the frame geometry
-followed by FRAGMENT packets carrying pixel slices. The reassembler keeps
-at most one frame buffer per stream: when a START for a newer frame
-arrives while an older one is still incomplete, the older frame is
-dropped on the spot. Fragments that can't be matched to the in-flight
-frame are orphans; repeats of an already-stored fragment are duplicates.
+followed by FRAGMENT packets carrying pixel slices. A reassembler serves
+one image stream and keeps at most one frame buffer: when a START for a
+newer frame arrives while an older one is still incomplete, the older
+frame is dropped on the spot. Packets that can't be matched to the
+in-flight frame are orphans; repeats of an already-stored fragment are
+duplicates. Readings and commands fit one SINGLE datagram each and are
+decoded where they arrive, without a reassembler.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .wire import (
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
-_START, _FRAGMENT = PacketKind.START.value, PacketKind.FRAGMENT.value
+_FRAGMENT = PacketKind.FRAGMENT.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
 
 
@@ -90,14 +92,6 @@ class ImageComplete:
 
 
 @dataclass(frozen=True)
-class SingleDelivered:
-    stream_id: StreamId
-    payload: bytes
-    seq: int
-    timestamp_us: int
-
-
-@dataclass(frozen=True)
 class Dropped:
     """An incomplete frame was evicted (preempted by a newer START, or timed out)."""
 
@@ -118,7 +112,7 @@ class Duplicate:
     frag_index: int = 0
 
 
-Event = Union[ImageComplete, SingleDelivered, Dropped, Orphan, Duplicate]
+Event = Union[ImageComplete, Dropped, Orphan, Duplicate]
 
 
 @dataclass
@@ -202,17 +196,17 @@ class _Slot:
 
 
 class Reassembler:
-    """Single-consumer reassembly state machine.
+    """Single-consumer reassembly state machine for one image stream.
 
-    One instance per receive loop. Frames are kept in one slot per stream;
-    the only evictions are preemption by the next frame's START and, when
-    ``timeout_us`` is set, explicit :meth:`poll` calls. Feed packets whose
-    headers already passed validation (every ``Packet`` has).
+    One instance per receive loop. The frame in flight is kept in one
+    slot; the only evictions are preemption by the next frame's START and,
+    when ``timeout_us`` is set, explicit :meth:`poll` calls. Feed packets
+    whose headers already passed validation (every ``Packet`` has).
     """
 
     def __init__(self, timeout_us: Optional[int] = None):
         self.timeout_us = timeout_us
-        self._slots: dict[int, _Slot] = {}
+        self._slot: Optional[_Slot] = None
         self._stats = StreamStats()
 
     def stats(self) -> StreamStats:
@@ -221,30 +215,26 @@ class Reassembler:
 
     @property
     def collecting(self) -> bool:
-        return bool(self._slots)
+        return self._slot is not None
 
     def step(self, pkt: Packet, now_us: Optional[int] = None) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
         h, payload = pkt
         self._stats.bytes_received += HEADER_SIZE + len(payload)
-        kind = h.kind
-        if kind == _FRAGMENT:
+        if h.kind == _FRAGMENT:
             return self._on_fragment(h, payload, now_us)
-        if kind == _START:
-            return self._on_start(h, payload, now_us)
-        return SingleDelivered(stream_id=h.stream_id, payload=payload,
-                               seq=h.seq, timestamp_us=h.timestamp_us)
+        # a SINGLE carries frag_count 0, which no START metadata announces
+        return self._on_start(h, payload, now_us)
 
     def poll(self, now_us: int) -> Optional[Dropped]:
         """Evict a frame that accepted no packet for longer than the timeout, if any."""
-        if self.timeout_us is None:
+        slot = self._slot
+        if (self.timeout_us is None or slot is None or slot.active_us is None
+                or now_us - slot.active_us <= self.timeout_us):
             return None
-        for stream, slot in self._slots.items():
-            if slot.active_us is not None and now_us - slot.active_us > self.timeout_us:
-                del self._slots[stream]
-                self._stats.frames_dropped_timeout += 1
-                return Dropped(seq=slot.seq)
-        return None
+        self._slot = None
+        self._stats.frames_dropped_timeout += 1
+        return Dropped(seq=slot.seq)
 
     def _on_start(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
         try:
@@ -256,7 +246,7 @@ class Reassembler:
             self._stats.orphan_fragments += 1
             return Orphan(seq=h.seq)
 
-        slot = self._slots.get(h.stream_id)
+        slot = self._slot
         if slot is not None and slot.seq == h.seq:
             self._stats.duplicate_fragments += 1
             return Duplicate(seq=h.seq)
@@ -265,12 +255,12 @@ class Reassembler:
         if slot is not None:
             evicted = Dropped(seq=slot.seq)
             self._stats.frames_dropped_preempted += 1
-        self._slots[h.stream_id] = _Slot(h.seq, meta, h.timestamp_us, now_us)
+        self._slot = _Slot(h.seq, meta, h.timestamp_us, now_us)
         return evicted
 
     def _on_fragment(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
-        stream, _, seq, index = h[:4]
-        slot = self._slots.get(stream)
+        seq, index = h[2:4]
+        slot = self._slot
         if slot is None or slot.seq != seq or index >= len(slot.missing):
             self._stats.orphan_fragments += 1
             return Orphan(seq=seq, frag_index=index)
@@ -290,7 +280,7 @@ class Reassembler:
         if slot.remaining:
             return None
 
-        del self._slots[stream]
+        self._slot = None
         self._stats.frames_complete += 1
         if now_us is not None:
             self._stats.latency_accumulator_us += max(0, now_us - slot.timestamp_us)

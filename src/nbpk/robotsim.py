@@ -311,7 +311,7 @@ class RobotSim(Service):
             self.motions_sent += 1
 
     def _command_loop(self) -> None:
-        for pkt in self._packets(self._command_in, StreamId.COMMAND, PacketKind.SINGLE):
+        for pkt in self._packets(self._command_in, StreamId.COMMAND, (PacketKind.SINGLE,)):
             if pkt is None:
                 continue
             try:

@@ -185,7 +185,7 @@ class TestBridgeLive:
         assert snap.frames_published == snap.image.frames_complete
         assert snap.frames_stale == 0
         assert snap.motions_published > 0
-        # singles are delivered directly, not assembled: no frame counter
+        # readings are decoded at the motion port, not reassembled: only bytes count
         assert snap.motion.frames_complete == 0
         assert snap.motion.bytes_received > 0
 
@@ -217,27 +217,36 @@ class TestBridgeLive:
         bridge.start()
         # motion travels one sample per SINGLE: a valid START/FRAGMENT pair
         # on the motion port is off-contract, as is a motion SINGLE sent to
-        # the image port
+        # the image port; images travel as START/FRAGMENT, so an image
+        # SINGLE on the image port is off-contract too
         motion_frame = [p._replace(header=p.header._replace(stream_id=StreamId.MOTION))
                         for p in packetize_image(gen_test_image(0, 16, 8))]
         assert [p.header.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
         motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
                                          seq=0, timestamp_us=0)
+        image_single = packetize_single(b"\x00" * 16, StreamId.IMAGE, seq=0, timestamp_us=0)
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
             tx.send_to(b"garbage", ("127.0.0.1", bridge.image_port))
             tx.send_to(b"\x00" * 40, ("127.0.0.1", bridge.motion_port))
             for pkt in motion_frame:
                 tx.send_to(pkt.to_bytes(), ("127.0.0.1", bridge.motion_port))
             tx.send_to(motion_single.to_bytes(), ("127.0.0.1", bridge.image_port))
+            tx.send_to(image_single.to_bytes(), ("127.0.0.1", bridge.image_port))
         deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and bridge.malformed_packets < 5:
+        while time.monotonic() < deadline and bridge.malformed_packets < 6:
             time.sleep(0.02)
         snap = bridge.stats()
         bridge.stop()
-        assert snap.malformed_packets == 5
+        assert snap.malformed_packets == 6
         assert snap.frames_published == 0
         assert snap.motion.frames_complete == 0
         assert snap.motions_published == 0
+
+    def test_stop_unsubscribes_from_commands(self):
+        bus = TopicBus()
+        with Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus):
+            pass
+        assert bus._topics[TOPIC_COMMAND].subscribers == []
 
     def test_second_start_raises(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))

@@ -15,7 +15,6 @@ from nbpk.fragment import (
     Orphan,
     Packet,
     Reassembler,
-    SingleDelivered,
     packetize_image,
     packetize_single,
 )
@@ -245,18 +244,20 @@ class TestReassembler:
         assert rx.step(start(1280, 960)) is None
         assert rx.collecting
 
-    def test_single_packet_passthrough(self):
+    def test_single_packet_is_orphan(self):
         rx = Reassembler()
         pkt = packetize_single(b"reading", StreamId.MOTION, seq=8, timestamp_us=44)
-        ev = rx.step(pkt)
-        assert ev == SingleDelivered(stream_id=StreamId.MOTION, payload=b"reading",
-                                     seq=8, timestamp_us=44)
+        assert rx.step(pkt) == Orphan(seq=8)
+        assert rx.stats().orphan_fragments == 1
+        assert not rx.collecting
 
-    def test_streams_do_not_interfere(self):
+    def test_single_mid_frame_does_not_interfere(self):
         rx = Reassembler()
         pkts = image_packets(seq=1)
         rx.step(pkts[0])
-        rx.step(packetize_single(b"m", StreamId.MOTION, seq=100, timestamp_us=0))
+        # valid START metadata in a SINGLE still announces no fragments
+        single = packetize_single(pkts[0].payload, StreamId.IMAGE, seq=2, timestamp_us=0)
+        assert rx.step(single) == Orphan(seq=2)
         for p in pkts[1:-1]:
             rx.step(p)
         assert isinstance(rx.step(pkts[-1]), ImageComplete)
