@@ -4,8 +4,10 @@
 A camera frame does not fit in one datagram, so it is announced by a
 START packet (geometry, encoding, fragment size) and followed by payload
 fragments. The receiver keeps exactly one frame in flight per stream:
-when a new START arrives before the previous frame finished, the old
-frame is dropped on the spot. Freshness beats completeness.
+when the next frame's START arrives before the previous frame finished,
+the old frame is dropped on the spot. Freshness beats completeness. A
+late START, for a frame older than the newest one seen, is stale: it
+drops nothing.
 """
 
 from nbpk.fragment import (
@@ -55,6 +57,17 @@ for pkt in packets2[1:]:
     event = rx.step(pkt)
 print(f"frame 2 then completes normally: {isinstance(event, ImageComplete)}\n")
 
+print("== A late START is stale ==")
+frame3 = gen_test_image(3, width=32, height=24)
+packets3 = list(packetize_image(frame3, frag_payload=256))
+rx.step(packets3[0])               # frame 3 is in flight...
+event = rx.step(packets1[0])       # ...when frame 1's START turns up late
+print(f"START of frame 1 while frame 3 is in flight -> {event}")
+assert event == Orphan(seq=1)
+for pkt in packets3[1:]:
+    event = rx.step(pkt)
+print(f"frame 3 still completes: {isinstance(event, ImageComplete)}\n")
+
 print("== Fragments with nowhere to go ==")
 late = packets1[3]
 event = rx.step(late)
@@ -64,5 +77,6 @@ assert isinstance(event, Orphan)
 stats = rx.stats()
 print(f"\nbooks: {stats.frames_complete} complete, "
       f"{stats.frames_dropped_preempted} preempted, "
+      f"{stats.frames_stale} stale, "
       f"{stats.orphan_fragments} orphans, "
       f"{stats.bytes_received} bytes seen")

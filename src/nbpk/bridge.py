@@ -34,6 +34,7 @@ from .wire import (
     MotionRequest,
     PacketKind,
     StreamId,
+    SeqOrder,
     WireError,
     decode_motion,
     encode_request,
@@ -194,11 +195,11 @@ class BridgeStats:
     """One stats-tick snapshot, published on ``bridge/stats``."""
 
     image: StreamStats
-    motion: StreamStats  # only bytes_received: a reading needs no reassembly
-    frames_published: int
+    motion: StreamStats  # bytes and seq counts only: a reading needs no reassembly
+    frames_published: int  # image.frames_complete: every completed frame is published
     motions_published: int
     commands_forwarded: int
-    frames_stale: int
+    frames_stale: int  # image.frames_stale + motion.frames_stale
     malformed_packets: int
     uptime_s: float
 
@@ -234,10 +235,9 @@ def _now_us() -> int:
 class Bridge(Service):
     """Threaded receive/publish/forward engine. Use as a context manager.
 
-    Frames that fail reassembly never reach the bus; frames that complete
-    out of order (possible only under reordering transports) are counted
-    stale and suppressed so subscribers always see strictly increasing
-    sequence numbers.
+    Frames that fail reassembly never reach the bus. Subscribers see each
+    stream's messages in seq order: the reassembler orders frames at their
+    START and the motion port orders readings (``wire.SeqOrder``).
     """
 
     def __init__(self, cfg: BridgeConfig, bus: Optional[TopicBus] = None,
@@ -262,15 +262,12 @@ class Bridge(Service):
         timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
         self._image_rx = Reassembler(timeout_us=timeout_us)
         self._motion_bytes = 0
+        self._motion_order = SeqOrder()
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
         self._cmd_lock = threading.Lock()
         self._cmd_seq = 0
-        self._last_image_seq = -1
-        self._last_motion_seq = -1
-        self.frames_published = 0
         self.motions_published = 0
         self.commands_forwarded = 0
-        self.frames_stale = 0
 
     @property
     def image_port(self) -> int:
@@ -285,13 +282,15 @@ class Bridge(Service):
         self._robot_addr = (host, port)
 
     def stats(self) -> BridgeStats:
+        image, order = self._image_rx.stats(), self._motion_order
         return BridgeStats(
-            image=self._image_rx.stats(),
-            motion=StreamStats(bytes_received=self._motion_bytes),
-            frames_published=self.frames_published,
+            image=image,
+            motion=StreamStats(frames_stale=order.stale, sender_restarts=order.restarts,
+                               bytes_received=self._motion_bytes),
+            frames_published=image.frames_complete,
             motions_published=self.motions_published,
             commands_forwarded=self.commands_forwarded,
-            frames_stale=self.frames_stale,
+            frames_stale=image.frames_stale + order.stale,
             malformed_packets=self.malformed_packets,
             uptime_s=time.monotonic() - self._started_at,
         )
@@ -306,7 +305,7 @@ class Bridge(Service):
         payload = encode_request(req)  # rejects non-finite or out-of-range values
         with self._cmd_lock:
             seq = self._cmd_seq
-            self._cmd_seq += 1
+            self._cmd_seq = (seq + 1) % (1 << 32)  # seq is a u32 and wraps
         pkt = packetize_single(payload, StreamId.COMMAND, seq=seq, timestamp_us=_now_us())
         self._command_out.send_to(pkt.to_bytes(), self._robot_addr)
         self.commands_forwarded += 1
@@ -320,17 +319,12 @@ class Bridge(Service):
             if pkt is not None:
                 event = rx.step(pkt, now_us=now)
                 if isinstance(event, ImageComplete):
-                    img = event.image
-                    if img.seq <= self._last_image_seq:
-                        self.frames_stale += 1
-                    else:
-                        self._last_image_seq = img.seq
-                        self.bus.publish(TOPIC_IMAGE, CameraFrame(image=img, recv_timestamp_us=now))
-                        self.frames_published += 1
+                    self.bus.publish(TOPIC_IMAGE, CameraFrame(image=event.image, recv_timestamp_us=now))
             rx.poll(now)
 
     def _motion_loop(self) -> None:
-        for pkt in self._packets(self._motion_in, StreamId.MOTION, (PacketKind.SINGLE,)):
+        for pkt in self._packets(self._motion_in, StreamId.MOTION, (PacketKind.SINGLE,),
+                                 self._motion_order):
             if pkt is None:
                 continue
             self._motion_bytes += pkt.size
@@ -340,10 +334,6 @@ class Bridge(Service):
             except WireError:
                 self.malformed_packets += 1
                 continue
-            if reading.seq <= self._last_motion_seq:
-                self.frames_stale += 1
-                continue
-            self._last_motion_seq = reading.seq
             self.bus.publish(TOPIC_MOTION, reading)
             self.motions_published += 1
 

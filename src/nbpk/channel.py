@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .fragment import Packet
-from .wire import UDP_MAX_DATAGRAM, PacketKind, StreamId, WireError
+from .wire import UDP_MAX_DATAGRAM, PacketKind, SeqOrder, StreamId, WireError
 
 #: Default ports: one per stream so the receiver can tell sources apart.
 DEFAULT_IMAGE_PORT = 10021
@@ -173,12 +173,13 @@ class Service:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _packets(self, endpoint: UdpEndpoint, stream: StreamId,
-                 kinds: tuple[PacketKind, ...]) -> Iterator[Optional[Packet]]:
+    def _packets(self, endpoint: UdpEndpoint, stream: StreamId, kinds: tuple[PacketKind, ...],
+                 order: Optional[SeqOrder] = None) -> Iterator[Optional[Packet]]:
         """Each valid packet of ``stream`` and one of ``kinds`` from ``endpoint``.
 
-        Yields None after 0.1 s of silence or a rejected datagram, so the
-        caller can do periodic work, and ends once the service stops.
+        A port of SINGLEs (whole messages) passes its ``order``, which drops
+        stale ones. Yields None after 0.1 s of silence or a rejected datagram,
+        so the caller can do periodic work, and ends once the service stops.
         """
         while not self._stop.is_set():
             pkt = None
@@ -195,6 +196,8 @@ class Service:
             if pkt is not None and (pkt.header.stream_id != stream
                                     or pkt.header.kind not in kinds):
                 self.malformed_packets += 1
+                pkt = None
+            elif pkt is not None and order is not None and not order.advance(pkt.header.seq):
                 pkt = None
             yield pkt
 

@@ -2,12 +2,12 @@
 
 Large frames travel as one START packet announcing the frame geometry
 followed by FRAGMENT packets carrying pixel slices. A reassembler serves
-one image stream and keeps at most one frame buffer: when a START for a
-newer frame arrives while an older one is still incomplete, the older
-frame is dropped on the spot. Packets that can't be matched to the
-in-flight frame are orphans; repeats of an already-stored fragment are
-duplicates. Readings and commands fit one SINGLE datagram each and are
-decoded where they arrive, without a reassembler.
+one image stream and keeps at most one frame buffer. A START that advances
+the stream's seq order (``wire.SeqOrder``) drops an incomplete older frame
+on the spot; one that does not is a stale orphan. Packets that can't be
+matched to the in-flight frame are orphans; repeats of an already-stored
+fragment are duplicates. Readings and commands fit one SINGLE datagram
+each and are ordered and decoded where they arrive, without a reassembler.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .wire import (
     InvariantError,
     PacketHeader,
     PacketKind,
+    SeqOrder,
     StreamId,
     WireError,
     checked_header,
@@ -93,14 +94,14 @@ class ImageComplete:
 
 @dataclass(frozen=True)
 class Dropped:
-    """An incomplete frame was evicted (preempted by a newer START, or timed out)."""
+    """An incomplete frame was evicted (preempted by the next frame's START, or timed out)."""
 
     seq: int
 
 
 @dataclass(frozen=True)
 class Orphan:
-    """Packet could not be attached to any in-flight frame and was discarded."""
+    """Packet (a stale START too) could not be attached to any in-flight frame and was discarded."""
 
     seq: int
     frag_index: int = 0
@@ -117,19 +118,20 @@ Event = Union[ImageComplete, Dropped, Orphan, Duplicate]
 
 @dataclass
 class StreamStats:
-    """Monotonic counters kept by a reassembler."""
+    """Monotonic counters of one stream; ``SeqOrder`` counts the stale and restarts."""
 
     frames_complete: int = 0
     frames_dropped_preempted: int = 0
     frames_dropped_timeout: int = 0
     orphan_fragments: int = 0
     duplicate_fragments: int = 0
+    frames_stale: int = 0
+    sender_restarts: int = 0
     bytes_received: int = 0
     latency_accumulator_us: int = 0
 
 
-def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD,
-                    seq: Optional[int] = None) -> list[Packet]:
+def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> list[Packet]:
     """Split an image into one START packet plus its fragments.
 
     Fragment ``i`` carries pixel bytes ``[i*frag_payload, (i+1)*frag_payload)``
@@ -143,13 +145,11 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD,
     data = img.pixels
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
-    if seq is None:
-        seq = img.seq
     meta = ImageStartMeta(total_len=len(data), width=img.width, height=img.height,
                           encoding=img.encoding, frag_payload=frag_payload)
     frag_count = meta.frag_count
     meta_bytes = encode_start_meta(meta)
-    start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, seq, 0, frag_count,
+    start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, img.seq, 0, frag_count,
                                 len(meta_bytes), img.timestamp_us), meta_bytes)
     # The START passed every check its fragments need (seq, timestamp and
     # frag_count in range), and each fragment's index < frag_count and
@@ -198,20 +198,22 @@ class _Slot:
 class Reassembler:
     """Single-consumer reassembly state machine for one image stream.
 
-    One instance per receive loop. The frame in flight is kept in one
-    slot; the only evictions are preemption by the next frame's START and,
-    when ``timeout_us`` is set, explicit :meth:`poll` calls. Feed packets
-    whose headers already passed validation (every ``Packet`` has).
+    One instance per receive loop. The frame in flight is kept in one slot,
+    opened only by a START that advances the seq order, so frames complete
+    in seq order. The only evictions are preemption by the next frame's
+    START and, when ``timeout_us`` is set, explicit :meth:`poll` calls.
+    Feed packets whose headers already passed validation (every ``Packet`` has).
     """
 
     def __init__(self, timeout_us: Optional[int] = None):
         self.timeout_us = timeout_us
         self._slot: Optional[_Slot] = None
         self._stats = StreamStats()
+        self._order = SeqOrder()
 
     def stats(self) -> StreamStats:
         """Read-only snapshot of the counters."""
-        return replace(self._stats)
+        return replace(self._stats, frames_stale=self._order.stale, sender_restarts=self._order.restarts)
 
     @property
     def collecting(self) -> bool:
@@ -250,6 +252,8 @@ class Reassembler:
         if slot is not None and slot.seq == h.seq:
             self._stats.duplicate_fragments += 1
             return Duplicate(seq=h.seq)
+        if not self._order.advance(h.seq):
+            return Orphan(seq=h.seq)
 
         evicted = None
         if slot is not None:

@@ -34,6 +34,7 @@ from .wire import (
     MotionReading,
     MotionRequest,
     PacketKind,
+    SeqOrder,
     StreamId,
     WireError,
     decode_request,
@@ -258,6 +259,7 @@ class RobotSim(Service):
         self.motions_sent = 0
         self.commands_received = 0
         self.send_errors = 0
+        self.command_order = SeqOrder()  # .stale and .restarts count command seqs
 
     @property
     def command_port(self) -> int:
@@ -272,20 +274,22 @@ class RobotSim(Service):
         except OSError:
             self.send_errors += 1  # unreachable peers are not fatal over UDP
 
-    def _ticks(self, rate: float) -> Iterator[float]:
-        """The time of each tick at ``rate`` Hz, sleeping between them, until stopped."""
+    def _ticks(self, rate: float) -> Iterator[tuple[int, float]]:
+        """The seq and time of each tick at ``rate`` Hz, sleeping between them, until stopped."""
         period = 1.0 / rate
         next_t = time.monotonic()
+        seq = 0
         while not self._stop.wait(max(0.0, next_t - time.monotonic())):
             now = time.monotonic()
-            yield now
+            yield seq, now
+            seq = (seq + 1) % (1 << 32)  # seq is a u32 and wraps
             next_t += period
             if now - next_t > 1.0:  # clock jumped; don't burst to catch up
                 next_t = now + period
 
     def _image_loop(self) -> None:
         cfg = self.cfg
-        for seq, now in enumerate(self._ticks(cfg.fps)):
+        for seq, now in self._ticks(cfg.fps):
             img = replace(gen_test_image(seq, cfg.width, cfg.height), timestamp_us=int(now * 1e6))
             for pkt in packetize_image(img, cfg.frag_payload):
                 self._send(self._image_addr, pkt)
@@ -294,7 +298,7 @@ class RobotSim(Service):
     def _motion_loop(self) -> None:
         t0 = last = time.monotonic()
         walk = WalkState()
-        for seq, now in enumerate(self._ticks(self.cfg.motion_rate)):
+        for seq, now in self._ticks(self.cfg.motion_rate):
             while True:
                 try:
                     req, t_cmd = self._commands.get_nowait()
@@ -311,7 +315,8 @@ class RobotSim(Service):
             self.motions_sent += 1
 
     def _command_loop(self) -> None:
-        for pkt in self._packets(self._command_in, StreamId.COMMAND, (PacketKind.SINGLE,)):
+        for pkt in self._packets(self._command_in, StreamId.COMMAND, (PacketKind.SINGLE,),
+                                 self.command_order):
             if pkt is None:
                 continue
             try:

@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 MAGIC = b"NBPK"
 WIRE_VERSION = 1
@@ -30,6 +30,9 @@ UDP_MAX_DATAGRAM = 65507
 
 DEFAULT_FRAG_PAYLOAD = 1400
 DEFAULT_JOINT_COUNT = 25
+
+#: A seq this far or further behind the newest is a sender restart, not a late message.
+RESTART_WINDOW = 16
 
 #: Largest image a START may announce: the NAO camera's 1280x960 YUV422
 #: mode. It bounds what one datagram can make a receiver allocate.
@@ -100,7 +103,7 @@ def _check_uint(name: str, value: int, bits: int) -> None:
 class PacketHeader(NamedTuple):
     """Fixed 26-byte prefix of every datagram.
 
-    ``seq`` counts messages per stream; all packets belonging to one
+    ``seq`` counts messages per stream, modulo 2**32; all packets of one
     message share the same ``seq`` and ``timestamp_us``. Constructing a
     header checks nothing; :func:`encode_header`, :func:`decode_header`
     and ``Packet`` do, through one validator.
@@ -201,6 +204,27 @@ def decode_header(b: bytes) -> PacketHeader:
         raise BadMagicError(f"bad magic {magic!r}")
     return checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts,
                           flags, version)
+
+
+class SeqOrder:
+    """One stream's seq order, the rule of FORMAT.md "Sequence numbers"."""
+
+    def __init__(self):
+        self.newest: Optional[int] = None
+        self.stale = self.restarts = 0
+
+    def advance(self, seq: int) -> bool:
+        """Whether ``seq`` is a new message, which becomes the newest; counts
+        a repeat or a late one in ``stale`` and a sender restart in ``restarts``."""
+        if self.newest is not None:
+            behind = (self.newest - seq) & _U32
+            if behind < RESTART_WINDOW:
+                self.stale += 1
+                return False
+            if behind <= 1 << 31:  # not newer in serial order: the sender restarted
+                self.restarts += 1
+        self.newest = seq
+        return True
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,42 @@ def frame_outcomes(frame_packet_counts: list[int], survived: list[bool]) -> list
     return outcomes
 
 
+SERIAL_BITS = 32
+
+
+def serial_lt(s1: int, s2: int) -> bool:
+    """RFC 1982 section 3.2, "s1 is less than s2", for SERIAL_BITS = 32.
+
+    Pairs exactly 2^31 apart are undefined there and compare false both ways.
+    """
+    half = 2 ** (SERIAL_BITS - 1)
+    return (s1 < s2 and s2 - s1 < half) or (s1 > s2 and s1 - s2 > half)
+
+
+def seq_order_reference(seqs: list[int], window: int) -> tuple[list[bool], int]:
+    """Which seqs one stream accepts, and how many sender restarts it counts.
+
+    Straight from FORMAT.md "Sequence numbers": the first seq is accepted; a
+    seq after it is new when the newest accepted one is less than it in RFC
+    1982 order; a seq equal to the newest, or less than it by fewer than
+    ``window`` counting back without wrap, is stale; any other seq (far
+    behind, or 2^31 away) is a restart and is accepted.
+    """
+    newest = None
+    accepted, restarts = [], 0
+    for s in seqs:
+        if newest is None or serial_lt(newest, s):
+            ok = True
+        else:
+            distance_back = newest - s if s <= newest else newest + 2 ** SERIAL_BITS - s
+            ok = distance_back >= window
+            restarts += ok
+        accepted.append(ok)
+        if ok:
+            newest = s
+    return accepted, restarts
+
+
 def pattern_reference(seq: int, width: int, height: int) -> bytes:
     """The camera test pattern's pixels, built elementwise with numpy.
 

@@ -189,6 +189,37 @@ class TestBridgeLive:
         assert snap.motion.frames_complete == 0
         assert snap.motion.bytes_received > 0
 
+    # a sender restart (seq back to 0) and the u32 wrap, on each stream
+    @pytest.mark.parametrize("seqs, restarts", [
+        ([*range(100, 110), *range(10)], 1),
+        ([2**32 - 2, 2**32 - 1, 0, 1], 0),
+    ], ids=["restart", "wrap"])
+    @pytest.mark.parametrize("stream", [StreamId.IMAGE, StreamId.MOTION], ids=["image", "motion"])
+    def test_every_message_published_in_order(self, stream, seqs, restarts):
+        image = stream == StreamId.IMAGE
+        bus = TopicBus()
+        sub = bus.subscribe(TOPIC_IMAGE if image else TOPIC_MOTION, BoundedFifo(64))
+        with Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"),
+                    bus=bus) as bridge, UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+            port = bridge.image_port if image else bridge.motion_port
+            for seq in seqs:
+                pkts = (packetize_image(gen_test_image(seq, 16, 8)) if image else
+                        [packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
+                                          seq=seq, timestamp_us=0)])
+                for pkt in pkts:
+                    tx.send_to(pkt.to_bytes(), ("127.0.0.1", port))
+            got = []
+            deadline = time.monotonic() + 2.0
+            while len(got) < len(seqs) and time.monotonic() < deadline:
+                message = sub.get(timeout=0.05)
+                if message is not None:
+                    got.append(message.image.seq if image else message.seq)
+            snap = bridge.stats()
+        assert got == seqs
+        counts = snap.image if image else snap.motion
+        assert (counts.sender_restarts, counts.frames_stale, snap.frames_stale) == (restarts, 0, 0)
+        assert (snap.frames_published if image else snap.motions_published) == len(seqs)
+
     def test_stats_topic_ticks(self):
         bus = TopicBus()
         sub = bus.subscribe(TOPIC_STATS, BoundedFifo(16))
@@ -284,6 +315,20 @@ class TestBridgeLive:
             req = decode_request(got[0][HEADER_SIZE:])
             assert req.mode == MotionMode.STAND
             bridge.stop()
+
+    def test_command_seq_wraps_and_both_commands_apply(self):
+        bus, sim, bridge = make_pair()
+        with sim, bridge:
+            bridge._cmd_seq = 2**32 - 1
+            sent = [bridge.command_forward(MotionRequest.walk(0.5)),
+                    bridge.command_forward(MotionRequest.walk(0.25))]
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and sim.walk_snapshot().target[0] != 0.25:
+                time.sleep(0.01)
+            target = sim.walk_snapshot().target
+        assert [p.header.seq for p in sent] == [2**32 - 1, 0]
+        assert sim.commands_received == 2 and sim.command_order.stale == 0
+        assert target == (0.25, 0.0, 0.0)
 
     def test_command_forward_rejects_nan(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))

@@ -168,6 +168,31 @@ class TestReassembler:
         assert ev == Orphan(seq=1, frag_index=0)
         assert rx.stats().orphan_fragments == 1
 
+    def test_late_start_is_stale_and_spares_the_newer_frame(self):
+        rx = Reassembler()
+        late, newer = image_packets(seq=4), image_packets(seq=5)
+        rx.step(newer[0])
+        rx.step(newer[1])
+        assert rx.step(late[0]) == Orphan(seq=4)
+        assert rx.stats().frames_stale == 1
+        assert rx.step(late[2]) == Orphan(seq=4, frag_index=1)
+        for p in newer[2:-1]:
+            assert rx.step(p) is None
+        final = rx.step(newer[-1])
+        assert isinstance(final, ImageComplete) and final.image.seq == 5
+        stats = rx.stats()
+        assert (stats.frames_complete, stats.frames_dropped_preempted, stats.frames_stale) == (1, 0, 1)
+
+    def test_frame_fed_twice_completes_once(self):
+        rx = Reassembler()
+        pkts = image_packets(seq=3)
+        events = [rx.step(p) for p in pkts + pkts]
+        assert [type(e) for e in events].count(ImageComplete) == 1
+        assert events[len(pkts)] == Orphan(seq=3)
+        stats = rx.stats()
+        assert (stats.frames_complete, stats.frames_stale, stats.sender_restarts) == (1, 1, 0)
+        assert not rx.collecting
+
     def test_fragment_without_start_is_orphan(self):
         rx = Reassembler()
         pkts = image_packets(seq=9)

@@ -294,6 +294,31 @@ class TestRobotSimLive:
         image_in.close()
         motion_in.close()
 
+    def test_late_command_is_not_applied(self):
+        image_in, motion_in = self._receivers()
+        cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
+                          motion_port=motion_in.local_port, command_port=0,
+                          command_bind_host="127.0.0.1",
+                          fps=5.0, motion_rate=100.0, width=32, height=24)
+        walk = packetize_single(encode_request(MotionRequest.walk(1.0)),
+                                StreamId.COMMAND, seq=5, timestamp_us=0)
+        stand = packetize_single(encode_request(MotionRequest.stand()),
+                                 StreamId.COMMAND, seq=4, timestamp_us=0)
+        with RobotSim(cfg) as sim:
+            with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+                tx.send_to(walk.to_bytes(), ("127.0.0.1", sim.command_port))
+                tx.send_to(stand.to_bytes(), ("127.0.0.1", sim.command_port))
+                deadline = time.monotonic() + 2.0
+                while time.monotonic() < deadline and (
+                        sim.commands_received + sim.command_order.stale < 2
+                        or sim.walk_snapshot().target == (0.0, 0.0, 0.0)):
+                    time.sleep(0.01)
+                target = sim.walk_snapshot().target  # well inside the 0.5 s deadman
+        assert (sim.commands_received, sim.command_order.stale) == (1, 1)
+        assert target == (1.0, 0.0, 0.0)
+        image_in.close()
+        motion_in.close()
+
     def test_second_start_raises(self):
         image_in, motion_in = self._receivers()
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import seq_order_reference, serial_lt
+
 from nbpk.wire import (
     HEADER_SIZE,
     MAGIC,
     MAX_IMAGE_BYTES,
     REQUEST_SIZE,
+    RESTART_WINDOW,
     START_META_SIZE,
     WIRE_VERSION,
     BadMagicError,
@@ -23,6 +26,7 @@ from nbpk.wire import (
     MotionRequest,
     PacketHeader,
     PacketKind,
+    SeqOrder,
     StreamId,
     TooShortError,
     WireError,
@@ -289,6 +293,55 @@ class TestImage:
         with pytest.raises(InvariantError):
             Image(width=4, height=4, pixels=b"\x00" * 31)
         Image(width=4, height=4, pixels=b"\x00" * 32)
+
+
+U32 = 2**32
+W = RESTART_WINDOW
+
+
+class TestSeqOrder:
+    def test_oracle_follows_rfc1982(self):
+        assert serial_lt(U32 - 1, 0) and not serial_lt(0, U32 - 1)
+        assert serial_lt(0, 2**31 - 1) and not serial_lt(0, 2**31 + 1)
+        assert not serial_lt(0, 2**31) and not serial_lt(2**31, 0)  # undefined pair
+
+    # behind = (newest - seq) mod 2**32, at each edge of the rule
+    @pytest.mark.parametrize("behind, new, restart", [
+        (0, False, False),          # a repeat
+        (W - 1, False, False),      # the latest a late message can be
+        (W, True, True),            # the nearest restart
+        (2**31, True, True),        # undefined in RFC 1982: a restart
+        (2**31 + 1, True, False),   # the farthest newer seq
+        (U32 - 1, True, False),     # the next seq
+    ])
+    @pytest.mark.parametrize("newest", [0, 5, 2**31, U32 - 1])
+    def test_window_edges(self, newest, behind, new, restart):
+        order = SeqOrder()
+        assert order.advance(newest)
+        seq = (newest - behind) % U32
+        assert order.advance(seq) is new
+        assert (order.stale, order.restarts) == (int(not new), int(restart))
+        assert order.newest == (seq if new else newest)
+        assert seq_order_reference([newest, seq], W) == ([True, new], int(restart))
+
+    @settings(max_examples=400)
+    @given(start=st.tuples(st.sampled_from([0, 2**31, U32 - 1]), st.integers(-3 * W, 3 * W)),
+           steps=st.lists(st.one_of(st.integers(-2 * W, 2 * W),
+                                    st.integers(0, U32 - 1),
+                                    st.sampled_from([2**31, 2**31 + 1, 2**31 - 1, W, -W])),
+                          max_size=60))
+    def test_matches_rfc1982_reference(self, start, steps):
+        seq = sum(start) % U32
+        seqs = [seq]
+        for step in steps:
+            seq = (seq + step) % U32
+            seqs.append(seq)
+        order = SeqOrder()
+        got = [order.advance(s) for s in seqs]
+        want, restarts = seq_order_reference(seqs, W)
+        assert got == want
+        assert order.restarts == restarts
+        assert order.stale == want.count(False)
 
 
 @settings(max_examples=500)
