@@ -366,9 +366,13 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit must not be negative, got {args.limit}")
     os.makedirs(args.outdir, exist_ok=True)
     written = 0
     for rec in recorder.read_log(args.log):
+        if args.limit is not None and written >= args.limit:
+            break
         if isinstance(rec, recorder.Truncated):
             log.info("log truncated at offset %d", rec.offset)
             break
@@ -379,8 +383,6 @@ def _cmd_export(args) -> int:
         path = os.path.join(args.outdir, f"frame_{written:06d}.ppm")
         recorder.export_ppm(img, path)
         written += 1
-        if args.limit is not None and written >= args.limit:
-            break
     print(json.dumps({"images": written, "outdir": args.outdir}))
     return 0
 

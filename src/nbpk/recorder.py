@@ -131,6 +131,7 @@ class LogWriter:
             # disk full or similar: drop the partial record, keep the prefix valid
             try:
                 self._f.truncate(start)
+                self._f.seek(start)  # the next record starts where this one did
             except OSError:
                 pass
             raise
@@ -282,24 +283,27 @@ def yuv422_to_rgb(img: Image) -> np.ndarray:
 
     BT.601 full-range: R = Y + 1.402 (V-128); G = Y - 0.344136 (U-128)
     - 0.714136 (V-128); B = Y + 1.772 (U-128); clamped to [0, 255] and
-    rounded to nearest (ties away from zero).
+    rounded to nearest (ties away from zero). Works per pixel pair: each
+    chroma term is computed once and applied to both Y samples, in float64
+    and in the order written, so the result equals the per-pixel formula.
     """
     if img.encoding != Encoding.YUV422:
         raise ValueError(f"expected YUV422, got {img.encoding!r}")
     if img.width % 2 != 0:
         raise ValueError(f"YUV422 requires even width, got {img.width}")
     w, h = img.width, img.height
-    data = np.frombuffer(img.pixels, dtype=np.uint8).astype(np.float64)
-    y = data[0::2].reshape(h, w)
-    u = np.repeat(data[1::4].reshape(h, w // 2), 2, axis=1) - 128.0
-    v = np.repeat(data[3::4].reshape(h, w // 2), 2, axis=1) - 128.0
-    rgb = np.stack([
-        y + 1.402 * v,
-        y - 0.344136 * u - 0.714136 * v,
-        y + 1.772 * u,
-    ], axis=-1)
+    pairs = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w // 2, 4)
+    y = pairs[..., 0::2]  # (h, w/2, 2): the pair's two Y samples
+    u = pairs[..., 1:2].astype(np.float64) - 128.0  # (h, w/2, 1), shared by the pair
+    v = pairs[..., 3:4].astype(np.float64) - 128.0
+    rgb = np.empty((h, w // 2, 2, 3))
+    np.add(y, 1.402 * v, out=rgb[..., 0])
+    np.subtract(y, 0.344136 * u, out=rgb[..., 1])
+    rgb[..., 1] -= 0.714136 * v
+    np.add(y, 1.772 * u, out=rgb[..., 2])
     np.clip(rgb, 0.0, 255.0, out=rgb)
-    return np.floor(rgb + 0.5).astype(np.uint8)
+    rgb += 0.5  # now >= 0.5, so truncating to uint8 is floor
+    return rgb.astype(np.uint8).reshape(h, w, 3)
 
 
 def export_ppm(img: Image, path) -> None:
@@ -307,4 +311,4 @@ def export_ppm(img: Image, path) -> None:
     rgb = yuv422_to_rgb(img)
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
-        f.write(rgb.tobytes())
+        f.write(rgb)

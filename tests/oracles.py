@@ -219,6 +219,24 @@ def yuv_to_rgb_scalar(y: int, u: int, v: int) -> tuple[int, int, int]:
     return finish(r), finish(g), finish(b)
 
 
+def yuv422_to_rgb_reference(img) -> np.ndarray:
+    """The library's original full-resolution ``yuv422_to_rgb``: the whole
+    buffer cast to float64, U and V repeated to full width, three
+    full-frame planes stacked, then clamped and floored."""
+    w, h = img.width, img.height
+    data = np.frombuffer(img.pixels, dtype=np.uint8).astype(np.float64)
+    y = data[0::2].reshape(h, w)
+    u = np.repeat(data[1::4].reshape(h, w // 2), 2, axis=1) - 128.0
+    v = np.repeat(data[3::4].reshape(h, w // 2), 2, axis=1) - 128.0
+    rgb = np.stack([
+        y + 1.402 * v,
+        y - 0.344136 * u - 0.714136 * v,
+        y + 1.772 * u,
+    ], axis=-1)
+    np.clip(rgb, 0.0, 255.0, out=rgb)
+    return np.floor(rgb + 0.5).astype(np.uint8)
+
+
 # --- rigid-body point-cloud integrator -------------------------------------
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -232,6 +232,22 @@ class TestLogCommands:
         assert main(["export", str(p), str(outdir), "--limit", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["images"] == 2
 
+    def test_export_limit_zero_writes_nothing(self, capsys, tmp_path):
+        p = tmp_path / "log.nbl"
+        self.make_log(p, n=4)
+        outdir = tmp_path / "frames"
+        assert main(["export", str(p), str(outdir), "--limit", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["images"] == 0
+        assert list(outdir.iterdir()) == []
+
+    def test_export_negative_limit_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "log.nbl"
+        self.make_log(p, n=4)
+        outdir = tmp_path / "frames"
+        assert main(["export", str(p), str(outdir), "--limit", "-1"]) == 1
+        assert "--limit" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_record_idle_writes_valid_header(self, capsys, tmp_path):
         p = tmp_path / "log.nbl"
         code = main(["record", str(p), "--duration", "0.2",

@@ -1,3 +1,4 @@
+import errno
 import math
 import struct
 import time
@@ -44,7 +45,7 @@ from nbpk.wire import (
     TooShortError,
 )
 
-from oracles import yuv_to_rgb_scalar
+from oracles import yuv422_to_rgb_reference, yuv_to_rgb_scalar
 
 
 def sample_messages(n_frames=5, width=32, height=24):
@@ -200,6 +201,33 @@ class TestTruncation:
             recs = list(read_log(q))  # must never raise past the header
             complete = [r for r in recs if isinstance(r, LogRecord)]
             assert len(complete) <= 2
+
+    def test_failed_write_leaves_no_hole(self, tmp_path, monkeypatch):
+        """A write that fails part-way is cut back, and the next record lands
+        where the cut one began: the reader sees every good record."""
+        class FailingPayload:
+            def __init__(self, f, bad):
+                self._f, self._bad = f, bad
+
+            def write(self, b):
+                if bytes(b) == self._bad:
+                    self._f.write(b[:3])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self._f.write(b)
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.MOTION, 10, b"A" * 10)
+            monkeypatch.setattr(w, "_f", FailingPayload(w._f, b"B" * 10))
+            with pytest.raises(OSError):
+                w.write(StreamId.MOTION, 20, b"B" * 10)
+            w.write(StreamId.MOTION, 30, b"C" * 10)
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 10, b"A" * 10),
+                                     LogRecord(StreamId.MOTION, 30, b"C" * 10)]
+        assert p.stat().st_size == LOG_HEADER_SIZE + 2 * (RECORD_HEADER_SIZE + 10)
 
 
 class TestReplay:
@@ -368,6 +396,36 @@ class TestYuvConversion:
     def test_shape(self):
         img = gen_test_image(0, 32, 24)
         assert yuv422_to_rgb(img).shape == (24, 32, 3)
+
+
+class TestYuvExactness:
+    """The library against the original full-resolution float64 formula
+    (``oracles.yuv422_to_rgb_reference``), bit for bit."""
+
+    def test_every_yuv_triple(self):
+        # Chunk u is a 512x256 frame whose row v, pair y is (y, u, 255-y, v):
+        # both Y slots see every (Y, U, V) triple over the 256 chunks.
+        ys = np.arange(256, dtype=np.uint8)
+        quads = np.empty((256, 256, 4), dtype=np.uint8)
+        quads[:, :, 0] = ys
+        quads[:, :, 2] = 255 - ys
+        quads[:, :, 3] = ys[:, None]
+        for u in range(256):
+            quads[:, :, 1] = u
+            img = Image(width=512, height=256, pixels=quads.tobytes(),
+                        encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+            got, want = yuv422_to_rgb(img), yuv422_to_rgb_reference(img)
+            assert np.array_equal(got, want), f"U={u}: {np.count_nonzero(got != want)} bytes differ"
+
+    @pytest.mark.parametrize("width,height", [(2, 1), (2, 3), (320, 240), (1280, 960)])
+    def test_random_frames(self, width, height):
+        rng = np.random.default_rng(width * 1000 + height)
+        pixels = rng.integers(0, 256, size=width * height * 2, dtype=np.uint8).tobytes()
+        img = Image(width=width, height=height, pixels=pixels,
+                    encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+        got = yuv422_to_rgb(img)
+        assert got.shape == (height, width, 3) and got.dtype == np.uint8
+        assert np.array_equal(got, yuv422_to_rgb_reference(img))
 
 
 class TestPpmExport:
