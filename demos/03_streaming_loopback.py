@@ -38,7 +38,7 @@ try:
                 bad += 1
             if frames % 15 == 0:
                 age_ms = (f.recv_timestamp_us - f.image.timestamp_us) / 1000
-                reading = motion.get_nowait()
+                reading = motion.get(timeout=0)
                 vel = reading.velocity if reading else ("-", "-", "-")
                 print(f"  t={time.monotonic() - t0:4.1f}s frame #{f.image.seq:<3d} "
                       f"age {age_ms:5.1f} ms  robot velocity {vel}")

@@ -23,7 +23,6 @@ from .bridge import (
     BoundedFifo,
     Bridge,
     BridgeConfig,
-    CameraFrame,
     TopicBus,
 )
 from .channel import ImpairmentConfig, StreamImpairer

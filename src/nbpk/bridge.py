@@ -82,16 +82,12 @@ class Subscription:
             self._cond.notify()
 
     def get(self, timeout: Optional[float] = None) -> Optional[Any]:
-        """Pop the next message, waiting up to ``timeout``; None if none came."""
+        """Pop the next message, waiting up to ``timeout`` (0: no wait); None if none came."""
         with self._cond:
             self._cond.wait_for(lambda: self._dq or self._closed, timeout)
             if self._dq:
                 return self._dq.popleft()
             return None
-
-    def get_nowait(self) -> Optional[Any]:
-        with self._cond:
-            return self._dq.popleft() if self._dq else None
 
     def drain(self) -> list:
         """Pop everything currently queued."""

@@ -157,7 +157,7 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
                 bus.publish(TOPIC_COMMAND, to_request(state))
                 next_pub += period
             if now >= next_echo:
-                reading = sub.get_nowait()
+                reading = sub.get(timeout=0)
                 echo = "-" if reading is None else "(%.2f, %.2f, %.2f)" % reading.velocity
                 print(f"cmd=({state.vx:.2f}, {state.vy:.2f}, {state.omega:.2f})"
                       f"  robot={echo}", file=out, flush=True)

@@ -131,6 +131,13 @@ class StreamStats:
     latency_accumulator_us: int = 0
 
 
+def check_frag_payload(frag_payload: int) -> None:
+    if not MIN_FRAG_PAYLOAD <= frag_payload <= MAX_FRAG_PAYLOAD:
+        raise ValueError(
+            f"frag_payload must lie in [{MIN_FRAG_PAYLOAD}, {MAX_FRAG_PAYLOAD}], got {frag_payload}"
+        )
+
+
 def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> list[Packet]:
     """Split an image into one START packet plus its fragments.
 
@@ -138,10 +145,7 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     (the last one may be shorter). All packets share the image's seq and
     timestamp.
     """
-    if not MIN_FRAG_PAYLOAD <= frag_payload <= MAX_FRAG_PAYLOAD:
-        raise ValueError(
-            f"frag_payload must lie in [{MIN_FRAG_PAYLOAD}, {MAX_FRAG_PAYLOAD}], got {frag_payload}"
-        )
+    check_frag_payload(frag_payload)
     data = img.pixels
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")

@@ -24,7 +24,7 @@ from .channel import (
     EndpointConfig,
     Service,
 )
-from .fragment import Packet, packetize_image, packetize_single
+from .fragment import Packet, check_frag_payload, packetize_image, packetize_single
 from .wire import (
     DEFAULT_FRAG_PAYLOAD,
     DEFAULT_JOINT_COUNT,
@@ -80,9 +80,14 @@ class RobotConfig:
             raise ValueError(f"fps must lie in (0, 60], got {self.fps}")
         if self.motion_rate <= 0.0:
             raise ValueError(f"motion_rate must be positive, got {self.motion_rate}")
-        if self.width * self.height * 2 > MAX_IMAGE_BYTES:
+        n = self.width * self.height * 2
+        if n > MAX_IMAGE_BYTES:
             raise ValueError(f"a {self.width}x{self.height} YUV422 image exceeds the "
                              f"{MAX_IMAGE_BYTES}-byte wire limit")
+        if n < _MIN_PATTERN_BYTES:
+            raise ValueError(f"a {self.width}x{self.height} YUV422 image is too small for the "
+                             f"test pattern (min {_MIN_PATTERN_BYTES} bytes)")
+        check_frag_payload(self.frag_payload)
 
 
 # --- test image pattern ----------------------------------------------------

@@ -42,8 +42,8 @@ class TestTopicBus:
         sub = bus.subscribe("t", BoundedFifo(1))
         for i in range(1, 6):
             bus.publish("t", i)
-        assert sub.get_nowait() == 5
-        assert sub.get_nowait() is None
+        assert sub.get(timeout=0) == 5
+        assert sub.get(timeout=0) is None
 
     def test_bounded_fifo_sheds_oldest(self):
         bus = TopicBus()

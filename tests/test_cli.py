@@ -180,6 +180,16 @@ class TestMainExitCodes:
                      "--command-port", "0", "--duration", "0.1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_robot_image_below_test_pattern(self, capsys):
+        assert main(["robot", "--width", "2", "--height", "2",
+                     "--command-port", "0", "--duration", "0.1"]) == 2
+        assert "test pattern" in capsys.readouterr().err
+
+    def test_robot_frag_size_out_of_range(self, capsys):
+        assert main(["robot", "--frag-size", "100",
+                     "--command-port", "0", "--duration", "0.1"]) == 2
+        assert "frag_payload" in capsys.readouterr().err
+
     def test_teleop_needs_tty(self, capsys):
         assert main(["teleop"]) == 1
         assert "terminal" in capsys.readouterr().err

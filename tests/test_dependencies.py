@@ -1,16 +1,31 @@
-"""Rules of the package's shape, read from its source with ``ast``.
+"""Rules of the package's shape, read from its source with ``ast`` and
+checked by importing each module in a fresh interpreter.
 
-It runs on the standard library plus numpy, numpy stays at the edges, and
-only ``wire`` orders seqs.
+It runs on the standard library plus numpy, numpy stays at the edges, each
+module loads only what it imports, and only ``wire`` orders seqs.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nbpk
 
 NUMPY_MODULES = {"inertial", "recorder"}
+
+#: Every numpy-free module and the ``nbpk`` modules that importing it loads.
+NUMPY_FREE_CLOSURES = {
+    "wire": {"wire"},
+    "fragment": {"fragment", "wire"},
+    "channel": {"channel", "fragment", "wire"},
+    "robotsim": {"robotsim", "channel", "fragment", "wire"},
+    "bridge": {"bridge", "channel", "fragment", "wire"},
+    "bench": {"bench", "bridge", "channel", "fragment", "robotsim", "wire"},
+}
 
 
 def test_imports_are_stdlib_or_numpy():
@@ -30,6 +45,24 @@ def test_imports_are_stdlib_or_numpy():
                 else:
                     assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
     assert numpy_users == NUMPY_MODULES
+
+
+@pytest.mark.parametrize("module", sorted(NUMPY_FREE_CLOSURES))
+def test_module_loads_only_its_closure(module):
+    """The robot and bridge sides import without numpy, and loading a module
+    does not drag in the rest of the package."""
+    code = (
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(Path(nbpk.__file__).parent.parent)!r})\n"
+        f"importlib.import_module('nbpk.{module}')\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert {name[len("nbpk."):] for name in loaded if name.startswith("nbpk.")} \
+        == NUMPY_FREE_CLOSURES[module]
+    assert "numpy" not in loaded
 
 
 ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import pattern_reference
 
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.fragment import ImageComplete, Reassembler, Packet
+from nbpk.fragment import MAX_FRAG_PAYLOAD, MIN_FRAG_PAYLOAD, ImageComplete, Reassembler, Packet
 from nbpk.robotsim import (
     GRAVITY_MPS2,
     NOMINAL_MAX_YAW_RPS,
@@ -218,6 +218,20 @@ class TestRobotConfig:
         RobotConfig(width=1280, height=960)
         with pytest.raises(ValueError):
             RobotConfig(width=1280, height=962)
+
+    def test_image_fits_test_pattern(self):
+        RobotConfig(width=4, height=2)  # 16 bytes, the smallest pattern
+        gen_test_image(0, 4, 2)
+        for width, height in ((2, 2), (0, 240), (-2, 240)):
+            with pytest.raises(ValueError, match="test pattern"):
+                RobotConfig(width=width, height=height)
+
+    def test_frag_payload_bounds(self):
+        RobotConfig(frag_payload=MIN_FRAG_PAYLOAD)
+        RobotConfig(frag_payload=MAX_FRAG_PAYLOAD)
+        for frag_payload in (MIN_FRAG_PAYLOAD - 1, MAX_FRAG_PAYLOAD + 1, 100):
+            with pytest.raises(ValueError, match="frag_payload"):
+                RobotConfig(frag_payload=frag_payload)
 
 
 class TestRobotSimLive:
