@@ -119,30 +119,34 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     cfg = s.effective_impairment()
     imp = StreamImpairer(cfg)
     rx = Reassembler()
+    push, step = imp.push, rx.step
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
     delivered = 0
     verify_failures = 0
 
-    def feed(released, t_us):
+    def complete(image, t_us):
         nonlocal delivered, verify_failures
-        for pkt in released:
-            event = rx.step(pkt, now_us=t_us)
-            if isinstance(event, ImageComplete):
-                delivered += 1
-                latencies.append(t_us - event.image.timestamp_us)
-                if trace_out is not None:
-                    trace_out.append(event.image.seq)
-                if not image_ok(event.image):
-                    verify_failures += 1
+        delivered += 1
+        latencies.append(t_us - image.timestamp_us)
+        if trace_out is not None:
+            trace_out.append(image.seq)
+        if not image_ok(image):
+            verify_failures += 1
 
     t_us = 0
     for i in range(frames_sent):
         t_us = round(i * 1e6 / s.fps)
         img = replace(gen_test_image(i, s.width, s.height), timestamp_us=t_us)
         for pkt in packetize_image(img, s.frag_payload):
-            feed(imp.push(pkt), t_us)
-    feed(imp.flush(), t_us)
+            for released in push(pkt):
+                event = step(released, t_us)
+                if event.__class__ is ImageComplete:
+                    complete(event.image, t_us)
+    for released in imp.flush():
+        event = step(released, t_us)
+        if event.__class__ is ImageComplete:
+            complete(event.image, t_us)
 
     mean_lat, p95_lat = _latency_stats(latencies)
     stats = rx.stats()

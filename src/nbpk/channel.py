@@ -2,19 +2,21 @@
 
 The simulator's randomness is pinned to splitmix64 with the standard
 published constants, so a given seed produces the same loss/duplication/
-reorder trace on any platform. Exactly three draws are consumed per input
-packet, in the order loss, duplication, reorder, whether or not the
-earlier draws already decided the packet's fate.
+reorder trace on any platform. The state moves forward three draws per
+input packet, always (loss, duplication, reorder). Draw ``k`` depends on
+``seed + k * gamma`` alone, so a draw whose outcome is fixed (probability
+0 or 1, or the packet already lost) is skipped, not mixed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
+import math
 import socket
 import threading
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .fragment import Packet
@@ -27,28 +29,19 @@ DEFAULT_COMMAND_PORT = 10023
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA2, _GAMMA3 = 2 * SPLITMIX64_GAMMA, 3 * SPLITMIX64_GAMMA
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 T = TypeVar("T")
 
 
-class SplitMix64:
-    """The splitmix64 generator (Steele, Lea & Flood constants)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + SPLITMIX64_GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1): top 53 bits of the next output."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+def splitmix64(state: int) -> int:
+    """splitmix64's output for the Weyl state ``seed + k * SPLITMIX64_GAMMA``
+    (mod 2**64) of draw ``k >= 1``; ``state`` is a u64."""
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 class TruncatedDatagramError(OSError):
@@ -228,45 +221,49 @@ class StreamImpairer:
     output every time. Items are never altered, only kept, repeated, or
     moved; a reordered item is released ``reorder_depth`` slots late, with
     ties broken by original send index, and duplicates release back to
-    back. An entry with release slot ``s`` is emitted once item ``s`` has
-    been pushed, because every later item lands in a slot past its own
-    index.
+    back. Output order is (release slot, send index, copy): an entry with
+    release slot ``s`` is emitted once item ``s`` has been pushed, because
+    every later item lands in a slot past its own index.
     """
 
     def __init__(self, cfg: ImpairmentConfig):
         self.cfg = cfg
-        self._rng = SplitMix64(cfg.seed)
-        self._pending: list[tuple[int, int, int, T]] = []
+        self._state = cfg.seed & _MASK64
+        # A draw's u < p is k < ceil(p * 2**53) for its top 53 bits k, exactly. At p = 0
+        # or 1 the outcome is fixed, and the limit is that outcome instead.
+        self._limits = tuple(p == 1.0 if p in (0.0, 1.0) else math.ceil(p * (1 << 53))
+                             for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
+        self._pending: list[tuple[int, int, int, T]] = []  # a heap of reordered entries
         self._index = 0
 
     def push(self, item: T) -> list[T]:
         """Feed one item; returns whatever the channel releases now."""
-        cfg = self.cfg
         i = self._index
-        self._index += 1
-        u_loss = self._rng.next_float()
-        u_dup = self._rng.next_float()
-        u_reorder = self._rng.next_float()
-        if u_loss >= cfg.loss_p:
-            slot = i + (cfg.reorder_depth if u_reorder < cfg.reorder_p else 0)
-            copies = 2 if u_dup < cfg.dup_p else 1
-            for c in range(copies):
-                heapq.heappush(self._pending, (slot, i, c, item))
+        self._index = i + 1
+        x = self._state  # draws 1, 2, 3 of this item are x + gamma, x + 2 gamma, x + 3 gamma
+        self._state = (x + _GAMMA3) & _MASK64
+        pending = self._pending
         out = []
-        while self._pending and self._pending[0][0] <= i:
-            out.append(heapq.heappop(self._pending)[3])
+        while pending and pending[0][0] <= i:
+            out.append(heappop(pending)[3])
+        loss, dup, reorder = self._limits
+        lost = loss if loss.__class__ is bool else splitmix64((x + SPLITMIX64_GAMMA) & _MASK64) >> 11 < loss
+        if lost:
+            return out
+        twice = dup if dup.__class__ is bool else splitmix64((x + _GAMMA2) & _MASK64) >> 11 < dup
+        late = reorder if reorder.__class__ is bool else splitmix64(self._state) >> 11 < reorder
+        if late:
+            slot = i + self.cfg.reorder_depth
+            heappush(pending, (slot, i, 0, item))
+            if twice:
+                heappush(pending, (slot, i, 1, item))
+        else:  # released in slot i, after every pending entry due by then
+            out.append(item)
+            if twice:
+                out.append(item)
         return out
 
     def flush(self) -> list[T]:
         """Release everything still in flight, in order."""
-        out = []
-        while self._pending:
-            out.append(heapq.heappop(self._pending)[3])
-        return out
-
-
-def impair(cfg: ImpairmentConfig, items: Iterable[T]) -> list[T]:
-    """Batch form of :class:`StreamImpairer`: push every item, then flush."""
-    imp = StreamImpairer(cfg)
-    out = [released for item in items for released in imp.push(item)]
-    return out + imp.flush()
+        pending = self._pending
+        return [heappop(pending)[3] for _ in range(len(pending))]

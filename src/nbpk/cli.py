@@ -298,19 +298,20 @@ def _run_until_interrupt(duration: float | None) -> None:
 
 
 def _cmd_robot(args) -> int:
-    _check_positive("--fps", args.fps)
-    _check_positive("--motion-rate", args.motion_rate)
-    cfg = RobotConfig(
-        peer_host=args.peer,
-        image_port=args.image_port,
-        motion_port=args.motion_port,
-        command_port=args.command_port,
-        fps=args.fps,
-        motion_rate=args.motion_rate,
-        width=args.width,
-        height=args.height,
-        frag_payload=args.frag_size,
-    )
+    try:
+        cfg = RobotConfig(
+            peer_host=args.peer,
+            image_port=args.image_port,
+            motion_port=args.motion_port,
+            command_port=args.command_port,
+            fps=args.fps,
+            motion_rate=args.motion_rate,
+            width=args.width,
+            height=args.height,
+            frag_payload=args.frag_size,
+        )
+    except ValueError as exc:  # rejected before any socket opens
+        raise UsageError(str(exc)) from None
     log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
     with RobotSim(cfg):
         _run_until_interrupt(args.duration)

@@ -183,7 +183,7 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
 class _Slot:
     """One in-flight frame. ``active_us`` is when it last accepted a packet."""
 
-    __slots__ = ("seq", "meta", "frag_payload", "total_len", "buffer", "missing",
+    __slots__ = ("seq", "meta", "frag_payload", "frag_count", "last_len", "buffer", "missing",
                  "remaining", "timestamp_us", "active_us")
 
     def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int,
@@ -191,7 +191,9 @@ class _Slot:
         self.seq = seq
         self.meta = meta
         self.frag_payload = meta.frag_payload
-        self.total_len = meta.total_len
+        self.frag_count = meta.frag_count
+        # every fragment but the last carries frag_payload bytes
+        self.last_len = meta.total_len - (meta.frag_count - 1) * meta.frag_payload
         self.buffer = bytearray(meta.total_len)
         self.missing = [True] * meta.frag_count
         self.remaining = meta.frag_count
@@ -219,18 +221,33 @@ class Reassembler:
         """Read-only snapshot of the counters."""
         return replace(self._stats, frames_stale=self._order.stale, sender_restarts=self._order.restarts)
 
-    @property
-    def collecting(self) -> bool:
-        return self._slot is not None
-
     def step(self, pkt: Packet, now_us: Optional[int] = None) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
         h, payload = pkt
-        self._stats.bytes_received += HEADER_SIZE + len(payload)
-        if h.kind == _FRAGMENT:
-            return self._on_fragment(h, payload, now_us)
-        # a SINGLE carries frag_count 0, which no START metadata announces
-        return self._on_start(h, payload, now_us)
+        n = len(payload)
+        stats = self._stats
+        stats.bytes_received += HEADER_SIZE + n
+        if h[1] != _FRAGMENT:
+            # a SINGLE carries frag_count 0, which no START metadata announces
+            return self._on_start(h, payload, now_us)
+        seq, index = h[2], h[3]
+        slot = self._slot
+        if (slot is None or slot.seq != seq or index >= slot.frag_count
+                or n != (slot.frag_payload if index < slot.frag_count - 1 else slot.last_len)):
+            stats.orphan_fragments += 1
+            return Orphan(seq=seq, frag_index=index)
+        missing = slot.missing
+        if not missing[index]:
+            stats.duplicate_fragments += 1
+            return Duplicate(seq=seq, frag_index=index)
+        offset = index * slot.frag_payload
+        slot.buffer[offset:offset + n] = payload
+        missing[index] = False
+        slot.active_us = now_us
+        slot.remaining -= 1
+        if slot.remaining:
+            return None
+        return self._complete(slot, now_us)
 
     def poll(self, now_us: int) -> Optional[Dropped]:
         """Evict a frame that accepted no packet for longer than the timeout, if any."""
@@ -266,28 +283,7 @@ class Reassembler:
         self._slot = _Slot(h.seq, meta, h.timestamp_us, now_us)
         return evicted
 
-    def _on_fragment(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
-        seq, index = h[2:4]
-        slot = self._slot
-        if slot is None or slot.seq != seq or index >= len(slot.missing):
-            self._stats.orphan_fragments += 1
-            return Orphan(seq=seq, frag_index=index)
-        offset = index * slot.frag_payload
-        end = min(offset + slot.frag_payload, slot.total_len)
-        if len(payload) != end - offset:
-            self._stats.orphan_fragments += 1
-            return Orphan(seq=seq, frag_index=index)
-        if not slot.missing[index]:
-            self._stats.duplicate_fragments += 1
-            return Duplicate(seq=seq, frag_index=index)
-
-        slot.buffer[offset:end] = payload
-        slot.missing[index] = False
-        slot.active_us = now_us
-        slot.remaining -= 1
-        if slot.remaining:
-            return None
-
+    def _complete(self, slot: _Slot, now_us: Optional[int]) -> ImageComplete:
         self._slot = None
         self._stats.frames_complete += 1
         if now_us is not None:
@@ -295,4 +291,4 @@ class Reassembler:
         meta = slot.meta
         return ImageComplete(image=Image(width=meta.width, height=meta.height,
                                          pixels=bytes(slot.buffer), encoding=meta.encoding,
-                                         seq=seq, timestamp_us=slot.timestamp_us))
+                                         seq=slot.seq, timestamp_us=slot.timestamp_us))

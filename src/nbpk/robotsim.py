@@ -143,7 +143,7 @@ def verify_test_image(img: Image) -> VerifyResult:
     if n < _MIN_PATTERN_BYTES:
         raise ValueError(f"image of {n} bytes is too small to carry the test pattern")
     stored = struct.unpack_from("<I", img.pixels, n - 4)[0]
-    computed = zlib.crc32(img.pixels[:n - 4])
+    computed = zlib.crc32(memoryview(img.pixels)[:n - 4])
     if stored != computed:
         return CorruptCrc(stored=stored, computed=computed)
     embedded = struct.unpack_from("<I", img.pixels, 0)[0]

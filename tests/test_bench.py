@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -159,6 +161,68 @@ class TestRunScenario:
         r = run_scenario(s)
         assert r.duplicate_fragments > 0
         assert r.frames_delivered == r.frames_sent  # duplication never loses data
+
+
+# Each probability at 0, at the smallest double, in between, at the largest
+# double below 1, and at 1: the inner edges take the drawn path, the outer
+# ones the path whose outcome is fixed, and each pair must agree.
+_EDGES = (5e-324, 0.01, 1 - 2**-53, 1.0)
+_SMALL = dict(duration_s=3.0, fps=30.0, width=64, height=48)  # 90 frames of 6 packets
+
+# (Report fields in order, first 16 hex digits of the sha256 of the
+# comma-joined delivered seqs), recorded with an impairer that mixed all
+# three draws of every packet.
+_GOLDEN = {
+    "clean": ((90, 90, 1.0, 1.0, 0.0, 0.0, 0, 0, 568080, 30.0, 0), "22b3dac340edb1e9"),
+    "loss_p=5e-324": ((90, 90, 1.0, 1.0, 0.0, 0.0, 0, 0, 568080, 30.0, 0), "22b3dac340edb1e9"),
+    "loss_p=0.01": ((90, 88, 0.9777777777777777, 0.941480149401, 0.0, 0.0, 0, 0, 565228,
+                     29.333333333333332, 0), "a3fe721215629ecd"),
+    "loss_p=0.9999999999999999": ((90, 0, 0.0, 1.8726705418768793e-96, 0.0, 0.0, 0, 0, 0, 0.0, 0),
+                                  "e3b0c44298fc1c14"),
+    "loss_p=1.0": ((90, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0), "e3b0c44298fc1c14"),
+    "dup_p=5e-324": ((90, 90, 1.0, 1.0, 0.0, 0.0, 0, 0, 568080, 30.0, 0), "22b3dac340edb1e9"),
+    "dup_p=0.01": ((90, 90, 1.0, 1.0, 0.0, 0.0, 2, 3, 573498, 30.0, 0), "22b3dac340edb1e9"),
+    "dup_p=0.9999999999999999": ((90, 90, 1.0, 1.0, 0.0, 0.0, 90, 450, 1136160, 30.0, 0),
+                                 "22b3dac340edb1e9"),
+    "dup_p=1.0": ((90, 90, 1.0, 1.0, 0.0, 0.0, 90, 450, 1136160, 30.0, 0), "22b3dac340edb1e9"),
+    "reorder_p=5e-324": ((90, 90, 1.0, 1.0, 0.0, 0.0, 0, 0, 568080, 30.0, 0), "22b3dac340edb1e9"),
+    "reorder_p=0.01": ((90, 90, 1.0, 1.0, 370.3777777777778, 0.0, 0, 0, 568080, 30.0, 0),
+                       "22b3dac340edb1e9"),
+    "reorder_p=0.9999999999999999": ((90, 90, 1.0, 1.0, 32962.96666666667, 33334.0, 0, 0, 568080,
+                                      30.0, 0), "22b3dac340edb1e9"),
+    "reorder_p=1.0": ((90, 90, 1.0, 1.0, 32962.96666666667, 33334.0, 0, 0, 568080, 30.0, 0),
+                      "22b3dac340edb1e9"),
+    "mixed": ((90, 43, 0.4777777777777778, 0.8858423808639999, 12403.116279069767, 33334.0, 84, 42,
+               608632, 14.333333333333334, 0), "e3bcb82e3ef00125"),
+    "mixed-depth2": ((90, 73, 0.8111111111111111, 0.941480149401, 2283.095890410959, 33333.0, 26, 21,
+                      589506, 24.333333333333332, 0), "ad29b85e2ad7b6f5"),
+    "qvga-loss1": ((30, 11, 0.36666666666666664, 0.3277227574378037, 0.0, 0.0, 110, 0, 4645792, 11.0, 0),
+                   "3e436c67fe5e22e0"),
+}
+
+
+def _golden_scenarios():
+    yield "clean", Scenario(**_SMALL, impairment=ImpairmentConfig(seed=1))
+    for name in ("loss_p", "dup_p", "reorder_p"):
+        for p in _EDGES:
+            yield f"{name}={p!r}", Scenario(**_SMALL, impairment=ImpairmentConfig(
+                **{name: p}, reorder_depth=2, seed=1))
+    # seeds past 2**64 are reduced modulo 2**64
+    yield "mixed", Scenario(**_SMALL, impairment=ImpairmentConfig(
+        loss_p=0.02, dup_p=0.1, reorder_p=0.2, reorder_depth=3, seed=2**64 + 7))
+    yield "mixed-depth2", Scenario(**_SMALL, impairment=ImpairmentConfig(
+        loss_p=0.01, dup_p=0.05, reorder_p=0.05, reorder_depth=2, seed=2**40 + 7))
+    # the sim-loss1 benchmark's shape: one second of 320x240 at 1 % loss
+    yield "qvga-loss1", Scenario(duration_s=1.0, impairment=ImpairmentConfig(loss_p=0.01),
+                                 seed=(11 << 32) | 3)
+
+
+@pytest.mark.parametrize("label, scenario", [pytest.param(*c, id=c[0]) for c in _golden_scenarios()])
+def test_run_scenario_golden(label, scenario):
+    trace: list[int] = []
+    report = run_scenario(scenario, trace_out=trace)
+    digest = hashlib.sha256(",".join(map(str, trace)).encode()).hexdigest()[:16]
+    assert (astuple(report), digest) == _GOLDEN[label]
 
 
 class TestRunLoopback:

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import socket
 import threading
 
@@ -9,38 +11,47 @@ from hypothesis import strategies as st
 from oracles import SPLITMIX64_SEED0_FIRST, impair_reference, splitmix64_sequence
 
 from nbpk.channel import (
+    SPLITMIX64_GAMMA,
     EndpointConfig,
     ImpairmentConfig,
-    SplitMix64,
     StreamImpairer,
     TruncatedDatagramError,
     UdpEndpoint,
-    impair,
+    splitmix64,
 )
+
+MASK64 = (1 << 64) - 1
+
+
+def impair(cfg: ImpairmentConfig, items) -> list:
+    """Push every item through a fresh impairer, then flush it."""
+    imp = StreamImpairer(cfg)
+    out = [released for item in items for released in imp.push(item)]
+    return out + imp.flush()
 
 
 class TestSplitMix64:
     def test_known_vector_seed_zero(self):
-        assert SplitMix64(0).next_u64() == SPLITMIX64_SEED0_FIRST
+        assert splitmix64(SPLITMIX64_GAMMA) == SPLITMIX64_SEED0_FIRST
         assert SPLITMIX64_SEED0_FIRST == 16294208416658607535
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 64))
     def test_matches_reference(self, seed, n):
-        rng = SplitMix64(seed)
-        assert [rng.next_u64() for _ in range(n)] == splitmix64_sequence(seed, n)
+        draws = [splitmix64((seed + k * SPLITMIX64_GAMMA) & MASK64) for k in range(1, n + 1)]
+        assert draws == splitmix64_sequence(seed, n)
 
     @given(st.integers(0, 2**64 - 1))
-    def test_floats_in_unit_interval(self, seed):
-        rng = SplitMix64(seed)
-        for _ in range(16):
-            assert 0.0 <= rng.next_float() < 1.0
+    def test_floats_in_unit_interval(self, state):
+        # a u64 output, so its top 53 bits over 2**53 lie in [0, 1)
+        assert 0 <= splitmix64(state) <= MASK64
+        assert 0.0 <= (splitmix64(state) >> 11) * 2.0**-53 < 1.0
 
     def test_float_uses_top_53_bits(self):
+        # the first packet's loss draw u: loss_p == u keeps it, the next double up loses it
         seed = 12345
-        raw = splitmix64_sequence(seed, 3)
-        rng = SplitMix64(seed)
-        floats = [rng.next_float() for _ in range(3)]
-        assert floats == [(u >> 11) * 2.0**-53 for u in raw]
+        u = (splitmix64_sequence(seed, 1)[0] >> 11) * 2.0**-53
+        assert impair(ImpairmentConfig(loss_p=u, seed=seed), ["a"]) == ["a"]
+        assert impair(ImpairmentConfig(loss_p=math.nextafter(u, 1.0), seed=seed), ["a"]) == []
 
 
 class TestImpairmentConfig:
@@ -121,7 +132,16 @@ class TestStreamImpairer:
             streamed.extend(imp.push(item))
         streamed.extend(imp.flush())
         assert streamed == impair_reference(cfg, items)
-        assert impair(cfg, items) == streamed
+
+    # hypothesis's floats(0, 1) rarely draws the doubles next to 0 and 1
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 0.01, 1 - 2**-53, 1.0])
+    @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
+    def test_edge_probabilities_match_reference(self, name, p):
+        items = list(range(200))
+        for other, seed in itertools.product((0.0, 0.2, 1.0), (0, 2**64 + 7)):  # seed mod 2**64
+            cfg = ImpairmentConfig(**{"loss_p": other, "dup_p": other, "reorder_p": other, name: p},
+                                   reorder_depth=3, seed=seed)
+            assert impair(cfg, items) == impair_reference(cfg, items), cfg
 
     def test_releases_do_not_wait_for_flush(self):
         imp = StreamImpairer(ImpairmentConfig())

@@ -177,18 +177,23 @@ class TestMainExitCodes:
 
     def test_robot_image_over_wire_bound(self, capsys):
         assert main(["robot", "--width", "2000", "--height", "2000",
-                     "--command-port", "0", "--duration", "0.1"]) == 2
+                     "--command-port", "0", "--duration", "0.1"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_robot_image_below_test_pattern(self, capsys):
         assert main(["robot", "--width", "2", "--height", "2",
-                     "--command-port", "0", "--duration", "0.1"]) == 2
+                     "--command-port", "0", "--duration", "0.1"]) == 1
         assert "test pattern" in capsys.readouterr().err
 
     def test_robot_frag_size_out_of_range(self, capsys):
         assert main(["robot", "--frag-size", "100",
-                     "--command-port", "0", "--duration", "0.1"]) == 2
+                     "--command-port", "0", "--duration", "0.1"]) == 1
         assert "frag_payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--fps", "0"), ("--fps", "61"), ("--motion-rate", "0")])
+    def test_robot_rate_out_of_range(self, capsys, flag, value):
+        assert main(["robot", flag, value, "--command-port", "0", "--duration", "0.1"]) == 1
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
     def test_teleop_needs_tty(self, capsys):
         assert main(["teleop"]) == 1

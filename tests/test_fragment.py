@@ -130,7 +130,7 @@ class TestReassembler:
         assert final.image.seq == 5
         assert final.image.pixels == make_image(5).pixels
         assert rx.stats().frames_complete == 1
-        assert not rx.collecting
+        assert rx.step(pkts[1]) == Orphan(seq=5, frag_index=0)  # the frame left its slot
 
     def test_fragments_in_any_order(self):
         rx = Reassembler()
@@ -191,7 +191,7 @@ class TestReassembler:
         assert events[len(pkts)] == Orphan(seq=3)
         stats = rx.stats()
         assert (stats.frames_complete, stats.frames_stale, stats.sender_restarts) == (1, 1, 0)
-        assert not rx.collecting
+        assert all(isinstance(e, Orphan) for e in events[len(pkts):])  # no slot reopened
 
     def test_fragment_without_start_is_orphan(self):
         rx = Reassembler()
@@ -253,7 +253,7 @@ class TestReassembler:
                                 payload_len=len(good.payload), timestamp_us=0),
             payload=good.payload)
         assert isinstance(rx.step(lying), Orphan)
-        assert not rx.collecting
+        assert rx.step(pkts[1]) == Orphan(seq=3, frag_index=0)  # it opened no slot
 
     def test_oversized_start_is_orphan(self):
         def start(width, height):
@@ -263,18 +263,21 @@ class TestReassembler:
                                        frag_count=-(-total // 1400), payload_len=len(meta)),
                           meta)
 
+        first = Packet(PacketHeader(StreamId.IMAGE, PacketKind.FRAGMENT, seq=3, frag_index=0,
+                                    frag_count=-(-1280 * 960 * 2 // 1400), payload_len=1400),
+                       bytes(1400))
         rx = Reassembler()
         assert rx.step(start(1280, 962)) == Orphan(seq=3)
-        assert not rx.collecting
+        assert rx.step(first) == Orphan(seq=3, frag_index=0)  # no slot opened
         assert rx.step(start(1280, 960)) is None
-        assert rx.collecting
+        assert rx.step(first) is None  # the largest frame's slot takes it
 
     def test_single_packet_is_orphan(self):
         rx = Reassembler()
         pkt = packetize_single(b"reading", StreamId.MOTION, seq=8, timestamp_us=44)
         assert rx.step(pkt) == Orphan(seq=8)
         assert rx.stats().orphan_fragments == 1
-        assert not rx.collecting
+        assert rx.step(image_packets(seq=8)[1]) == Orphan(seq=8, frag_index=0)  # no slot opened
 
     def test_single_mid_frame_does_not_interfere(self):
         rx = Reassembler()
@@ -292,7 +295,7 @@ class TestReassembler:
         pkts = image_packets(seq=1)
         rx.step(pkts[0], now_us=0)
         assert rx.poll(10**12) is None
-        assert rx.collecting
+        assert rx.step(pkts[1], now_us=10**12) is None  # the frame still takes fragments
 
     def test_timeout_eviction(self):
         rx = Reassembler(timeout_us=1000)
@@ -301,7 +304,7 @@ class TestReassembler:
         assert rx.poll(900) is None
         assert rx.poll(1001) == Dropped(seq=1)
         assert rx.stats().frames_dropped_timeout == 1
-        assert not rx.collecting
+        assert rx.step(pkts[1], now_us=1002) == Orphan(seq=1, frag_index=0)
 
     def test_timeout_counts_from_last_accepted_fragment(self):
         rx = Reassembler(timeout_us=1000)
