@@ -12,10 +12,9 @@ only if all of them do, so the expected delivery ratio is ``(1-p)**n``.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bridge import (
@@ -140,11 +139,11 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
         img = replace(gen_test_image(i, s.width, s.height), timestamp_us=t_us)
         for pkt in packetize_image(img, s.frag_payload):
             for released in push(pkt):
-                event = step(released, t_us)
+                event = step(released)
                 if event.__class__ is ImageComplete:
                     complete(event.image, t_us)
     for released in imp.flush():
-        event = step(released, t_us)
+        event = step(released)
         if event.__class__ is ImageComplete:
             complete(event.image, t_us)
 
@@ -166,19 +165,14 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
 
 
 def loopback_pair(s: Scenario, bus: Optional[TopicBus] = None) -> tuple[RobotSim, Bridge]:
-    """An emulator and bridge wired to each other on ephemeral loopback ports."""
+    """An emulator and bridge wired to each other on ephemeral loopback ports.
+
+    A scenario the emulator rejects raises ``ValueError`` before any socket opens.
+    """
+    cfg = RobotConfig(peer_host="127.0.0.1", command_port=0, command_bind_host="127.0.0.1",
+                      fps=s.fps, width=s.width, height=s.height, frag_payload=s.frag_payload)
     bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus)
-    sim = RobotSim(RobotConfig(
-        peer_host="127.0.0.1",
-        image_port=bridge.image_port,
-        motion_port=bridge.motion_port,
-        command_port=0,
-        command_bind_host="127.0.0.1",
-        fps=s.fps,
-        width=s.width,
-        height=s.height,
-        frag_payload=s.frag_payload,
-    ))
+    sim = RobotSim(replace(cfg, image_port=bridge.image_port, motion_port=bridge.motion_port))
     bridge.set_robot_address("127.0.0.1", sim.command_port)
     return sim, bridge
 
@@ -209,19 +203,15 @@ def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
                 verify_failures += 1
             block_s = 0.0  # only the first wait blocks
 
-    bridge.start()
-    sim.start()
-    try:
-        t0 = time.monotonic()
-        deadline = t0 + s.duration_s
-        while time.monotonic() < deadline:
-            drain(min(0.05, max(0.0, deadline - time.monotonic())))
-    finally:
-        sim.stop()
-    settle_deadline = time.monotonic() + settle_s
-    while time.monotonic() < settle_deadline:
-        drain(0.05)
-    bridge.stop()
+    with bridge:  # stops the bridge and closes its sockets whatever happens
+        with sim:
+            t0 = time.monotonic()
+            deadline = t0 + s.duration_s
+            while time.monotonic() < deadline:
+                drain(min(0.05, max(0.0, deadline - time.monotonic())))
+        settle_deadline = time.monotonic() + settle_s
+        while time.monotonic() < settle_deadline:
+            drain(0.05)
     drain(0.0)
 
     frames_sent = sim.images_sent
@@ -242,14 +232,3 @@ def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
         verify_failures=verify_failures,
     )
 
-
-def write_report(report: Report, path) -> None:
-    """Serialize a report as JSON with sorted, stable keys."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(asdict(report), f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-def read_report(path) -> Report:
-    with open(path, "r", encoding="utf-8") as f:
-        return Report(**json.load(f))

@@ -213,15 +213,12 @@ class BridgeConfig:
     robot_host: str = "127.0.0.1"
     robot_command_port: int = DEFAULT_COMMAND_PORT
     stats_period_s: float = 1.0
-    reassembly_timeout_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.image_port == self.motion_port and self.image_port != 0:
             raise ValueError("image and motion ports must be distinct")
         if self.stats_period_s <= 0:
             raise ValueError(f"stats_period_s must be positive, got {self.stats_period_s}")
-        if self.reassembly_timeout_ms is not None and self.reassembly_timeout_ms <= 0:
-            raise ValueError("reassembly_timeout_ms must be positive when set")
 
 
 def _now_us() -> int:
@@ -255,8 +252,8 @@ class Bridge(Service):
                           EndpointConfig()))
         self._image_in, self._motion_in, self._command_out = self._endpoints
         self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
-        timeout_us = None if cfg.reassembly_timeout_ms is None else cfg.reassembly_timeout_ms * 1000
-        self._image_rx = Reassembler(timeout_us=timeout_us)
+        self._image_rx = Reassembler()
+        self._image_latency_us = 0
         self._motion_bytes = 0
         self._motion_order = SeqOrder()
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
@@ -279,6 +276,7 @@ class Bridge(Service):
 
     def stats(self) -> BridgeStats:
         image, order = self._image_rx.stats(), self._motion_order
+        image.latency_accumulator_us = self._image_latency_us
         return BridgeStats(
             image=image,
             motion=StreamStats(frames_stale=order.stale, sender_restarts=order.restarts,
@@ -311,18 +309,15 @@ class Bridge(Service):
         rx = self._image_rx
         for pkt in self._packets(self._image_in, StreamId.IMAGE,
                                  (PacketKind.START, PacketKind.FRAGMENT)):
-            now = _now_us()
-            if pkt is not None:
-                event = rx.step(pkt, now_us=now)
-                if isinstance(event, ImageComplete):
-                    self.bus.publish(TOPIC_IMAGE, CameraFrame(image=event.image, recv_timestamp_us=now))
-            rx.poll(now)
+            event = rx.step(pkt)
+            if isinstance(event, ImageComplete):
+                now = _now_us()
+                self._image_latency_us += max(0, now - event.image.timestamp_us)
+                self.bus.publish(TOPIC_IMAGE, CameraFrame(image=event.image, recv_timestamp_us=now))
 
     def _motion_loop(self) -> None:
         for pkt in self._packets(self._motion_in, StreamId.MOTION, (PacketKind.SINGLE,),
                                  self._motion_order):
-            if pkt is None:
-                continue
             self._motion_bytes += pkt.size
             h = pkt.header
             try:

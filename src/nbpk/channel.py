@@ -167,32 +167,31 @@ class Service:
         self.stop()
 
     def _packets(self, endpoint: UdpEndpoint, stream: StreamId, kinds: tuple[PacketKind, ...],
-                 order: Optional[SeqOrder] = None) -> Iterator[Optional[Packet]]:
+                 order: Optional[SeqOrder] = None) -> Iterator[Packet]:
         """Each valid packet of ``stream`` and one of ``kinds`` from ``endpoint``.
 
         A port of SINGLEs (whole messages) passes its ``order``, which drops
-        stale ones. Yields None after 0.1 s of silence or a rejected datagram,
-        so the caller can do periodic work, and ends once the service stops.
+        stale ones. Only valid packets come out; the wait for one wakes every
+        0.1 s to see whether the service stopped, and the generator ends then.
         """
         while not self._stop.is_set():
-            pkt = None
             try:
                 got = endpoint.recv(timeout=0.1)
-                if got is not None:
-                    pkt = Packet.from_bytes(got[0])
+                if got is None:
+                    continue
+                pkt = Packet.from_bytes(got[0])
             except (TruncatedDatagramError, WireError):
                 self.malformed_packets += 1
+                continue
             except OSError:
                 if self._stop.is_set():
                     return
                 raise
-            if pkt is not None and (pkt.header.stream_id != stream
-                                    or pkt.header.kind not in kinds):
+            h = pkt.header
+            if h.stream_id != stream or h.kind not in kinds:
                 self.malformed_packets += 1
-                pkt = None
-            elif pkt is not None and order is not None and not order.advance(pkt.header.seq):
-                pkt = None
-            yield pkt
+            elif order is None or order.advance(h.seq):
+                yield pkt
 
 
 @dataclass(frozen=True)

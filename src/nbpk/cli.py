@@ -264,22 +264,17 @@ def _add_bridge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--robot", default="127.0.0.1",
                    help="robot address as host[:command-port]")
     p.add_argument("--stats-period", type=float, default=1.0)
-    p.add_argument("--timeout-ms", type=int, default=None,
-                   help="reassembly inactivity timeout (default: disabled)")
 
 
 def _bridge_config(args) -> BridgeConfig:
     host, port = _parse_host_port(args.robot, DEFAULT_COMMAND_PORT)
     _check_positive("--stats-period", args.stats_period)
-    if args.timeout_ms is not None:
-        _check_positive("--timeout-ms", args.timeout_ms)
     return BridgeConfig(
         image_port=args.image_port,
         motion_port=args.motion_port,
         robot_host=host,
         robot_command_port=port,
         stats_period_s=args.stats_period,
-        reassembly_timeout_ms=args.timeout_ms,
     )
 
 
@@ -334,11 +329,17 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     scenario = bench_mod.Scenario(duration_s=args.duration, fps=args.fps, impairment=imp)
+    if args.loopback:
+        try:
+            RobotConfig(fps=args.fps)  # the emulator's bounds, before any socket opens
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     report = bench_mod.run_loopback(scenario) if args.loopback else bench_mod.run_scenario(scenario)
     text = json.dumps(asdict(report), sort_keys=True, indent=2)
     print(text)
     if args.out:
-        bench_mod.write_report(report, args.out)
+        with open(args.out, "w", encoding="utf-8") as f:
+            print(text, file=f)
     return 0
 
 

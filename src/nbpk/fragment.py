@@ -94,7 +94,7 @@ class ImageComplete:
 
 @dataclass(frozen=True)
 class Dropped:
-    """An incomplete frame was evicted (preempted by the next frame's START, or timed out)."""
+    """An incomplete frame was evicted: the next frame's START preempted it."""
 
     seq: int
 
@@ -118,11 +118,14 @@ Event = Union[ImageComplete, Dropped, Orphan, Duplicate]
 
 @dataclass
 class StreamStats:
-    """Monotonic counters of one stream; ``SeqOrder`` counts the stale and restarts."""
+    """Monotonic counters of one stream; ``SeqOrder`` counts the stale and restarts.
+
+    ``latency_accumulator_us`` is summed by the bridge, which reads the clock;
+    a reassembler keeps none and leaves it 0.
+    """
 
     frames_complete: int = 0
     frames_dropped_preempted: int = 0
-    frames_dropped_timeout: int = 0
     orphan_fragments: int = 0
     duplicate_fragments: int = 0
     frames_stale: int = 0
@@ -181,13 +184,12 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
 
 
 class _Slot:
-    """One in-flight frame. ``active_us`` is when it last accepted a packet."""
+    """One in-flight frame."""
 
     __slots__ = ("seq", "meta", "frag_payload", "frag_count", "last_len", "buffer", "missing",
-                 "remaining", "timestamp_us", "active_us")
+                 "remaining", "timestamp_us")
 
-    def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int,
-                 now_us: Optional[int]):
+    def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int):
         self.seq = seq
         self.meta = meta
         self.frag_payload = meta.frag_payload
@@ -198,7 +200,6 @@ class _Slot:
         self.missing = [True] * meta.frag_count
         self.remaining = meta.frag_count
         self.timestamp_us = timestamp_us
-        self.active_us = now_us
 
 
 class Reassembler:
@@ -206,13 +207,13 @@ class Reassembler:
 
     One instance per receive loop. The frame in flight is kept in one slot,
     opened only by a START that advances the seq order, so frames complete
-    in seq order. The only evictions are preemption by the next frame's
-    START and, when ``timeout_us`` is set, explicit :meth:`poll` calls.
-    Feed packets whose headers already passed validation (every ``Packet`` has).
+    in seq order. The one eviction is preemption by the next frame's START;
+    the reassembler keeps no clock, so its output is a pure function of the
+    packets fed to it. Feed packets whose headers already passed validation
+    (every ``Packet`` has).
     """
 
-    def __init__(self, timeout_us: Optional[int] = None):
-        self.timeout_us = timeout_us
+    def __init__(self):
         self._slot: Optional[_Slot] = None
         self._stats = StreamStats()
         self._order = SeqOrder()
@@ -221,7 +222,7 @@ class Reassembler:
         """Read-only snapshot of the counters."""
         return replace(self._stats, frames_stale=self._order.stale, sender_restarts=self._order.restarts)
 
-    def step(self, pkt: Packet, now_us: Optional[int] = None) -> Optional[Event]:
+    def step(self, pkt: Packet) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
         h, payload = pkt
         n = len(payload)
@@ -229,7 +230,7 @@ class Reassembler:
         stats.bytes_received += HEADER_SIZE + n
         if h[1] != _FRAGMENT:
             # a SINGLE carries frag_count 0, which no START metadata announces
-            return self._on_start(h, payload, now_us)
+            return self._on_start(h, payload)
         seq, index = h[2], h[3]
         slot = self._slot
         if (slot is None or slot.seq != seq or index >= slot.frag_count
@@ -243,23 +244,12 @@ class Reassembler:
         offset = index * slot.frag_payload
         slot.buffer[offset:offset + n] = payload
         missing[index] = False
-        slot.active_us = now_us
         slot.remaining -= 1
         if slot.remaining:
             return None
-        return self._complete(slot, now_us)
+        return self._complete(slot)
 
-    def poll(self, now_us: int) -> Optional[Dropped]:
-        """Evict a frame that accepted no packet for longer than the timeout, if any."""
-        slot = self._slot
-        if (self.timeout_us is None or slot is None or slot.active_us is None
-                or now_us - slot.active_us <= self.timeout_us):
-            return None
-        self._slot = None
-        self._stats.frames_dropped_timeout += 1
-        return Dropped(seq=slot.seq)
-
-    def _on_start(self, h: PacketHeader, payload: bytes, now_us: Optional[int]) -> Optional[Event]:
+    def _on_start(self, h: PacketHeader, payload: bytes) -> Optional[Event]:
         try:
             meta = decode_start_meta(payload)
         except WireError:
@@ -280,14 +270,12 @@ class Reassembler:
         if slot is not None:
             evicted = Dropped(seq=slot.seq)
             self._stats.frames_dropped_preempted += 1
-        self._slot = _Slot(h.seq, meta, h.timestamp_us, now_us)
+        self._slot = _Slot(h.seq, meta, h.timestamp_us)
         return evicted
 
-    def _complete(self, slot: _Slot, now_us: Optional[int]) -> ImageComplete:
+    def _complete(self, slot: _Slot) -> ImageComplete:
         self._slot = None
         self._stats.frames_complete += 1
-        if now_us is not None:
-            self._stats.latency_accumulator_us += max(0, now_us - slot.timestamp_us)
         meta = slot.meta
         return ImageComplete(image=Image(width=meta.width, height=meta.height,
                                          pixels=bytes(slot.buffer), encoding=meta.encoding,

@@ -7,8 +7,10 @@ as they crossed the bus; sequence numbers are not stored and are assigned
 afresh on replay.
 
 File header:  magic "NBLG" | version u8 | 3 reserved bytes | epoch wall-clock µs u64
-Record:       stream_id u8 | reserved u8 | payload_len u32 | timestamp_us u64 | payload
+Record:       stream_id u8 | flags u8 | payload_len u32 | timestamp_us u64 | payload
 Image record payload: 12-byte start metadata (geometry/encoding) + pixel bytes.
+Flag bit 0 (``RESTART``) marks a stream's first record after its sender
+restarted: the sender's seq and clock started over there.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .wire import (
     ImageStartMeta,
     MotionReading,
     MotionRequest,
+    SeqOrder,
     StreamId,
     TooShortError,
     decode_motion,
@@ -51,6 +54,7 @@ LOG_MAGIC = b"NBLG"
 LOG_VERSION = 1
 LOG_HEADER_SIZE = 16
 RECORD_HEADER_SIZE = 14
+RESTART = 0x01  # record flag: the stream's sender restarted at this record
 
 _LOG_HEADER = struct.Struct("<4sB3sQ")
 _RECORD_HEADER = struct.Struct("<BBIQ")
@@ -64,6 +68,7 @@ class LogRecord:
     stream_id: StreamId
     timestamp_us: int
     payload: bytes
+    restart: bool = False  # the first record of a new sender run on this stream
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,11 @@ def message_to_record(message) -> LogRecord:
 
 class LogWriter:
     """Sequential record writer. On write failure the file is cut back to
-    the last complete record, so readers always get a clean prefix."""
+    the last complete record, so readers always get a clean prefix.
+
+    Timestamps never decrease within one stream and one sender run; a
+    record written with ``restart`` starts a new run and a new floor.
+    """
 
     def __init__(self, path, epoch_us: Optional[int] = None):
         self.path = path
@@ -117,15 +126,17 @@ class LogWriter:
         self._last_ts: dict[int, int] = {}
         self.records_written = 0
 
-    def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes) -> None:
-        if timestamp_us < self._last_ts.get(int(stream_id), 0):
+    def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes,
+              restart: bool = False) -> None:
+        if not restart and timestamp_us < self._last_ts.get(int(stream_id), 0):
             raise ValueError(
                 f"timestamps must be non-decreasing per stream: "
                 f"{timestamp_us} after {self._last_ts[int(stream_id)]}"
             )
         start = self._f.tell()
         try:
-            self._f.write(_RECORD_HEADER.pack(int(stream_id), 0, len(payload), timestamp_us))
+            self._f.write(_RECORD_HEADER.pack(int(stream_id), RESTART if restart else 0,
+                                              len(payload), timestamp_us))
             self._f.write(payload)
         except OSError:
             # disk full or similar: drop the partial record, keep the prefix valid
@@ -138,9 +149,9 @@ class LogWriter:
         self._last_ts[int(stream_id)] = timestamp_us
         self.records_written += 1
 
-    def write_message(self, message) -> None:
+    def write_message(self, message, restart: bool = False) -> None:
         rec = message_to_record(message)
-        self.write(rec.stream_id, rec.timestamp_us, rec.payload)
+        self.write(rec.stream_id, rec.timestamp_us, rec.payload, restart)
 
     def close(self) -> None:
         if not self._f.closed:
@@ -186,7 +197,7 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
             if len(head) < RECORD_HEADER_SIZE:
                 yield Truncated(offset=start)
                 return
-            stream_raw, _reserved, payload_len, timestamp_us = _RECORD_HEADER.unpack(head)
+            stream_raw, flags, payload_len, timestamp_us = _RECORD_HEADER.unpack(head)
             payload = f.read(payload_len)
             if len(payload) < payload_len:
                 yield Truncated(offset=start)
@@ -196,7 +207,7 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
             except ValueError:
                 yield Truncated(offset=start)  # unknown stream: cannot trust the rest
                 return
-            yield LogRecord(stream_id=stream_id, timestamp_us=timestamp_us, payload=payload)
+            yield LogRecord(stream_id, timestamp_us, payload, bool(flags & RESTART))
 
 
 def record(bus: TopicBus, path, duration_s: float,
@@ -205,29 +216,46 @@ def record(bus: TopicBus, path, duration_s: float,
     """Subscribe to ``topics`` and log everything seen for ``duration_s``.
 
     Returns the number of records written. The file is valid even if the
-    run observes nothing (header-only).
+    run observes nothing (header-only). Each topic keeps its own seq order
+    (``wire.SeqOrder``); a message where it sees a sender restart is
+    written as a ``restart`` record.
     """
-    subs = [bus.subscribe(t, BoundedFifo(1024)) for t in topics]
+    subs = [(bus.subscribe(t, BoundedFifo(1024)), SeqOrder()) for t in topics]
     deadline = time.monotonic() + duration_s
+
+    def write_queued(w: LogWriter) -> bool:
+        wrote = False
+        for sub, order in subs:
+            for message in sub.drain():
+                w.write_message(message, _restarted(order, message))
+                wrote = True
+        return wrote
+
     try:
         with LogWriter(path, epoch_us=epoch_us) as w:
             while True:
-                wrote = False
-                for sub in subs:
-                    for message in sub.drain():
-                        w.write_message(message)
-                        wrote = True
+                wrote = write_queued(w)
                 if time.monotonic() >= deadline:
                     break
                 if not wrote:
                     time.sleep(0.002)
-            for sub in subs:  # final sweep so nothing queued is lost
-                for message in sub.drain():
-                    w.write_message(message)
+            write_queued(w)  # final sweep so nothing queued is lost
             return w.records_written
     finally:
-        for sub in subs:
+        for sub, _ in subs:
             sub.close()
+
+
+def _restarted(order: SeqOrder, message) -> bool:
+    """Feed a message's seq to its stream's order: did its sender restart there?"""
+    if isinstance(message, CameraFrame):
+        message = message.image
+    seq = getattr(message, "seq", None)
+    if seq is None:  # a command carries none
+        return False
+    restarts = order.restarts
+    order.advance(seq)
+    return order.restarts != restarts
 
 
 def record_messages(messages, path, epoch_us: Optional[int] = None) -> int:
@@ -243,7 +271,9 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
 
     Each record waits for the amount its timestamp passes the largest
     timestamp seen so far, divided by ``speed``; an older timestamp (a
-    command, logged at 0) goes out at once. ``speed=math.inf`` (or anything
+    command, logged at 0) goes out at once. A ``restart`` record goes out at
+    once and re-bases that mark on its own timestamp, because its sender's
+    clock started over. ``speed=math.inf`` (or anything
     non-finite) replays as fast as possible. Sequence numbers are assigned
     afresh per stream, counting from zero. A truncated file replays its
     valid prefix.
@@ -257,7 +287,9 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
     for rec in read_log(path):
         if isinstance(rec, Truncated):
             break
-        if latest_ts is None or rec.timestamp_us > latest_ts:
+        if rec.restart:
+            latest_ts = rec.timestamp_us
+        elif latest_ts is None or rec.timestamp_us > latest_ts:
             if paced and latest_ts is not None:
                 time.sleep((rec.timestamp_us - latest_ts) / 1e6 / speed)
             latest_ts = rec.timestamp_us

@@ -322,8 +322,6 @@ class RobotSim(Service):
     def _command_loop(self) -> None:
         for pkt in self._packets(self._command_in, StreamId.COMMAND, (PacketKind.SINGLE,),
                                  self.command_order):
-            if pkt is None:
-                continue
             try:
                 req = decode_request(pkt.payload)
             except WireError:

@@ -41,7 +41,6 @@ MAX_IMAGE_BYTES = 1280 * 960 * 2
 _HEADER = struct.Struct("<4sBBBBIHHHQ")
 _START_META = struct.Struct("<IHHBBH")
 _REQUEST = struct.Struct("<BBfff")
-_F32 = struct.Struct("<f")
 
 assert _HEADER.size == HEADER_SIZE
 assert _START_META.size == START_META_SIZE
@@ -88,11 +87,6 @@ class BadVersionError(WireError):
 
 class InvariantError(WireError):
     """Structurally well-formed bytes that violate a field invariant."""
-
-
-def as_f32(x: float) -> float:
-    """Quantize a Python float to the nearest binary32 value."""
-    return _F32.unpack(_F32.pack(x))[0]
 
 
 def _check_uint(name: str, value: int, bits: int) -> None:
@@ -236,10 +230,6 @@ class ImageStartMeta:
     height: int
     encoding: Encoding = Encoding.YUV422
     frag_payload: int = DEFAULT_FRAG_PAYLOAD
-
-    @classmethod
-    def for_image(cls, width: int, height: int, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> "ImageStartMeta":
-        return cls(total_len=width * height * 2, width=width, height=height, frag_payload=frag_payload)
 
     @property
     def frag_count(self) -> int:

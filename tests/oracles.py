@@ -28,6 +28,11 @@ from nbpk.wire import (
 MASK64 = (1 << 64) - 1
 
 
+def as_f32(x: float) -> float:
+    """Quantize a Python float to the nearest binary32 value."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
 def splitmix64_sequence(seed: int, n: int) -> list[int]:
     """Reference splitmix64: n outputs for a seed, straight from the
     published algorithm (Steele, Lea & Flood)."""

@@ -54,7 +54,6 @@ from nbpk.wire import (
     PacketKind,
     StreamId,
     WireError,
-    as_f32,
     decode_header,
     decode_motion,
     decode_request,
@@ -68,6 +67,7 @@ from nbpk.wire import (
 from conftest import record_verdict
 from oracles import (
     analytic_cuboid_inertia,
+    as_f32,
     cloud_inertia_about,
     cloud_mass_properties,
     cuboid_cloud,

@@ -10,12 +10,11 @@ from nbpk.bench import (
     Scenario,
     analytic_delivery,
     packets_per_frame,
-    read_report,
     run_loopback,
     run_scenario,
-    write_report,
 )
 from nbpk.channel import ImpairmentConfig
+from nbpk.cli import main
 
 
 class TestAnalyticModel:
@@ -85,14 +84,14 @@ class TestReport:
         with pytest.raises(ValueError):
             Report(**{**kw, "frames_delivered": 11})
 
-    def test_json_roundtrip(self, tmp_path):
-        r = Report(frames_sent=300, frames_delivered=99, delivery_ratio=0.33,
-                   expected_ratio=0.3277, mean_latency_us=1234.5, p95_latency_us=2000.0,
-                   orphan_fragments=17, duplicate_fragments=3, bytes_on_wire=4_567_890,
-                   achieved_fps=9.9, verify_failures=0)
+    def test_json_roundtrip(self, tmp_path, capsys):
         p = tmp_path / "r.json"
-        write_report(r, p)
-        assert read_report(p) == r
+        assert main(["bench", "--duration", "1", "--fps", "10", "--loss", "0.05",
+                     "--seed", "3", "--out", str(p)]) == 0
+        r = run_scenario(Scenario(duration_s=1.0, fps=10.0,
+                                  impairment=ImpairmentConfig(loss_p=0.05, seed=3)))
+        assert Report(**json.loads(p.read_text())) == r
+        assert p.read_text() == capsys.readouterr().out  # the printed text, written once
         keys = list(json.loads(p.read_text()))
         assert keys == sorted(keys)
 

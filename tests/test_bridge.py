@@ -159,6 +159,18 @@ class TestBridgeLive:
         assert seqs == sorted(set(seqs)), "seq not strictly increasing"
         assert all(f.recv_timestamp_us >= f.image.timestamp_us for f in frames)
 
+    def test_image_latency_sums_every_published_frame(self):
+        bus, sim, bridge = make_pair()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(256))  # deep enough to drop nothing
+        with bridge:
+            with sim:
+                time.sleep(0.5)
+            time.sleep(0.3)
+        frames = sub.drain()
+        assert frames and sub.drops == 0
+        assert bridge.stats().image.latency_accumulator_us == sum(
+            max(0, f.recv_timestamp_us - f.image.timestamp_us) for f in frames)
+
     def test_motion_published_in_order(self):
         bus, sim, bridge = make_pair()
         sub = bus.subscribe(TOPIC_MOTION, BoundedFifo(1024))

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import time
@@ -194,6 +195,11 @@ class TestMainExitCodes:
     def test_robot_rate_out_of_range(self, capsys, flag, value):
         assert main(["robot", flag, value, "--command-port", "0", "--duration", "0.1"]) == 1
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+
+    def test_bench_loopback_fps_out_of_range_opens_no_socket(self, capsys):
+        assert main(["bench", "--loopback", "--fps", "61", "--duration", "0.1"]) == 1
+        assert "fps" in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
 
     def test_teleop_needs_tty(self, capsys):
         assert main(["teleop"]) == 1

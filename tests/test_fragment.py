@@ -290,49 +290,6 @@ class TestReassembler:
             rx.step(p)
         assert isinstance(rx.step(pkts[-1]), ImageComplete)
 
-    def test_timeout_disabled_by_default(self):
-        rx = Reassembler()
-        pkts = image_packets(seq=1)
-        rx.step(pkts[0], now_us=0)
-        assert rx.poll(10**12) is None
-        assert rx.step(pkts[1], now_us=10**12) is None  # the frame still takes fragments
-
-    def test_timeout_eviction(self):
-        rx = Reassembler(timeout_us=1000)
-        pkts = image_packets(seq=1)
-        rx.step(pkts[0], now_us=0)
-        assert rx.poll(900) is None
-        assert rx.poll(1001) == Dropped(seq=1)
-        assert rx.stats().frames_dropped_timeout == 1
-        assert rx.step(pkts[1], now_us=1002) == Orphan(seq=1, frag_index=0)
-
-    def test_timeout_counts_from_last_accepted_fragment(self):
-        rx = Reassembler(timeout_us=1000)
-        pkts = image_packets(seq=1)  # START + 6 fragments
-        rx.step(pkts[0], now_us=0)
-        rx.step(pkts[1], now_us=800)
-        rx.step(pkts[2], now_us=1600)
-        assert rx.poll(1700) is None
-        assert rx.poll(2600) is None
-        assert rx.poll(2601) == Dropped(seq=1)
-
-    def test_rejected_packets_do_not_keep_a_slot_alive(self):
-        rx = Reassembler(timeout_us=1000)
-        pkts = image_packets(seq=1)
-        rx.step(pkts[0], now_us=0)
-        rx.step(pkts[1], now_us=100)
-        assert rx.step(pkts[1], now_us=900) == Duplicate(seq=1, frag_index=0)
-        assert rx.step(pkts[0], now_us=900) == Duplicate(seq=1)
-        assert rx.poll(1101) == Dropped(seq=1)
-
-    def test_latency_accumulates(self):
-        rx = Reassembler()
-        img = Image(width=32, height=24, pixels=b"\x00" * (32 * 24 * 2),
-                    seq=0, timestamp_us=1000)
-        for p in packetize_image(img, 512):
-            rx.step(p, now_us=1500)
-        assert rx.stats().latency_accumulator_us == 500
-
     def test_bytes_received_counts_everything(self):
         rx = Reassembler()
         pkts = image_packets(seq=1)

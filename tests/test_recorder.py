@@ -76,6 +76,13 @@ class TestLogFile:
         assert raw == struct.pack("<BBIQ", 2, 0, 2, 7) + b"\xaa\xbb"
         assert len(raw) == RECORD_HEADER_SIZE + 2
 
+    def test_restart_flag_is_bit_0_of_the_reserved_byte(self, tmp_path):
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.MOTION, 7, b"\xaa", restart=True)
+        assert p.read_bytes()[LOG_HEADER_SIZE:] == struct.pack("<BBIQ", 2, 1, 1, 7) + b"\xaa"
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 7, b"\xaa", restart=True)]
+
     def test_empty_log_is_valid(self, tmp_path):
         p = tmp_path / "a.nbl"
         assert record_messages([], p) == 0
@@ -143,8 +150,11 @@ class TestLogFile:
             w.write(StreamId.IMAGE, 100, b"z")  # equal is fine
             with pytest.raises(ValueError):
                 w.write(StreamId.IMAGE, 99, b"w")
-        # the rejected record left no partial bytes behind
-        assert len(list(read_log(p))) == 3
+            w.write(StreamId.IMAGE, 5, b"r", restart=True)  # a new sender run: a new floor
+            with pytest.raises(ValueError):
+                w.write(StreamId.IMAGE, 4, b"w")
+        # the rejected records left no partial bytes behind
+        assert len(list(read_log(p))) == 4
 
 
 class TestTruncation:
@@ -296,6 +306,17 @@ class TestReplay:
         assert replay(p, TopicBus(), speed=1.0) == 3
         assert sum(sleeps) == pytest.approx(0.033)
 
+    def test_replay_paces_the_records_after_a_sender_restart(self, tmp_path, monkeypatch):
+        # the sender's clock started over at the third record: pacing starts over there
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            for t, restart in ((5_000_000, False), (5_033_000, False), (1_000, True), (34_000, False)):
+                w.write(StreamId.MOTION, t, b"\x00" * 46, restart=restart)
+        sleeps = []
+        monkeypatch.setattr(recorder.time, "sleep", sleeps.append)
+        assert replay(p, TopicBus(), speed=1.0) == 4
+        assert sleeps == pytest.approx([0.033, 0.033])
+
     def test_replay_speed_must_be_positive(self, tmp_path):
         p = tmp_path / "a.nbl"
         record_messages([], p)
@@ -346,6 +367,36 @@ class TestLiveRecord:
         assert len(by_stream[StreamId.MOTION]) == 10
         for r, img in zip(by_stream[StreamId.IMAGE], (m for m in msgs if isinstance(m, Image))):
             assert r.payload == image_to_record_payload(img)
+
+    def test_record_keeps_writing_across_a_sender_restart(self, tmp_path):
+        # the image sender restarted: its seq and clock start over; motion runs on
+        import threading
+
+        p = tmp_path / "a.nbl"
+        bus = TopicBus()
+        frames = [CameraFrame(image=replace(gen_test_image(seq, 32, 24), timestamp_us=t),
+                              recv_timestamp_us=0)
+                  for seq, t in ((100, 5_000_000), (101, 5_033_000), (0, 1_000), (1, 34_000))]
+        readings = [gen_motion(seq, seq * 0.01, WalkState()) for seq in range(4)]
+
+        def feed():
+            time.sleep(0.05)
+            for frame, reading in zip(frames, readings):
+                bus.publish(TOPIC_IMAGE, frame)
+                bus.publish(TOPIC_MOTION, reading)
+                time.sleep(0.002)
+
+        th = threading.Thread(target=feed)
+        th.start()
+        n = record(bus, p, duration_s=0.3)
+        th.join()
+        assert n == 8
+        recs = [r for r in read_log(p) if isinstance(r, LogRecord)]
+        images = [r for r in recs if r.stream_id == StreamId.IMAGE]
+        motions = [r for r in recs if r.stream_id == StreamId.MOTION]
+        assert [(r.timestamp_us, r.restart) for r in images] == [
+            (5_000_000, False), (5_033_000, False), (1_000, True), (34_000, False)]
+        assert [r.restart for r in motions] == [False] * 4  # each stream keeps its own order
 
     def test_record_nothing_still_writes_header(self, tmp_path):
         p = tmp_path / "a.nbl"

@@ -1,11 +1,12 @@
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import seq_order_reference, serial_lt
+from oracles import as_f32, seq_order_reference, serial_lt
 
 from nbpk.wire import (
     HEADER_SIZE,
@@ -30,7 +31,6 @@ from nbpk.wire import (
     StreamId,
     TooShortError,
     WireError,
-    as_f32,
     decode_header,
     decode_motion,
     decode_request,
@@ -164,17 +164,18 @@ class TestHeader:
 class TestStartMeta:
     def test_size(self):
         assert START_META_SIZE == 12
-        m = ImageStartMeta.for_image(320, 240)
+        m = ImageStartMeta(total_len=320 * 240 * 2, width=320, height=240)
         assert len(encode_start_meta(m)) == 12
 
     def test_frag_count_is_ceiling(self):
-        assert ImageStartMeta.for_image(320, 240, 1400).frag_count == 110
-        assert ImageStartMeta.for_image(320, 240, 1536).frag_count == 100
+        qvga = ImageStartMeta(total_len=320 * 240 * 2, width=320, height=240)
+        assert replace(qvga, frag_payload=1400).frag_count == 110
+        assert replace(qvga, frag_payload=1536).frag_count == 100
         assert ImageStartMeta(total_len=1400 * 3, width=30, height=70,
                               frag_payload=1400).frag_count == 3
 
     def test_roundtrip(self):
-        m = ImageStartMeta.for_image(640, 480, frag_payload=999)
+        m = ImageStartMeta(total_len=640 * 480 * 2, width=640, height=480, frag_payload=999)
         assert decode_start_meta(encode_start_meta(m)) == m
 
     def test_inconsistent_total_len(self):
@@ -185,13 +186,13 @@ class TestStartMeta:
         # one START may not announce more than the largest camera mode, so a
         # single datagram cannot make a receiver allocate gigabytes
         assert MAX_IMAGE_BYTES == 1280 * 960 * 2
-        m = ImageStartMeta.for_image(1280, 960)
+        m = ImageStartMeta(total_len=1280 * 960 * 2, width=1280, height=960)
         assert decode_start_meta(encode_start_meta(m)) == m
         with pytest.raises(InvariantError):
-            encode_start_meta(ImageStartMeta.for_image(1280, 962))
+            encode_start_meta(ImageStartMeta(total_len=1280 * 962 * 2, width=1280, height=962))
 
     def test_reserved_byte_enforced(self):
-        b = bytearray(encode_start_meta(ImageStartMeta.for_image(32, 24)))
+        b = bytearray(encode_start_meta(ImageStartMeta(total_len=32 * 24 * 2, width=32, height=24)))
         b[9] = 7
         with pytest.raises(InvariantError):
             decode_start_meta(bytes(b))
