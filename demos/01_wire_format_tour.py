@@ -46,7 +46,7 @@ print("decode(encode(h)) == h\n")
 print("== The motion payload those 146 bytes announce ==")
 reading = MotionReading.zero()  # 25 joints of zeros
 body = encode_motion(reading)
-print(f"joint_count={body[0]}, reserved={body[1]}, then "
+print(f"joint_count: {body[0]}, reserved: {body[1]}, then "
       f"{reading.joint_count} positions + gyro(3) + accel(3) + torso(2) + "
       f"velocity(3) as float32 = {len(body)} bytes")
 back = decode_motion(body, seq=header.seq)

@@ -44,10 +44,6 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
-class TruncatedDatagramError(OSError):
-    """A datagram arrived larger than the receive buffer and was cut short."""
-
-
 def _check_port(name: str, port: int) -> None:
     # 0 asks the OS for an ephemeral port; otherwise stay out of the
     # privileged range.
@@ -61,13 +57,10 @@ class EndpointConfig:
 
     bind_host: str = "0.0.0.0"
     bind_port: int = 0
-    recv_buffer: int = UDP_MAX_DATAGRAM
     kernel_buffer: int = 1 << 22
 
     def __post_init__(self) -> None:
         _check_port("bind_port", self.bind_port)
-        if self.recv_buffer < 1:
-            raise ValueError("recv_buffer must be positive")
 
 
 class UdpEndpoint:
@@ -97,22 +90,15 @@ class UdpEndpoint:
     def recv(self, timeout: Optional[float] = None) -> Optional[tuple[bytes, tuple[str, int]]]:
         """Receive one whole datagram; returns None on timeout.
 
-        Raises :class:`TruncatedDatagramError` if the datagram was larger
-        than the configured receive buffer (silent truncation would
-        corrupt the stream).
+        The buffer holds the largest IPv4 UDP payload, so nothing is cut.
         """
         if timeout != self._timeout:
             self._sock.settimeout(timeout)
             self._timeout = timeout
         try:
-            data, ancdata, msg_flags, address = self._sock.recvmsg(self.cfg.recv_buffer)
+            return self._sock.recvfrom(UDP_MAX_DATAGRAM)
         except socket.timeout:
             return None
-        if msg_flags & socket.MSG_TRUNC:
-            raise TruncatedDatagramError(
-                f"datagram from {address} exceeded the {self.cfg.recv_buffer}-byte receive buffer"
-            )
-        return data, address[:2]
 
     def close(self) -> None:
         self._sock.close()
@@ -180,7 +166,7 @@ class Service:
                 if got is None:
                     continue
                 pkt = Packet.from_bytes(got[0])
-            except (TruncatedDatagramError, WireError):
+            except WireError:
                 self.malformed_packets += 1
                 continue
             except OSError:

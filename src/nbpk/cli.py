@@ -293,6 +293,8 @@ def _run_until_interrupt(duration: float | None) -> None:
 
 
 def _cmd_robot(args) -> int:
+    if args.duration is not None:  # checked before any socket opens
+        _check_positive("--duration", args.duration)
     try:
         cfg = RobotConfig(
             peer_host=args.peer,
@@ -314,6 +316,8 @@ def _cmd_robot(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
+    if args.duration is not None:
+        _check_positive("--duration", args.duration)
     with Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True)):
         _run_until_interrupt(args.duration)
     return 0

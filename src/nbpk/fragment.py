@@ -173,12 +173,8 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
 
 
 def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us: int) -> Packet:
-    """Wrap a payload that fits one datagram into a SINGLE packet."""
-    if HEADER_SIZE + len(payload) > UDP_MAX_DATAGRAM:
-        raise ValueError(
-            f"payload of {len(payload)} bytes does not fit one datagram "
-            f"(max {UDP_MAX_DATAGRAM - HEADER_SIZE})"
-        )
+    """Wrap a payload that fits one datagram into a SINGLE packet; ``Packet``
+    rejects one that does not."""
     return Packet(PacketHeader(stream_id, PacketKind.SINGLE, seq, payload_len=len(payload),
                                timestamp_us=timestamp_us), bytes(payload))
 

@@ -10,7 +10,9 @@ File header:  magic "NBLG" | version u8 | 3 reserved bytes | epoch wall-clock µ
 Record:       stream_id u8 | flags u8 | payload_len u32 | timestamp_us u64 | payload
 Image record payload: 12-byte start metadata (geometry/encoding) + pixel bytes.
 Flag bit 0 (``RESTART``) marks a stream's first record after its sender
-restarted: the sender's seq and clock started over there.
+restarted: the sender's seq and clock started over there. The writer sets
+it from the message's seq, and replay steps the seq back there so that a
+re-recording sets it again.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .wire import (
     ImageStartMeta,
     MotionReading,
     MotionRequest,
+    RESTART_WINDOW,
     SeqOrder,
     StreamId,
     TooShortError,
@@ -116,6 +119,7 @@ class LogWriter:
 
     Timestamps never decrease within one stream and one sender run; a
     record written with ``restart`` starts a new run and a new floor.
+    Each stream keeps one ``wire.SeqOrder`` for ``write_message``.
     """
 
     def __init__(self, path, epoch_us: Optional[int] = None):
@@ -124,6 +128,7 @@ class LogWriter:
         self._f = open(path, "wb")
         self._f.write(_LOG_HEADER.pack(LOG_MAGIC, LOG_VERSION, b"\x00\x00\x00", self.epoch_us))
         self._last_ts: dict[int, int] = {}
+        self._orders = {StreamId.IMAGE: SeqOrder(), StreamId.MOTION: SeqOrder()}
         self.records_written = 0
 
     def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes,
@@ -149,8 +154,17 @@ class LogWriter:
         self._last_ts[int(stream_id)] = timestamp_us
         self.records_written += 1
 
-    def write_message(self, message, restart: bool = False) -> None:
+    def write_message(self, message) -> None:
+        """Log a bus message. Its seq (a command has none) goes to its
+        stream's order; where that order counts a sender restart, the
+        record is written as ``restart``."""
         rec = message_to_record(message)
+        restart = False
+        if rec.stream_id != StreamId.COMMAND:
+            order = self._orders[rec.stream_id]
+            restarts = order.restarts
+            order.advance((message.image if isinstance(message, CameraFrame) else message).seq)
+            restart = order.restarts > restarts
         self.write(rec.stream_id, rec.timestamp_us, rec.payload, restart)
 
     def close(self) -> None:
@@ -216,18 +230,17 @@ def record(bus: TopicBus, path, duration_s: float,
     """Subscribe to ``topics`` and log everything seen for ``duration_s``.
 
     Returns the number of records written. The file is valid even if the
-    run observes nothing (header-only). Each topic keeps its own seq order
-    (``wire.SeqOrder``); a message where it sees a sender restart is
-    written as a ``restart`` record.
+    run observes nothing (header-only). Each message goes through
+    ``LogWriter.write_message``, which marks a sender restart.
     """
-    subs = [(bus.subscribe(t, BoundedFifo(1024)), SeqOrder()) for t in topics]
+    subs = [bus.subscribe(t, BoundedFifo(1024)) for t in topics]
     deadline = time.monotonic() + duration_s
 
     def write_queued(w: LogWriter) -> bool:
         wrote = False
-        for sub, order in subs:
+        for sub in subs:
             for message in sub.drain():
-                w.write_message(message, _restarted(order, message))
+                w.write_message(message)
                 wrote = True
         return wrote
 
@@ -242,24 +255,13 @@ def record(bus: TopicBus, path, duration_s: float,
             write_queued(w)  # final sweep so nothing queued is lost
             return w.records_written
     finally:
-        for sub, _ in subs:
+        for sub in subs:
             sub.close()
 
 
-def _restarted(order: SeqOrder, message) -> bool:
-    """Feed a message's seq to its stream's order: did its sender restart there?"""
-    if isinstance(message, CameraFrame):
-        message = message.image
-    seq = getattr(message, "seq", None)
-    if seq is None:  # a command carries none
-        return False
-    restarts = order.restarts
-    order.advance(seq)
-    return order.restarts != restarts
-
-
 def record_messages(messages, path, epoch_us: Optional[int] = None) -> int:
-    """Log an already-collected message sequence (no bus, no clock)."""
+    """Log an already-collected message sequence (no bus, no clock) through
+    ``LogWriter.write_message``, as ``record`` does."""
     with LogWriter(path, epoch_us=epoch_us) as w:
         for message in messages:
             w.write_message(message)
@@ -274,15 +276,19 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
     command, logged at 0) goes out at once. A ``restart`` record goes out at
     once and re-bases that mark on its own timestamp, because its sender's
     clock started over. ``speed=math.inf`` (or anything
-    non-finite) replays as fast as possible. Sequence numbers are assigned
-    afresh per stream, counting from zero. A truncated file replays its
+    non-finite) replays as fast as possible. A truncated file replays its
     valid prefix.
+
+    Sequence numbers are assigned afresh per stream: from zero, up by one
+    per record mod 2**32, and back by ``RESTART_WINDOW`` at a ``restart``
+    record, the least jump every ``SeqOrder`` reads as a restart. So
+    re-recording the replay writes the same log.
     """
     if not speed > 0:
         raise ValueError(f"speed must be positive, got {speed}")
     paced = math.isfinite(speed)
     latest_ts: Optional[int] = None
-    seq = {s: 0 for s in StreamId}
+    newest = dict.fromkeys(StreamId, 0xFFFFFFFF)  # so each stream starts at 0
     published = 0
     for rec in read_log(path):
         if isinstance(rec, Truncated):
@@ -293,7 +299,8 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
             if paced and latest_ts is not None:
                 time.sleep((rec.timestamp_us - latest_ts) / 1e6 / speed)
             latest_ts = rec.timestamp_us
-        n = seq[rec.stream_id]
+        n = newest[rec.stream_id] = (
+            newest[rec.stream_id] + (-RESTART_WINDOW if rec.restart else 1)) & 0xFFFFFFFF
         if rec.stream_id == StreamId.IMAGE:
             img = image_from_record_payload(rec.payload, seq=n,
                                             timestamp_us=rec.timestamp_us)
@@ -303,7 +310,6 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
                                                     timestamp_us=rec.timestamp_us))
         else:
             bus.publish(TOPIC_COMMAND, decode_request(rec.payload))
-        seq[rec.stream_id] = n + 1
         published += 1
     return published
 

@@ -15,7 +15,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from typing import Iterator
 
 from .channel import (
     DEFAULT_COMMAND_PORT,
@@ -113,47 +113,15 @@ def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
     return Image(width=width, height=height, pixels=pixels, seq=seq)
 
 
-@dataclass(frozen=True)
-class VerifyOk:
-    seq: int
-
-
-@dataclass(frozen=True)
-class CorruptCrc:
-    stored: int
-    computed: int
-
-
-@dataclass(frozen=True)
-class SeqMismatch:
-    header_seq: int
-    embedded_seq: int
-
-
-VerifyResult = Union[VerifyOk, CorruptCrc, SeqMismatch]
-
-
-def verify_test_image(img: Image) -> VerifyResult:
-    """Check a received frame against the generator's pattern contract.
-
-    CRC failure wins over sequence mismatch: a frame with a bad checksum
-    says nothing trustworthy about its embedded sequence number.
-    """
+def image_ok(img: Image) -> bool:
+    """Whether a received frame keeps the generator's pattern contract: its
+    CRC-32 holds and its embedded seq equals ``img.seq``."""
     n = len(img.pixels)
     if n < _MIN_PATTERN_BYTES:
         raise ValueError(f"image of {n} bytes is too small to carry the test pattern")
     stored = struct.unpack_from("<I", img.pixels, n - 4)[0]
-    computed = zlib.crc32(memoryview(img.pixels)[:n - 4])
-    if stored != computed:
-        return CorruptCrc(stored=stored, computed=computed)
-    embedded = struct.unpack_from("<I", img.pixels, 0)[0]
-    if embedded != img.seq:
-        return SeqMismatch(header_seq=img.seq, embedded_seq=embedded)
-    return VerifyOk(seq=embedded)
-
-
-def image_ok(img: Image) -> bool:
-    return isinstance(verify_test_image(img), VerifyOk)
+    return (stored == zlib.crc32(memoryview(img.pixels)[:n - 4])
+            and struct.unpack_from("<I", img.pixels, 0)[0] == img.seq)
 
 
 # --- walk model ------------------------------------------------------------
@@ -231,7 +199,6 @@ def gen_motion(seq: int, t: float, walk: WalkState,
         accel=(0.0, 0.0, GRAVITY_MPS2),
         torso_angle=(0.0, TORSO_PITCH_RAD * math.sin(phase)),
         velocity=walk.current,
-        joint_count=joint_count,
         seq=seq,
         timestamp_us=max(0, round(t * 1e6)),
     )

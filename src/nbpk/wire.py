@@ -306,13 +306,16 @@ class MotionReading:
     accel: tuple[float, float, float] = (0.0, 0.0, 0.0)
     torso_angle: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    joint_count: int = DEFAULT_JOINT_COUNT
     seq: int = 0
     timestamp_us: int = 0
 
+    @property
+    def joint_count(self) -> int:
+        return len(self.positions)
+
     @classmethod
     def zero(cls, joint_count: int = DEFAULT_JOINT_COUNT) -> "MotionReading":
-        return cls(positions=(0.0,) * joint_count, joint_count=joint_count)
+        return cls(positions=(0.0,) * joint_count)
 
     @staticmethod
     def payload_size(joint_count: int) -> int:
@@ -321,16 +324,12 @@ class MotionReading:
 
 def encode_motion(m: MotionReading) -> bytes:
     """Serialize a reading; payload length is ``2 + 4*joints + 44`` bytes."""
-    _check_uint("joint_count", m.joint_count, 8)
-    if len(m.positions) != m.joint_count:
-        raise InvariantError(
-            f"joint_count={m.joint_count} but {len(m.positions)} positions given"
-        )
+    _check_uint("joint_count", len(m.positions), 8)
     if len(m.gyro) != 3 or len(m.accel) != 3 or len(m.torso_angle) != 2 or len(m.velocity) != 3:
         raise InvariantError("gyro/accel must be 3-vectors, torso_angle 2, velocity 3")
     values = (*m.positions, *m.gyro, *m.accel, *m.torso_angle, *m.velocity)
     try:
-        body = struct.pack(f"<BB{len(values)}f", m.joint_count, 0, *values)
+        body = struct.pack(f"<BB{len(values)}f", len(m.positions), 0, *values)
     except (struct.error, OverflowError) as exc:
         raise InvariantError(f"unpackable motion value: {exc}") from None
     return body
@@ -358,7 +357,6 @@ def decode_motion(b: bytes, *, seq: int = 0, timestamp_us: int = 0) -> MotionRea
         accel=values[j + 3:j + 6],
         torso_angle=values[j + 6:j + 8],
         velocity=values[j + 8:j + 11],
-        joint_count=joint_count,
         seq=seq,
         timestamp_us=timestamp_us,
     )

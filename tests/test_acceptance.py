@@ -186,7 +186,6 @@ def random_motion(rng: random.Random) -> MotionReading:
         accel=(f(), f(), f()),
         torso_angle=(f(), f()),
         velocity=(f(), f(), f()),
-        joint_count=joints,
         seq=rng.getrandbits(32),
         timestamp_us=rng.getrandbits(64),
     )

@@ -18,7 +18,7 @@ from nbpk.bridge import (
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.fragment import packetize_image, packetize_single
-from nbpk.robotsim import gen_test_image, verify_test_image, VerifyOk
+from nbpk.robotsim import gen_test_image, image_ok
 from nbpk.wire import (
     HEADER_SIZE,
     InvariantError,
@@ -154,7 +154,7 @@ class TestBridgeLive:
         frames = sub.drain()
         assert len(frames) >= 20  # ~30 expected at 20 fps over 1.5 s
         assert all(isinstance(f, CameraFrame) for f in frames)
-        assert all(isinstance(verify_test_image(f.image), VerifyOk) for f in frames)
+        assert all(image_ok(f.image) for f in frames)
         seqs = [f.image.seq for f in frames]
         assert seqs == sorted(set(seqs)), "seq not strictly increasing"
         assert all(f.recv_timestamp_us >= f.image.timestamp_us for f in frames)

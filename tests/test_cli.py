@@ -196,6 +196,13 @@ class TestMainExitCodes:
         assert main(["robot", flag, value, "--command-port", "0", "--duration", "0.1"]) == 1
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["robot", "--command-port", "0"],
+                                      ["bridge", "--image-port", "0", "--motion-port", "0"]])
+    def test_negative_duration_opens_no_socket(self, capsys, argv):
+        assert main([*argv, "--duration", "-1"]) == 1
+        assert "--duration" in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
+
     def test_bench_loopback_fps_out_of_range_opens_no_socket(self, capsys):
         assert main(["bench", "--loopback", "--fps", "61", "--duration", "0.1"]) == 1
         assert "fps" in capsys.readouterr().err

@@ -48,6 +48,14 @@ from nbpk.wire import (
 from oracles import yuv422_to_rgb_reference, yuv_to_rgb_scalar
 
 
+def restarted_images(before: int, after: int, width=32, height=24) -> list:
+    """``before`` frames from seq 100, then ``after`` frames of a restarted
+    sender: seq from 0 on a clock starting over."""
+    run = [(100 + i, 5_000_000 + i * 33_333) for i in range(before)]
+    run += [(i, 1_000 + i * 33_333) for i in range(after)]
+    return [replace(gen_test_image(seq, width, height), timestamp_us=t) for seq, t in run]
+
+
 def sample_messages(n_frames=5, width=32, height=24):
     out = []
     walk = WalkState()
@@ -155,6 +163,20 @@ class TestLogFile:
                 w.write(StreamId.IMAGE, 4, b"w")
         # the rejected records left no partial bytes behind
         assert len(list(read_log(p))) == 4
+
+    def test_record_messages_flags_a_sender_restart(self, tmp_path):
+        # seq 100-119, then the sender restarts: seq 0-9 on a clock starting over
+        p = tmp_path / "a.nbl"
+        assert record_messages(restarted_images(20, 10), p) == 30
+        assert [r.restart for r in read_log(p)] == [False] * 20 + [True] + [False] * 9
+
+    def test_write_message_keeps_one_seq_order_per_stream(self, tmp_path):
+        p = tmp_path / "a.nbl"
+        walk = WalkState()
+        msgs = [*restarted_images(2, 2), gen_motion(0, 0.0, walk), gen_motion(1, 0.01, walk),
+                MotionRequest.stand()]
+        record_messages(msgs, p)
+        assert [r.restart for r in read_log(p)] == [False, False, True, False, False, False, False]
 
 
 class TestTruncation:
@@ -271,6 +293,27 @@ class TestReplay:
         out = sub.drain()
         assert [f.image.seq for f in out] == [0, 1, 2]
         assert [f.image.pixels for f in out] == [i.pixels for i in imgs]
+
+    def test_replay_steps_the_seq_back_at_a_restart(self, tmp_path):
+        # back by RESTART_WINDOW, the least jump SeqOrder reads as a restart; then
+        # counting up wraps mod 2**32
+        p = tmp_path / "a.nbl"
+        record_messages(restarted_images(1, 20), p)
+        bus = TopicBus()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(32))
+        replay(p, bus, speed=math.inf)
+        assert [f.image.seq for f in sub.drain()] == [0, *range(2**32 - 16, 2**32), *range(4)]
+
+    @pytest.mark.parametrize("before", [1, 5, 20])
+    def test_rerecording_a_restarted_log_is_byte_identical(self, tmp_path, before):
+        original, rerecorded = tmp_path / "a.nbl", tmp_path / "b.nbl"
+        record_messages(restarted_images(before, 20), original, epoch_us=7)
+        bus = TopicBus()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(64))
+        assert replay(original, bus, speed=math.inf) == before + 20
+        assert record_messages(sub.drain(), rerecorded, epoch_us=7) == before + 20
+        assert [r.restart for r in read_log(original)].index(True) == before
+        assert rerecorded.read_bytes() == original.read_bytes()
 
     def test_replay_requests(self, tmp_path):
         p = tmp_path / "a.nbl"

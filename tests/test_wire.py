@@ -223,16 +223,22 @@ class TestMotionReading:
     def test_roundtrip(self, parts):
         positions, gyro, accel, torso, vel = parts
         r = MotionReading(positions=positions, gyro=gyro, accel=accel,
-                          torso_angle=torso, velocity=vel, joint_count=len(positions))
+                          torso_angle=torso, velocity=vel)
         assert decode_motion(encode_motion(r)) == r
 
     def test_header_fields_passed_through(self):
         r = decode_motion(encode_motion(MotionReading.zero()), seq=77, timestamp_us=123456)
         assert (r.seq, r.timestamp_us) == (77, 123456)
 
-    def test_joint_count_mismatch(self):
+    def test_joint_count_is_the_number_of_positions(self):
+        r = MotionReading(positions=(0.0,) * 3)
+        assert r.joint_count == 3
+        assert encode_motion(r)[0] == 3
+        assert decode_motion(encode_motion(r)) == r
+
+    def test_more_than_255_joints_rejected(self):
         with pytest.raises(InvariantError):
-            encode_motion(MotionReading(positions=(0.0,) * 3, joint_count=4))
+            encode_motion(MotionReading(positions=(0.0,) * 256))
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(InvariantError):
