@@ -30,8 +30,7 @@ frames = []
 for i in range(30):
     img = gen_test_image(i, width=64, height=48)
     frames.append(CameraFrame(image=type(img)(width=img.width, height=img.height,
-                                              pixels=img.pixels, encoding=img.encoding,
-                                              seq=i, timestamp_us=i * 66_666),
+                                              pixels=img.pixels, seq=i, timestamp_us=i * 66_666),
                               recv_timestamp_us=i * 66_666))
 
 n = record_messages(frames, log_path)

@@ -26,6 +26,8 @@ from .channel import (
     DEFAULT_MOTION_PORT,
     EndpointConfig,
     Service,
+    check_bind_port,
+    check_dest_port,
 )
 from .fragment import ImageComplete, Packet, Reassembler, StreamStats, packetize_single
 from .wire import (
@@ -104,10 +106,9 @@ class Subscription:
 
 
 class _Topic:
-    __slots__ = ("name", "payload_type", "subscribers")
+    __slots__ = ("payload_type", "subscribers")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.payload_type: Optional[type] = None
         self.subscribers: list[Subscription] = []
 
@@ -124,7 +125,7 @@ class TopicBus:
             raise ValueError("topic name must be non-empty")
         t = self._topics.get(name)
         if t is None:
-            t = self._topics[name] = _Topic(name)
+            t = self._topics[name] = _Topic()
         return t
 
     def register(self, topic: str, payload_type: type) -> None:
@@ -215,6 +216,9 @@ class BridgeConfig:
     stats_period_s: float = 1.0
 
     def __post_init__(self) -> None:
+        check_bind_port("image_port", self.image_port)
+        check_bind_port("motion_port", self.motion_port)
+        check_dest_port("robot_command_port", self.robot_command_port)
         if self.image_port == self.motion_port and self.image_port != 0:
             raise ValueError("image and motion ports must be distinct")
         if self.stats_period_s <= 0:
@@ -272,6 +276,7 @@ class Bridge(Service):
 
     def set_robot_address(self, host: str, port: int) -> None:
         """Repoint the command back-channel (e.g. after the robot's port is known)."""
+        check_dest_port("port", port)
         self._robot_addr = (host, port)
 
     def stats(self) -> BridgeStats:

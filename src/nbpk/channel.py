@@ -44,11 +44,16 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_port(name: str, port: int) -> None:
+def check_bind_port(name: str, port: int) -> None:
     # 0 asks the OS for an ephemeral port; otherwise stay out of the
     # privileged range.
     if port != 0 and not 1024 <= port <= 65535:
         raise ValueError(f"{name} must be 0 (ephemeral) or in [1024, 65535], got {port}")
+
+
+def check_dest_port(name: str, port: int) -> None:
+    if not 1 <= port <= 65535:
+        raise ValueError(f"{name} must lie in [1, 65535] as a destination, got {port}")
 
 
 @dataclass
@@ -60,14 +65,13 @@ class EndpointConfig:
     kernel_buffer: int = 1 << 22
 
     def __post_init__(self) -> None:
-        _check_port("bind_port", self.bind_port)
+        check_bind_port("bind_port", self.bind_port)
 
 
 class UdpEndpoint:
     """A bound UDP socket with whole-datagram send/recv semantics."""
 
     def __init__(self, cfg: EndpointConfig):
-        self.cfg = cfg
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         with contextlib.suppress(OSError):  # the OS clamps oversized requests; best effort
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, cfg.kernel_buffer)

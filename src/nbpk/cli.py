@@ -266,10 +266,19 @@ def _add_bridge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats-period", type=float, default=1.0)
 
 
+def _config(cls, **fields):
+    """``cls(**fields)``; a value it rejects is a usage error, caught before any socket opens."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _bridge_config(args) -> BridgeConfig:
     host, port = _parse_host_port(args.robot, DEFAULT_COMMAND_PORT)
     _check_positive("--stats-period", args.stats_period)
-    return BridgeConfig(
+    return _config(
+        BridgeConfig,
         image_port=args.image_port,
         motion_port=args.motion_port,
         robot_host=host,
@@ -295,20 +304,18 @@ def _run_until_interrupt(duration: float | None) -> None:
 def _cmd_robot(args) -> int:
     if args.duration is not None:  # checked before any socket opens
         _check_positive("--duration", args.duration)
-    try:
-        cfg = RobotConfig(
-            peer_host=args.peer,
-            image_port=args.image_port,
-            motion_port=args.motion_port,
-            command_port=args.command_port,
-            fps=args.fps,
-            motion_rate=args.motion_rate,
-            width=args.width,
-            height=args.height,
-            frag_payload=args.frag_size,
-        )
-    except ValueError as exc:  # rejected before any socket opens
-        raise UsageError(str(exc)) from None
+    cfg = _config(
+        RobotConfig,
+        peer_host=args.peer,
+        image_port=args.image_port,
+        motion_port=args.motion_port,
+        command_port=args.command_port,
+        fps=args.fps,
+        motion_rate=args.motion_rate,
+        width=args.width,
+        height=args.height,
+        frag_payload=args.frag_size,
+    )
     log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
     with RobotSim(cfg):
         _run_until_interrupt(args.duration)
@@ -334,10 +341,7 @@ def _cmd_bench(args) -> int:
     )
     scenario = bench_mod.Scenario(duration_s=args.duration, fps=args.fps, impairment=imp)
     if args.loopback:
-        try:
-            RobotConfig(fps=args.fps)  # the emulator's bounds, before any socket opens
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        _config(RobotConfig, fps=args.fps)  # the emulator's bounds
     report = bench_mod.run_loopback(scenario) if args.loopback else bench_mod.run_scenario(scenario)
     text = json.dumps(asdict(report), sort_keys=True, indent=2)
     print(text)

@@ -152,8 +152,7 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     data = img.pixels
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
-    meta = ImageStartMeta(total_len=len(data), width=img.width, height=img.height,
-                          encoding=img.encoding, frag_payload=frag_payload)
+    meta = ImageStartMeta(len(data), img.width, img.height, frag_payload)
     frag_count = meta.frag_count
     meta_bytes = encode_start_meta(meta)
     start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, img.seq, 0, frag_count,
@@ -161,13 +160,13 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     # The START passed every check its fragments need (seq, timestamp and
     # frag_count in range), and each fragment's index < frag_count and
     # length <= MAX_FRAG_PAYLOAD hold by construction: build them unchecked.
-    stream, _, seq, _, _, _, timestamp_us, flags, version = start.header
+    stream, _, seq, _, _, _, timestamp_us = start.header
     kind = PacketKind.FRAGMENT
     packets = [start]
     for i in range(frag_count):
         chunk = data[i * frag_payload:(i + 1) * frag_payload]
         header = _tuple_new(PacketHeader, (stream, kind, seq, i, frag_count, len(chunk),
-                                           timestamp_us, flags, version))
+                                           timestamp_us))
         packets.append(_tuple_new(Packet, (header, chunk)))
     return packets
 
@@ -273,6 +272,5 @@ class Reassembler:
         self._slot = None
         self._stats.frames_complete += 1
         meta = slot.meta
-        return ImageComplete(image=Image(width=meta.width, height=meta.height,
-                                         pixels=bytes(slot.buffer), encoding=meta.encoding,
-                                         seq=slot.seq, timestamp_us=slot.timestamp_us))
+        return ImageComplete(image=Image(meta.width, meta.height, bytes(slot.buffer), slot.seq,
+                                         slot.timestamp_us))

@@ -8,7 +8,7 @@ afresh on replay.
 
 File header:  magic "NBLG" | version u8 | 3 reserved bytes | epoch wall-clock µs u64
 Record:       stream_id u8 | flags u8 | payload_len u32 | timestamp_us u64 | payload
-Image record payload: 12-byte start metadata (geometry/encoding) + pixel bytes.
+Image record payload: 12-byte start metadata (geometry, YUV422) + pixel bytes.
 Flag bit 0 (``RESTART``) marks a stream's first record after its sender
 restarted: the sender's seq and clock started over there. The writer sets
 it from the message's seq, and replay steps the seq back there so that a
@@ -36,7 +36,6 @@ from .bridge import (
 from .wire import (
     BadMagicError,
     BadVersionError,
-    Encoding,
     Image,
     ImageStartMeta,
     MotionReading,
@@ -58,6 +57,7 @@ LOG_VERSION = 1
 LOG_HEADER_SIZE = 16
 RECORD_HEADER_SIZE = 14
 RESTART = 0x01  # record flag: the stream's sender restarted at this record
+_STREAM_IDS = frozenset(StreamId)
 
 _LOG_HEADER = struct.Struct("<4sB3sQ")
 _RECORD_HEADER = struct.Struct("<BBIQ")
@@ -82,8 +82,7 @@ class Truncated:
 
 
 def image_to_record_payload(img: Image) -> bytes:
-    meta = ImageStartMeta(total_len=len(img.pixels), width=img.width,
-                          height=img.height, encoding=img.encoding)
+    meta = ImageStartMeta(total_len=len(img.pixels), width=img.width, height=img.height)
     return encode_start_meta(meta) + img.pixels
 
 
@@ -95,8 +94,7 @@ def image_from_record_payload(payload: bytes, *, seq: int = 0,
         raise TooShortError(
             f"image record carries {len(pixels)} pixel bytes, metadata announces {meta.total_len}"
         )
-    return Image(width=meta.width, height=meta.height, pixels=pixels,
-                 encoding=meta.encoding, seq=seq, timestamp_us=timestamp_us)
+    return Image(meta.width, meta.height, pixels, seq, timestamp_us)
 
 
 def message_to_record(message) -> LogRecord:
@@ -118,12 +116,12 @@ class LogWriter:
     the last complete record, so readers always get a clean prefix.
 
     Timestamps never decrease within one stream and one sender run; a
-    record written with ``restart`` starts a new run and a new floor.
-    Each stream keeps one ``wire.SeqOrder`` for ``write_message``.
+    record written with ``restart`` starts a new run and a new floor, so
+    it cannot be a stream's first record. Each stream keeps one
+    ``wire.SeqOrder`` for ``write_message``.
     """
 
     def __init__(self, path, epoch_us: Optional[int] = None):
-        self.path = path
         self.epoch_us = int(time.time() * 1e6) if epoch_us is None else epoch_us
         self._f = open(path, "wb")
         self._f.write(_LOG_HEADER.pack(LOG_MAGIC, LOG_VERSION, b"\x00\x00\x00", self.epoch_us))
@@ -133,14 +131,18 @@ class LogWriter:
 
     def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes,
               restart: bool = False) -> None:
-        if not restart and timestamp_us < self._last_ts.get(int(stream_id), 0):
+        if stream_id not in _STREAM_IDS:  # a reader would take the record for a tear
+            raise ValueError(f"unknown stream id {stream_id!r}")
+        if restart and stream_id not in self._last_ts:
+            raise ValueError(f"restart on the first record of stream {stream_id!r}")
+        if not restart and timestamp_us < self._last_ts.get(stream_id, 0):
             raise ValueError(
                 f"timestamps must be non-decreasing per stream: "
-                f"{timestamp_us} after {self._last_ts[int(stream_id)]}"
+                f"{timestamp_us} after {self._last_ts.get(stream_id, 0)}"
             )
         start = self._f.tell()
         try:
-            self._f.write(_RECORD_HEADER.pack(int(stream_id), RESTART if restart else 0,
+            self._f.write(_RECORD_HEADER.pack(stream_id, RESTART if restart else 0,
                                               len(payload), timestamp_us))
             self._f.write(payload)
         except OSError:
@@ -151,7 +153,7 @@ class LogWriter:
             except OSError:
                 pass
             raise
-        self._last_ts[int(stream_id)] = timestamp_us
+        self._last_ts[stream_id] = timestamp_us
         self.records_written += 1
 
     def write_message(self, message) -> None:
@@ -325,8 +327,6 @@ def yuv422_to_rgb(img: Image) -> np.ndarray:
     chroma term is computed once and applied to both Y samples, in float64
     and in the order written, so the result equals the per-pixel formula.
     """
-    if img.encoding != Encoding.YUV422:
-        raise ValueError(f"expected YUV422, got {img.encoding!r}")
     if img.width % 2 != 0:
         raise ValueError(f"YUV422 requires even width, got {img.width}")
     w, h = img.width, img.height

@@ -23,6 +23,8 @@ from .channel import (
     DEFAULT_MOTION_PORT,
     EndpointConfig,
     Service,
+    check_bind_port,
+    check_dest_port,
 )
 from .fragment import Packet, check_frag_payload, packetize_image, packetize_single
 from .wire import (
@@ -76,6 +78,9 @@ class RobotConfig:
     frag_payload: int = DEFAULT_FRAG_PAYLOAD
 
     def __post_init__(self) -> None:
+        check_dest_port("image_port", self.image_port)
+        check_dest_port("motion_port", self.motion_port)
+        check_bind_port("command_port", self.command_port)
         if not 0.0 < self.fps <= 60.0:
             raise ValueError(f"fps must lie in (0, 60], got {self.fps}")
         if self.motion_rate <= 0.0:

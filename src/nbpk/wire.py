@@ -5,6 +5,10 @@ followed by an opaque payload. All multi-byte integers are little-endian;
 floats are IEEE-754 binary32. The full layout, with a worked example, is
 documented in FORMAT.md at the repository root.
 
+Magic, ``version``, ``flags``, ``encoding`` and every reserved byte are
+constants of format version 1: the encoders write them, the decoders
+reject any other value, and no message type carries them.
+
 Encoding functions reject invalid values with a diagnostic; decoding
 functions accept arbitrary bytes and either return a valid value or raise
 a classified :class:`WireError` subclass. They never raise anything else.
@@ -95,7 +99,7 @@ def _check_uint(name: str, value: int, bits: int) -> None:
 
 
 class PacketHeader(NamedTuple):
-    """Fixed 26-byte prefix of every datagram.
+    """The varying fields of the fixed 26-byte prefix of every datagram.
 
     ``seq`` counts messages per stream, modulo 2**32; all packets of one
     message share the same ``seq`` and ``timestamp_us``. Constructing a
@@ -110,8 +114,6 @@ class PacketHeader(NamedTuple):
     frag_count: int = 0
     payload_len: int = 0
     timestamp_us: int = 0
-    flags: int = 0
-    version: int = WIRE_VERSION
 
 
 _STREAM_IDS = {s.value: s for s in StreamId}
@@ -122,15 +124,10 @@ _tuple_new = tuple.__new__  # _tuple_new(PacketHeader, fields) skips the checks
 
 
 def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
-                   timestamp_us, flags, version) -> PacketHeader:
-    """The one header validator, shared by encode and decode.
-
-    Returns the header with ``stream_id`` and ``kind`` as enum members, or
-    raises ``BadVersionError`` for a foreign version and ``InvariantError``
-    for any other broken field rule (FORMAT.md, "Kind invariants").
-    """
-    if version != WIRE_VERSION:
-        raise BadVersionError(f"unsupported version {version}")
+                   timestamp_us) -> PacketHeader:
+    """The one header validator, shared by encode and decode. Returns the header
+    with ``stream_id`` and ``kind`` as enum members; raises ``InvariantError``
+    for a broken field rule (FORMAT.md, "Kind invariants")."""
     try:
         stream = _STREAM_IDS[stream_id]
     except (KeyError, TypeError):
@@ -139,11 +136,8 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
         kind_ = _KINDS[kind]
     except (KeyError, TypeError):
         raise InvariantError(f"unknown packet kind {kind!r}") from None
-    if flags != 0:
-        raise InvariantError(f"reserved flags must be 0, got {flags!r}")
     if not (type(seq) is int and type(frag_index) is int and type(frag_count) is int
             and type(payload_len) is int and type(timestamp_us) is int
-            and type(flags) is int and type(version) is int
             and 0 <= seq <= _U32 and 0 <= frag_index <= _U16 and 0 <= frag_count <= _U16
             and 0 <= payload_len <= _U16 and 0 <= timestamp_us <= _U64):
         # not all plain ints in range: in-range int subclasses (bool, IntEnum)
@@ -153,14 +147,6 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
         _check_uint("frag_count", frag_count, 16)
         _check_uint("payload_len", payload_len, 16)
         _check_uint("timestamp_us", timestamp_us, 64)
-        if not (isinstance(version, int) and isinstance(flags, int)):
-            # equal to the valid value (1.0, 0.0) but not packable: any other
-            # broken rule is reported first, then the non-int field
-            checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
-                           timestamp_us, 0, WIRE_VERSION)
-            if not isinstance(version, int):
-                raise BadVersionError(f"version must be an int, got {version!r}")
-            raise InvariantError(f"reserved flags must be the int 0, got {flags!r}")
     if kind == _SINGLE:
         if frag_index != 0 or frag_count != 0:
             raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")
@@ -172,13 +158,13 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
     elif frag_index >= frag_count:
         raise InvariantError(f"fragment index {frag_index} out of range for frag_count {frag_count}")
     return _tuple_new(PacketHeader, (stream, kind_, seq, frag_index, frag_count, payload_len,
-                                     timestamp_us, flags, version))
+                                     timestamp_us))
 
 
 def pack_header(h: PacketHeader) -> bytes:
     """Wire form of a header that already passed :func:`checked_header`."""
-    stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us, flags, version = h
-    return _HEADER.pack(MAGIC, version, stream_id, kind, flags, seq, frag_index,
+    stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us = h
+    return _HEADER.pack(MAGIC, WIRE_VERSION, stream_id, kind, 0, seq, frag_index,
                         frag_count, payload_len, timestamp_us)
 
 
@@ -196,8 +182,11 @@ def decode_header(b: bytes) -> PacketHeader:
     )
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    return checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts,
-                          flags, version)
+    if version != WIRE_VERSION:
+        raise BadVersionError(f"unsupported version {version}")
+    if flags != 0:
+        raise InvariantError(f"reserved flags must be 0, got {flags:#x}")
+    return checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts)
 
 
 class SeqOrder:
@@ -223,12 +212,11 @@ class SeqOrder:
 
 @dataclass(frozen=True)
 class ImageStartMeta:
-    """Announcement carried by a START packet: what the fragments assemble into."""
+    """What a START packet announces: the YUV422 image its fragments assemble into."""
 
     total_len: int
     width: int
     height: int
-    encoding: Encoding = Encoding.YUV422
     frag_payload: int = DEFAULT_FRAG_PAYLOAD
 
     @property
@@ -242,11 +230,9 @@ class ImageStartMeta:
         _check_uint("frag_payload", self.frag_payload, 16)
         if self.total_len > MAX_IMAGE_BYTES:
             raise InvariantError(f"total_len {self.total_len} exceeds the {MAX_IMAGE_BYTES}-byte image limit")
-        if self.encoding not in Encoding.__members__.values():
-            raise InvariantError(f"unknown encoding {self.encoding!r}")
         if self.frag_payload == 0:
             raise InvariantError("frag_payload must be nonzero")
-        if self.encoding == Encoding.YUV422 and self.total_len != self.width * self.height * 2:
+        if self.total_len != self.width * self.height * 2:
             raise InvariantError(
                 f"total_len {self.total_len} inconsistent with "
                 f"{self.width}x{self.height} YUV422 ({self.width * self.height * 2} bytes)"
@@ -255,39 +241,35 @@ class ImageStartMeta:
 
 def encode_start_meta(m: ImageStartMeta) -> bytes:
     m.validate()
-    return _START_META.pack(m.total_len, m.width, m.height, int(m.encoding), 0, m.frag_payload)
+    return _START_META.pack(m.total_len, m.width, m.height, Encoding.YUV422, 0, m.frag_payload)
 
 
 def decode_start_meta(b: bytes) -> ImageStartMeta:
     if len(b) < START_META_SIZE:
         raise TooShortError(f"start meta needs {START_META_SIZE} bytes, got {len(b)}")
-    total_len, width, height, enc_raw, reserved, frag_payload = _START_META.unpack_from(b)
-    try:
-        encoding = Encoding(enc_raw)
-    except ValueError:
-        raise InvariantError(f"unknown encoding {enc_raw}") from None
+    total_len, width, height, encoding, reserved, frag_payload = _START_META.unpack_from(b)
+    if encoding != Encoding.YUV422:
+        raise InvariantError(f"unknown encoding {encoding}")
     if reserved != 0:
         raise InvariantError(f"reserved byte must be 0, got {reserved:#x}")
-    m = ImageStartMeta(total_len=total_len, width=width, height=height,
-                       encoding=encoding, frag_payload=frag_payload)
+    m = ImageStartMeta(total_len, width, height, frag_payload)
     m.validate()
     return m
 
 
 @dataclass(frozen=True)
 class Image:
-    """One camera frame: packed pixel bytes plus stream metadata."""
+    """One camera frame: packed YUV422 (YUYV) pixel bytes plus stream metadata."""
 
     width: int
     height: int
     pixels: bytes
-    encoding: Encoding = Encoding.YUV422
     seq: int = 0
     timestamp_us: int = 0
 
     def __post_init__(self) -> None:
         expected = self.width * self.height * 2
-        if self.encoding == Encoding.YUV422 and len(self.pixels) != expected:
+        if len(self.pixels) != expected:
             raise InvariantError(
                 f"YUV422 {self.width}x{self.height} needs {expected} pixel bytes, got {len(self.pixels)}"
             )

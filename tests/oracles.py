@@ -81,16 +81,13 @@ def _check_uint_reference(name: str, value, bits: int) -> None:
 
 
 def validate_header_reference(h: PacketHeader) -> None:
-    """Every header rule of FORMAT.md, checked one field at a time through
-    enum membership scans (the library's original ``PacketHeader.validate``)."""
-    if h.version != WIRE_VERSION:
-        raise BadVersionError(f"unsupported version {h.version}")
+    """Every rule of FORMAT.md for a header's varying fields, checked one
+    field at a time through enum membership scans (the library's original
+    ``PacketHeader.validate``)."""
     if h.stream_id not in StreamId.__members__.values():
         raise InvariantError(f"unknown stream id {h.stream_id!r}")
     if h.kind not in PacketKind.__members__.values():
         raise InvariantError(f"unknown packet kind {h.kind!r}")
-    if h.flags != 0:
-        raise InvariantError(f"reserved flags must be 0, got {h.flags:#x}")
     _check_uint_reference("seq", h.seq, 32)
     _check_uint_reference("frag_index", h.frag_index, 16)
     _check_uint_reference("frag_count", h.frag_count, 16)
@@ -113,7 +110,7 @@ def validate_header_reference(h: PacketHeader) -> None:
 
 def encode_header_reference(h: PacketHeader) -> bytes:
     validate_header_reference(h)
-    return _HEADER_LAYOUT.pack(MAGIC, h.version, int(h.stream_id), int(h.kind), h.flags, h.seq,
+    return _HEADER_LAYOUT.pack(MAGIC, WIRE_VERSION, int(h.stream_id), int(h.kind), 0, h.seq,
                                h.frag_index, h.frag_count, h.payload_len, h.timestamp_us)
 
 
@@ -135,9 +132,10 @@ def decode_header_reference(b: bytes) -> PacketHeader:
         kind = PacketKind(kind_raw)
     except ValueError:
         raise InvariantError(f"unknown packet kind {kind_raw}") from None
+    if flags != 0:
+        raise InvariantError(f"reserved flags must be 0, got {flags:#x}")
     h = PacketHeader(stream_id=stream_id, kind=kind, seq=seq, frag_index=frag_index,
-                     frag_count=frag_count, payload_len=payload_len, timestamp_us=ts,
-                     flags=flags, version=version)
+                     frag_count=frag_count, payload_len=payload_len, timestamp_us=ts)
     validate_header_reference(h)
     return h
 

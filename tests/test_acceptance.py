@@ -14,7 +14,6 @@ accept the minimal repair that demo 6 makes.
 import math
 import random
 import re
-import struct
 import sys
 import threading
 import time
@@ -44,7 +43,6 @@ from nbpk.recorder import (
 )
 from nbpk.robotsim import gen_test_image
 from nbpk.wire import (
-    Encoding,
     Image,
     ImageStartMeta,
     MotionMode,
@@ -173,7 +171,6 @@ def random_meta(rng: random.Random) -> ImageStartMeta:
     width = rng.randint(2, 1000)
     height = rng.randint(1, 1000)
     return ImageStartMeta(total_len=width * height * 2, width=width, height=height,
-                          encoding=Encoding.YUV422,
                           frag_payload=rng.randint(1, 0xFFFF))
 
 

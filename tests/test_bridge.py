@@ -129,6 +129,14 @@ class TestBridgeConfig:
             BridgeConfig(image_port=9000, motion_port=9000)
         BridgeConfig(image_port=0, motion_port=0)  # ephemeral pair is fine
 
+    @pytest.mark.parametrize("field, port", [
+        ("image_port", 99999), ("image_port", 80), ("motion_port", -1), ("motion_port", 65536),
+        ("robot_command_port", 0), ("robot_command_port", 99999),
+    ])
+    def test_ports_rejected(self, field, port):
+        with pytest.raises(ValueError, match=field):
+            BridgeConfig(**{field: port})
+
     def test_stats_period_positive(self):
         with pytest.raises(ValueError):
             BridgeConfig(stats_period_s=0)
@@ -310,6 +318,16 @@ class TestBridgeLive:
         with pytest.raises(TypeError):
             Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus)
         gc.collect()  # a socket left open warns when it is collected
+
+    def test_set_robot_address_checks_the_port(self):
+        bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
+        try:
+            for port in (0, 65536, 99999):
+                with pytest.raises(ValueError, match="port"):
+                    bridge.set_robot_address("127.0.0.1", port)
+            bridge.set_robot_address("127.0.0.1", 1)
+        finally:
+            bridge.stop()
 
     def test_command_forward_wire_format(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as robot_side:

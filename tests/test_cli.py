@@ -203,6 +203,31 @@ class TestMainExitCodes:
         assert "--duration" in capsys.readouterr().err
         gc.collect()  # a socket left open warns when it is collected
 
+    @pytest.mark.parametrize("argv, field", [
+        (["robot", "--image-port", "99999", "--motion-port", "70000", "--command-port", "0"],
+         "image_port"),
+        (["robot", "--motion-port", "0", "--command-port", "0"], "motion_port"),
+        (["robot", "--command-port", "99999"], "command_port"),
+        (["robot", "--command-port", "80"], "command_port"),
+        (["bridge", "--image-port", "99999", "--motion-port", "0"], "image_port"),
+        (["bridge", "--image-port", "0", "--motion-port", "0", "--robot", "127.0.0.1:99999"],
+         "robot_command_port"),
+        (["bridge", "--image-port", "0", "--motion-port", "0", "--robot", "127.0.0.1:0"],
+         "robot_command_port"),
+    ])
+    def test_bad_port_is_usage_error_and_opens_no_socket(self, capsys, argv, field):
+        assert main([*argv, "--duration", "0.3"]) == 1
+        assert field in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
+
+    def test_record_bad_port_is_usage_error_and_writes_no_log(self, capsys, tmp_path):
+        p = tmp_path / "x.nbl"
+        assert main(["record", str(p), "--image-port", "99999", "--motion-port", "0",
+                     "--duration", "0.1"]) == 1
+        assert "image_port" in capsys.readouterr().err
+        assert not p.exists()
+        gc.collect()  # a socket left open warns when it is collected
+
     def test_bench_loopback_fps_out_of_range_opens_no_socket(self, capsys):
         assert main(["bench", "--loopback", "--fps", "61", "--duration", "0.1"]) == 1
         assert "fps" in capsys.readouterr().err

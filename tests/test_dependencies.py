@@ -2,7 +2,8 @@
 checked by importing each module in a fresh interpreter.
 
 It runs on the standard library plus numpy, numpy stays at the edges, each
-module loads only what it imports, and only ``wire`` orders seqs.
+module loads only what it imports, only ``wire`` orders seqs, and no module
+imports a name it never uses.
 """
 
 import ast
@@ -95,3 +96,28 @@ def test_only_wire_orders_seqs():
                         and not (_is_constant(left) or _is_constant(right))):
                     offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.parent.name}/{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """No module of the package, the tests or the demos imports a name it never
+    reads (pyflakes' F401, without pyflakes). A name read only inside a string
+    annotation counts as unused."""
+    paths = [*Path(nbpk.__file__).parent.glob("*.py"), *(REPO / "tests").glob("*.py"),
+             *(REPO / "demos").glob("*.py")]
+    assert len(paths) > 20
+    assert [hit for path in sorted(paths) for hit in _unused_imports(path)] == []

@@ -23,9 +23,13 @@ from nbpk.wire import (
     HEADER_SIZE,
     Image,
     InvariantError,
+    MotionReading,
+    MotionRequest,
     PacketHeader,
     PacketKind,
     StreamId,
+    encode_motion,
+    encode_request,
 )
 
 
@@ -117,6 +121,38 @@ class TestGoldenBytes:
         assert start[:HEADER_SIZE].hex() == (
             "4e42504b" "01" "01" "01" "00" "07000000" "0000" "0300" "0c00" "15cd5b0700000000")
         assert start[:HEADER_SIZE] == self.header(1, 7, 0, 3, 12, 123456789)
+
+
+    @staticmethod
+    def single_header(stream, seq, payload_len, timestamp_us):
+        # magic, version 1, stream, kind SINGLE = 0, flags 0, seq u32,
+        # frag_index 0, frag_count 0, payload_len u16, timestamp_us u64
+        return struct.pack("<4sBBBBIHHHQ", b"NBPK", 1, stream, 0, 0, seq, 0, 0,
+                           payload_len, timestamp_us)
+
+    def test_motion_single_datagram(self):
+        reading = MotionReading(positions=(0.5, -1.0), gyro=(0.0, 0.0, 0.25),
+                                accel=(0.0, 0.0, -2.0), torso_angle=(0.125, 0.0),
+                                velocity=(1.0, 0.0, -0.5))
+        sent = packetize_single(encode_motion(reading), StreamId.MOTION, seq=5,
+                                timestamp_us=1000).to_bytes()
+        # payload: joint_count u8, reserved u8, positions, gyro, accel,
+        # torso_angle, velocity, each an f32
+        payload = bytes([2, 0]) + struct.pack("<13f", 0.5, -1.0, 0.0, 0.0, 0.25, 0.0, 0.0, -2.0,
+                                              0.125, 0.0, 1.0, 0.0, -0.5)
+        assert len(payload) == 2 + 4 * 2 + 44
+        assert sent == self.single_header(2, 5, 54, 1000) + payload
+        assert sent[:HEADER_SIZE].hex() == (
+            "4e42504b" "01" "02" "00" "00" "05000000" "0000" "0000" "3600" "e803000000000000")
+
+    def test_walk_command_datagram(self):
+        sent = packetize_single(encode_request(MotionRequest.walk(0.5, omega=-0.25)),
+                                StreamId.COMMAND, seq=3, timestamp_us=17).to_bytes()
+        # payload: mode WALK = 1, action_id 0, vx, vy, omega as f32 (FORMAT.md's example)
+        payload = bytes.fromhex("01" "00" "0000003f" "00000000" "000080be")
+        assert payload == struct.pack("<BBfff", 1, 0, 0.5, 0.0, -0.25)
+        assert sent == self.single_header(3, 3, 14, 17) + payload
+
 
 
 class TestReassembler:

@@ -7,14 +7,11 @@ same bytes), or a ``WireError`` of the same subclass. About 66,000 cases.
 """
 
 import random
-import struct
 
 from oracles import decode_header_reference, encode_header_reference
 
 from nbpk.wire import (
     HEADER_SIZE,
-    BadVersionError,
-    InvariantError,
     PacketHeader,
     PacketKind,
     StreamId,
@@ -30,17 +27,6 @@ def outcome(fn, arg):
         return True, fn(arg)
     except WireError as exc:
         return False, type(exc)
-
-
-def encode_reference_outcome(h: PacketHeader):
-    """The reference codec's outcome, with the one place it is allowed to differ
-    mapped to the library's verdict: a non-int ``version`` or ``flags`` equal
-    to the valid value passes its checks and then ``struct.pack`` rejects it,
-    where the library raises the matching ``WireError``."""
-    try:
-        return outcome(encode_header_reference, h)
-    except struct.error:
-        return False, InvariantError if isinstance(h.version, int) else BadVersionError
 
 
 def assert_agree(lean, reference, arg):
@@ -78,9 +64,6 @@ def odd_header(rng: random.Random) -> PacketHeader:
         frag_count=field_value(rng, 16),
         payload_len=field_value(rng, 16),
         timestamp_us=field_value(rng, 64),
-        # a rejected flags value must be an int: the reference formats it with ``:#x``
-        flags=rng.choice((0, 0, 0, 1, 0x80, -1, False, 0.0)),
-        version=rng.choice((1, 1, 1, 0, 2, 1.0, True)),
     )
 
 
@@ -88,7 +71,7 @@ def test_encode_agrees_with_reference_on_valid_and_odd_headers():
     rng = random.Random(0x5EED)
     for make in [valid_header] * 4000 + [odd_header] * 12000:
         h = make(rng)
-        assert_agree(outcome(encode_header, h), encode_reference_outcome(h), h)
+        assert_agree(outcome(encode_header, h), outcome(encode_header_reference, h), h)
 
 
 def test_decode_agrees_with_reference_on_random_bytes():

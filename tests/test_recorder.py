@@ -38,7 +38,6 @@ from nbpk.robotsim import WalkState, gen_motion, gen_test_image
 from nbpk.wire import (
     BadMagicError,
     BadVersionError,
-    Encoding,
     Image,
     MotionRequest,
     StreamId,
@@ -62,7 +61,7 @@ def sample_messages(n_frames=5, width=32, height=24):
     for i in range(n_frames):
         img = gen_test_image(i, width, height)
         out.append(Image(width=img.width, height=img.height, pixels=img.pixels,
-                         encoding=img.encoding, seq=i, timestamp_us=i * 33_333))
+                         seq=i, timestamp_us=i * 33_333))
         out.append(gen_motion(i, i * 0.01, walk))
     return out
 
@@ -84,12 +83,53 @@ class TestLogFile:
         assert raw == struct.pack("<BBIQ", 2, 0, 2, 7) + b"\xaa\xbb"
         assert len(raw) == RECORD_HEADER_SIZE + 2
 
+    def test_image_record_golden_bytes(self, tmp_path):
+        # built by hand from FORMAT.md: the record header, then the 12-byte
+        # START metadata (encoding 1 = YUV422, reserved 0), then the pixels
+        p = tmp_path / "a.nbl"
+        img = replace(gen_test_image(7, 32, 24), timestamp_us=123456789)
+        assert record_messages([img], p, epoch_us=0) == 1
+        meta = struct.pack("<IHHBBH", 1536, 32, 24, 1, 0, 1400)
+        assert meta.hex() == "00060000" "2000" "1800" "01" "00" "7805"
+        assert p.read_bytes() == (b"NBLG\x01\x00\x00\x00" + bytes(8)
+                                  + struct.pack("<BBIQ", 1, 0, 12 + 1536, 123456789)
+                                  + meta + img.pixels)
+
     def test_restart_flag_is_bit_0_of_the_reserved_byte(self, tmp_path):
         p = tmp_path / "a.nbl"
         with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.MOTION, 9, b"\xbb")
             w.write(StreamId.MOTION, 7, b"\xaa", restart=True)
-        assert p.read_bytes()[LOG_HEADER_SIZE:] == struct.pack("<BBIQ", 2, 1, 1, 7) + b"\xaa"
-        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 7, b"\xaa", restart=True)]
+        assert p.read_bytes()[LOG_HEADER_SIZE:] == (struct.pack("<BBIQ", 2, 0, 1, 9) + b"\xbb"
+                                                    + struct.pack("<BBIQ", 2, 1, 1, 7) + b"\xaa")
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 9, b"\xbb"),
+                                     LogRecord(StreamId.MOTION, 7, b"\xaa", restart=True)]
+
+    @pytest.mark.parametrize("stream_id", [0, 4, 9, 255])
+    def test_write_rejects_an_unknown_stream_and_writes_nothing(self, tmp_path, stream_id):
+        # such a record would read back as Truncated and hide every later one
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.MOTION, 1, b"a")
+            with pytest.raises(ValueError):
+                w.write(stream_id, 2, b"b")
+            w.write(StreamId.MOTION, 3, b"c")
+            assert w.records_written == 2
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, b"a"),
+                                     LogRecord(StreamId.MOTION, 3, b"c")]
+
+    def test_write_rejects_restart_on_a_streams_first_record(self, tmp_path):
+        # there is no earlier sender run for the flag to end, and replay could not keep it
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.IMAGE, 5, b"i")
+            with pytest.raises(ValueError):
+                w.write(StreamId.MOTION, 7, b"m", restart=True)
+            w.write(StreamId.MOTION, 8, b"n")
+            w.write(StreamId.MOTION, 2, b"o", restart=True)
+            assert w.records_written == 3
+        assert [(r.stream_id, r.restart) for r in read_log(p)] == [
+            (StreamId.IMAGE, False), (StreamId.MOTION, False), (StreamId.MOTION, True)]
 
     def test_empty_log_is_valid(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -163,6 +203,13 @@ class TestLogFile:
                 w.write(StreamId.IMAGE, 4, b"w")
         # the rejected records left no partial bytes behind
         assert len(list(read_log(p))) == 4
+
+    def test_negative_timestamp_on_a_streams_first_record_rejected(self, tmp_path):
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            with pytest.raises(ValueError, match="non-decreasing"):
+                w.write(StreamId.MOTION, -1, b"x")
+        assert list(read_log(p)) == []
 
     def test_record_messages_flags_a_sender_restart(self, tmp_path):
         # seq 100-119, then the sender restarts: seq 0-9 on a clock starting over
@@ -451,8 +498,7 @@ def make_yuyv(width, height, quads):
     """Tile (y0, u, y1, v) quads across a frame."""
     row = b"".join(bytes(q) for q in quads)
     assert len(row) == width * 2
-    return Image(width=width, height=height, pixels=row * height,
-                 encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+    return Image(width=width, height=height, pixels=row * height, seq=0, timestamp_us=0)
 
 
 class TestYuvConversion:
@@ -482,8 +528,7 @@ class TestYuvConversion:
         assert tuple(rgb[0, 1]) == yuv_to_rgb_scalar(y1, u, v)
 
     def test_odd_width_rejected(self):
-        img = Image(width=3, height=1, pixels=b"\x80" * 6,
-                    encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+        img = Image(width=3, height=1, pixels=b"\x80" * 6, seq=0, timestamp_us=0)
         with pytest.raises(ValueError):
             yuv422_to_rgb(img)
 
@@ -506,8 +551,7 @@ class TestYuvExactness:
         quads[:, :, 3] = ys[:, None]
         for u in range(256):
             quads[:, :, 1] = u
-            img = Image(width=512, height=256, pixels=quads.tobytes(),
-                        encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+            img = Image(width=512, height=256, pixels=quads.tobytes(), seq=0, timestamp_us=0)
             got, want = yuv422_to_rgb(img), yuv422_to_rgb_reference(img)
             assert np.array_equal(got, want), f"U={u}: {np.count_nonzero(got != want)} bytes differ"
 
@@ -515,8 +559,7 @@ class TestYuvExactness:
     def test_random_frames(self, width, height):
         rng = np.random.default_rng(width * 1000 + height)
         pixels = rng.integers(0, 256, size=width * height * 2, dtype=np.uint8).tobytes()
-        img = Image(width=width, height=height, pixels=pixels,
-                    encoding=Encoding.YUV422, seq=0, timestamp_us=0)
+        img = Image(width=width, height=height, pixels=pixels, seq=0, timestamp_us=0)
         got = yuv422_to_rgb(img)
         assert got.shape == (height, width, 3) and got.dtype == np.uint8
         assert np.array_equal(got, yuv422_to_rgb_reference(img))

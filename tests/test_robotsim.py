@@ -231,6 +231,19 @@ class TestRobotConfig:
                 RobotConfig(frag_payload=frag_payload)
 
 
+    @pytest.mark.parametrize("field, port", [
+        ("image_port", 0), ("image_port", 65536), ("motion_port", 0), ("motion_port", 70000),
+        ("command_port", 80), ("command_port", 99999), ("command_port", -1),
+    ])
+    def test_ports_rejected(self, field, port):
+        with pytest.raises(ValueError, match=field):
+            RobotConfig(**{field: port})
+
+    def test_ports_accepted(self):
+        RobotConfig(image_port=1, motion_port=65535, command_port=0)  # destinations, ephemeral bind
+        RobotConfig(command_port=1024)
+
+
 class TestRobotSimLive:
     def _receivers(self):
         image_in = UdpEndpoint(EndpointConfig(bind_host="127.0.0.1"))
