@@ -54,12 +54,13 @@ def _check_size(payload_len: int, datagram_len: int) -> None:
 
 
 class Packet(namedtuple("Packet", "header payload")):
-    """One datagram: validated header plus payload bytes.
+    """One datagram: validated header plus its payload.
 
     Every way to get a Packet checks it exactly once: the constructor and
     :meth:`from_bytes` run the header validator and the size checks, and
     ``packetize_image`` checks a frame's START and derives its fragments
-    from it. So :meth:`to_bytes` only packs.
+    from it. So :meth:`to_bytes` only packs. The payload of a fragment or of
+    a parsed datagram is a read-only view over immutable ``bytes``.
     """
 
     __slots__ = ()
@@ -82,7 +83,7 @@ class Packet(namedtuple("Packet", "header payload")):
     def from_bytes(cls, b: bytes) -> "Packet":
         header = decode_header(b)
         _check_size(header.payload_len, len(b))
-        return _tuple_new(cls, (header, bytes(b[HEADER_SIZE:])))
+        return _tuple_new(cls, (header, memoryview(bytes(b))[HEADER_SIZE:]))
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -145,11 +146,11 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     """Split an image into one START packet plus its fragments.
 
     Fragment ``i`` carries pixel bytes ``[i*frag_payload, (i+1)*frag_payload)``
-    (the last one may be shorter). All packets share the image's seq and
-    timestamp.
+    (the last one may be shorter) as a view of ``bytes(img.pixels)``, so no
+    packet aliases a mutable buffer. All packets share the image's seq and timestamp.
     """
     check_frag_payload(frag_payload)
-    data = img.pixels
+    data = memoryview(bytes(img.pixels))
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
     meta = ImageStartMeta(len(data), img.width, img.height, frag_payload)
@@ -179,9 +180,9 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
 
 
 class _Slot:
-    """One in-flight frame."""
+    """One in-flight frame; ``chunks`` holds each stored fragment payload, uncopied."""
 
-    __slots__ = ("seq", "meta", "frag_payload", "frag_count", "last_len", "buffer", "missing",
+    __slots__ = ("seq", "meta", "frag_payload", "frag_count", "last_len", "chunks",
                  "remaining", "timestamp_us")
 
     def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int):
@@ -191,8 +192,7 @@ class _Slot:
         self.frag_count = meta.frag_count
         # every fragment but the last carries frag_payload bytes
         self.last_len = meta.total_len - (meta.frag_count - 1) * meta.frag_payload
-        self.buffer = bytearray(meta.total_len)
-        self.missing = [True] * meta.frag_count
+        self.chunks = [None] * meta.frag_count
         self.remaining = meta.frag_count
         self.timestamp_us = timestamp_us
 
@@ -232,13 +232,11 @@ class Reassembler:
                 or n != (slot.frag_payload if index < slot.frag_count - 1 else slot.last_len)):
             stats.orphan_fragments += 1
             return Orphan(seq=seq, frag_index=index)
-        missing = slot.missing
-        if not missing[index]:
+        chunks = slot.chunks
+        if chunks[index] is not None:
             stats.duplicate_fragments += 1
             return Duplicate(seq=seq, frag_index=index)
-        offset = index * slot.frag_payload
-        slot.buffer[offset:offset + n] = payload
-        missing[index] = False
+        chunks[index] = payload
         slot.remaining -= 1
         if slot.remaining:
             return None
@@ -272,5 +270,5 @@ class Reassembler:
         self._slot = None
         self._stats.frames_complete += 1
         meta = slot.meta
-        return ImageComplete(image=Image(meta.width, meta.height, bytes(slot.buffer), slot.seq,
+        return ImageComplete(image=Image(meta.width, meta.height, b"".join(slot.chunks), slot.seq,
                                          slot.timestamp_us))

@@ -135,11 +135,13 @@ class LogWriter:
             raise ValueError(f"unknown stream id {stream_id!r}")
         if restart and stream_id not in self._last_ts:
             raise ValueError(f"restart on the first record of stream {stream_id!r}")
-        if not restart and timestamp_us < self._last_ts.get(stream_id, 0):
-            raise ValueError(
-                f"timestamps must be non-decreasing per stream: "
-                f"{timestamp_us} after {self._last_ts.get(stream_id, 0)}"
-            )
+        floor = self._last_ts.get(stream_id, 0)
+        if not restart and timestamp_us < floor:
+            raise ValueError(f"timestamps must be non-decreasing per stream: {timestamp_us} after {floor}")
+        if not (isinstance(timestamp_us, int) and 0 <= timestamp_us < 1 << 64):
+            raise ValueError(f"timestamp_us must be an int in [0, 2**64), got {timestamp_us!r}")
+        if len(payload) >= 1 << 32:
+            raise ValueError(f"a payload of {len(payload)} bytes overflows the u32 length field")
         start = self._f.tell()
         try:
             self._f.write(_RECORD_HEADER.pack(stream_id, RESTART if restart else 0,

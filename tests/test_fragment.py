@@ -1,5 +1,6 @@
 import itertools
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -339,6 +340,67 @@ class TestReassembler:
         for p in image_packets(seq=1):
             rx.step(p)
         assert snap.frames_complete == 0
+
+
+def peak_allocation(work) -> int:
+    """Peak bytes that ``work()`` holds allocated at once, by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestCopyPolicy:
+    """Each pixel byte is copied once per frame, where the frame becomes whole;
+    no packet aliases a buffer that can change under it."""
+
+    def test_packets_do_not_alias_mutable_pixels(self):
+        pixels = bytearray(gen_test_image(4, 32, 24).pixels)
+        pkts = packetize_image(Image(32, 24, pixels, seq=4), 256)
+        sent = [p.to_bytes() for p in pkts]
+        pixels[:] = bytes(len(pixels))
+        assert [p.to_bytes() for p in pkts] == sent
+
+    def test_parsed_packets_do_not_alias_mutable_datagrams(self):
+        img = gen_test_image(4, 32, 24)
+        datagrams = [bytearray(p.to_bytes()) for p in packetize_image(img, 256)]
+        pkts = [Packet.from_bytes(d) for d in datagrams]
+        parsed = [p.to_bytes() for p in pkts]
+        for d in datagrams:
+            d[HEADER_SIZE:] = bytes(len(d) - HEADER_SIZE)
+        assert [p.to_bytes() for p in pkts] == parsed
+        rx = Reassembler()
+        assert [rx.step(p) for p in pkts][-1] == ImageComplete(img)
+
+    @staticmethod
+    def budget(packets):
+        """Feed one frame's ``packets()`` to a reassembler under tracemalloc:
+        the image and the peak allocation as a multiple of its pixel bytes."""
+        rx = Reassembler()
+        events = []
+        peak = peak_allocation(lambda: events.extend(rx.step(p) for p in packets()))
+        image = events[-1].image
+        return image, peak / len(image.pixels)
+
+    def test_packetize_then_reassemble_copies_the_pixels_once(self):
+        img = gen_test_image(9)  # 320x240, 111 datagrams
+        image, share = self.budget(lambda: packetize_image(img))
+        assert image == img and type(image.pixels) is bytes
+        assert share < 1.5
+
+    def test_parse_then_reassemble_copies_the_pixels_once(self):
+        img = gen_test_image(9)
+        datagrams = [p.to_bytes() for p in packetize_image(img)]
+        image, share = self.budget(lambda: map(Packet.from_bytes, datagrams))
+        assert image == img and type(image.pixels) is bytes
+        assert share < 1.5
 
 
 class TestLossOutcomesAgainstOracle:

@@ -211,6 +211,30 @@ class TestLogFile:
                 w.write(StreamId.MOTION, -1, b"x")
         assert list(read_log(p)) == []
 
+    @pytest.mark.parametrize("timestamp_us, restart", [(2**64, False), (1.5, False),
+                                                       (-1, True)])
+    def test_timestamp_outside_u64_rejected_and_nothing_written(self, tmp_path, timestamp_us,
+                                                                restart):
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.MOTION, 1, b"a")
+            with pytest.raises(ValueError):
+                w.write(StreamId.MOTION, timestamp_us, b"x", restart=restart)
+            assert w.records_written == 1
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, b"a")]
+
+    def test_payload_of_4_gib_rejected_and_nothing_written(self, tmp_path):
+        class Huge(bytes):  # claims the length of a payload u32 cannot hold
+            def __len__(self):
+                return 2**32
+
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.IMAGE, 1, b"a")
+            with pytest.raises(ValueError):
+                w.write(StreamId.IMAGE, 2, Huge(b"x"))
+        assert list(read_log(p)) == [LogRecord(StreamId.IMAGE, 1, b"a")]
+
     def test_record_messages_flags_a_sender_restart(self, tmp_path):
         # seq 100-119, then the sender restarts: seq 0-9 on a clock starting over
         p = tmp_path / "a.nbl"
