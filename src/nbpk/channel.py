@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import select
 import socket
 import threading
 import time
@@ -80,7 +81,8 @@ class UdpEndpoint:
         except OSError:
             self._sock.close()
             raise
-        self._timeout = self._sock.gettimeout()
+        self._readable = select.poll()
+        self._readable.register(self._sock, select.POLLIN)
 
     @property
     def local_port(self) -> int:
@@ -91,18 +93,17 @@ class UdpEndpoint:
             raise ValueError(f"datagram of {len(data)} bytes exceeds UDP maximum {UDP_MAX_DATAGRAM}")
         self._sock.sendto(data, addr)
 
-    def recv(self, timeout: Optional[float] = None) -> Optional[tuple[bytes, tuple[str, int]]]:
-        """Receive one whole datagram; returns None on timeout.
+    def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
+        """One whole datagram, or None if none arrives within ``timeout`` seconds.
 
-        The buffer holds the largest IPv4 UDP payload, so nothing is cut.
+        A queued datagram costs one non-blocking read; only an empty socket is
+        waited on, and sends still block. No IPv4 UDP payload is cut.
         """
-        if timeout != self._timeout:
-            self._sock.settimeout(timeout)
-            self._timeout = timeout
         try:
-            return self._sock.recvfrom(UDP_MAX_DATAGRAM)
-        except socket.timeout:
-            return None
+            return self._sock.recv(UDP_MAX_DATAGRAM, socket.MSG_DONTWAIT)
+        except BlockingIOError:  # empty: wait until readable, then read without waiting
+            ready = self._readable.poll(None if timeout is None else timeout * 1000)
+        return self.recv(0) if ready else None
 
     def close(self) -> None:
         self._sock.close()
@@ -161,15 +162,15 @@ class Service:
         """Each valid packet of ``stream`` and one of ``kinds`` from ``endpoint``.
 
         A port of SINGLEs (whole messages) passes its ``order``, which drops
-        stale ones. Only valid packets come out; the wait for one wakes every
-        0.1 s to see whether the service stopped, and the generator ends then.
+        stale ones. Only valid packets come out. The socket is drained without
+        a wait; an empty one is waited on for up to 0.1 s, to see a stop.
         """
         while not self._stop.is_set():
             try:
-                got = endpoint.recv(timeout=0.1)
-                if got is None:
+                datagram = endpoint.recv(timeout=0.1)
+                if datagram is None:
                     continue
-                pkt = Packet.from_bytes(got[0])
+                pkt = Packet.from_bytes(datagram)
             except WireError:
                 self.malformed_packets += 1
                 continue

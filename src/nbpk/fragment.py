@@ -16,6 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from .wire import _HEADER, _KINDS, _STREAM_IDS, MAGIC, WIRE_VERSION  # the accept in from_bytes
 from .wire import (
     HEADER_SIZE,
     UDP_MAX_DATAGRAM,
@@ -38,7 +39,8 @@ from .wire import (
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
-_FRAGMENT = PacketKind.FRAGMENT.value
+_START, _FRAGMENT = PacketKind.START.value, PacketKind.FRAGMENT.value
+_NO_HEADER = (None,) * 10  # what a datagram shorter than a header unpacks to
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
 
 
@@ -81,8 +83,20 @@ class Packet(namedtuple("Packet", "header payload")):
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "Packet":
-        header = decode_header(b)
-        _check_size(header.payload_len, len(b))
+        """Parse one datagram: one ``unpack_from`` and one test of every rule
+        that ``decode_header`` and the size checks apply. A datagram that
+        fails it goes through them, which raise the classified ``WireError``."""
+        n = len(b)
+        magic, version, stream, kind, flags, seq, index, count, size, ts = (
+            _HEADER.unpack_from(b) if n >= HEADER_SIZE else _NO_HEADER)
+        stream_, kind_ = _STREAM_IDS.get(stream), _KINDS.get(kind)
+        if (magic == MAGIC and version == WIRE_VERSION and flags == 0 and stream_ is not None
+                and kind_ is not None and size == n - HEADER_SIZE and n <= UDP_MAX_DATAGRAM
+                and (index < count if kind == _FRAGMENT else index == 0 and (count > 0) == (kind == _START))):
+            header = _tuple_new(PacketHeader, (stream_, kind_, seq, index, count, size, ts))
+        else:
+            header = decode_header(b)
+            _check_size(header.payload_len, n)
         return _tuple_new(cls, (header, memoryview(bytes(b))[HEADER_SIZE:]))
 
 

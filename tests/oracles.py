@@ -140,6 +140,17 @@ def decode_header_reference(b: bytes) -> PacketHeader:
     return h
 
 
+def decode_packet_reference(b: bytes) -> tuple[PacketHeader, bytes]:
+    """A whole datagram: the reference header, then FORMAT.md's size rule
+    (exactly ``payload_len`` bytes follow, and the datagram fits IPv4 UDP)."""
+    h = decode_header_reference(b)
+    if len(b) != _HEADER_LAYOUT.size + h.payload_len:
+        raise InvariantError(f"header announces {h.payload_len} payload bytes, got {len(b) - _HEADER_LAYOUT.size}")
+    if len(b) > 65507:
+        raise InvariantError(f"datagram of {len(b)} bytes exceeds the IPv4 UDP maximum")
+    return h, bytes(b[_HEADER_LAYOUT.size:])
+
+
 def frame_outcomes(frame_packet_counts: list[int], survived: list[bool]) -> list[bool]:
     """Which frames complete, for an in-order lossy stream.
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import time
 
 import pytest
@@ -17,7 +18,7 @@ from nbpk.bridge import (
     TopicBus,
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.fragment import packetize_image, packetize_single
+from nbpk.fragment import Packet, Reassembler, packetize_image, packetize_single
 from nbpk.robotsim import gen_test_image, image_ok
 from nbpk.wire import (
     HEADER_SIZE,
@@ -106,8 +107,6 @@ class TestTopicBus:
         assert sub.get(timeout=0) is None
 
     def test_blocking_get_wakes_on_publish(self):
-        import threading
-
         bus = TopicBus()
         sub = bus.subscribe("t", BoundedFifo(1))
         got = []
@@ -140,6 +139,25 @@ class TestBridgeConfig:
     def test_stats_period_positive(self):
         with pytest.raises(ValueError):
             BridgeConfig(stats_period_s=0)
+
+
+def off_contract_datagrams(bridge: Bridge) -> list[tuple[bytes, int]]:
+    """One datagram (and the bridge port it goes to) of each class that breaks
+    the wire contract: six in all."""
+    # motion travels one sample per SINGLE: a valid START/FRAGMENT pair
+    # on the motion port is off-contract, as is a motion SINGLE sent to
+    # the image port; images travel as START/FRAGMENT, so an image
+    # SINGLE on the image port is off-contract too
+    motion_frame = [p._replace(header=p.header._replace(stream_id=StreamId.MOTION))
+                    for p in packetize_image(gen_test_image(0, 16, 8))]
+    assert [p.header.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
+    motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
+                                     seq=0, timestamp_us=0)
+    image_single = packetize_single(b"\x00" * 16, StreamId.IMAGE, seq=0, timestamp_us=0)
+    return [(b"garbage", bridge.image_port), (b"\x00" * 40, bridge.motion_port),
+            *[(p.to_bytes(), bridge.motion_port) for p in motion_frame],
+            (motion_single.to_bytes(), bridge.image_port),
+            (image_single.to_bytes(), bridge.image_port)]
 
 
 def make_pair(**scenario_kwargs):
@@ -266,23 +284,9 @@ class TestBridgeLive:
     def test_malformed_packets_counted_not_fatal(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
         bridge.start()
-        # motion travels one sample per SINGLE: a valid START/FRAGMENT pair
-        # on the motion port is off-contract, as is a motion SINGLE sent to
-        # the image port; images travel as START/FRAGMENT, so an image
-        # SINGLE on the image port is off-contract too
-        motion_frame = [p._replace(header=p.header._replace(stream_id=StreamId.MOTION))
-                        for p in packetize_image(gen_test_image(0, 16, 8))]
-        assert [p.header.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
-        motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
-                                         seq=0, timestamp_us=0)
-        image_single = packetize_single(b"\x00" * 16, StreamId.IMAGE, seq=0, timestamp_us=0)
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
-            tx.send_to(b"garbage", ("127.0.0.1", bridge.image_port))
-            tx.send_to(b"\x00" * 40, ("127.0.0.1", bridge.motion_port))
-            for pkt in motion_frame:
-                tx.send_to(pkt.to_bytes(), ("127.0.0.1", bridge.motion_port))
-            tx.send_to(motion_single.to_bytes(), ("127.0.0.1", bridge.image_port))
-            tx.send_to(image_single.to_bytes(), ("127.0.0.1", bridge.image_port))
+            for datagram, port in off_contract_datagrams(bridge):
+                tx.send_to(datagram, ("127.0.0.1", port))
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline and bridge.malformed_packets < 6:
             time.sleep(0.02)
@@ -292,6 +296,98 @@ class TestBridgeLive:
         assert snap.frames_published == 0
         assert snap.motion.frames_complete == 0
         assert snap.motions_published == 0
+
+    def test_a_backlog_is_drained_in_order(self):
+        # the first wake-up finds frames and every off-contract class queued,
+        # interleaved, some between a frame's START and its FRAGMENT
+        bus = TopicBus()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
+        bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus)
+        frames = [[(p.to_bytes(), bridge.image_port) for p in packetize_image(gen_test_image(seq, 16, 8))]
+                  for seq in (5, 6, 7)]
+        bad = off_contract_datagrams(bridge)
+        queued = [*frames[0][:1], *bad[:2], *frames[0][1:], *bad[2:4], *frames[1],
+                  *frames[2][:1], *bad[4:], *frames[2][1:]]
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+            for datagram, port in queued:
+                tx.send_to(datagram, ("127.0.0.1", port))
+        with bridge:
+            got = []
+            deadline = time.monotonic() + 2.0
+            while len(got) < 3 and time.monotonic() < deadline:
+                frame = sub.get(timeout=0.05)
+                if frame is not None:
+                    got.append(frame)
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and bridge.malformed_packets < len(bad):
+                time.sleep(0.02)
+            time.sleep(0.1)  # long enough for a miscount past the total to show
+            snap = bridge.stats()
+        assert [f.image.seq for f in got] == [5, 6, 7]
+        assert all(image_ok(f.image) for f in got)
+        assert snap.malformed_packets == len(bad) == 6
+        assert snap.frames_published == 3
+
+    def test_stop_is_seen_under_a_flood(self):
+        bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
+        datagrams = [p.to_bytes() for p in packetize_image(gen_test_image(1, 32, 24))]
+        port = bridge.image_port
+        flooding = threading.Event()
+        done = threading.Event()
+
+        def flood():
+            with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+                while not done.is_set():
+                    for d in datagrams:
+                        tx.send_to(d, ("127.0.0.1", port))
+                    flooding.set()
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        bridge.start()
+        flooder.start()
+        try:
+            assert flooding.wait(2.0)
+            time.sleep(0.3)
+            t0 = time.monotonic()
+            bridge.stop()
+            took = time.monotonic() - t0
+        finally:
+            done.set()
+            flooder.join(timeout=5.0)
+        assert bridge.stats().image.bytes_received > 10 * sum(map(len, datagrams))  # it was busy
+        assert took < 0.5
+        assert not any(t.is_alive() for t in bridge._threads)
+
+    def test_receive_path_looks_up_its_calls_per_datagram(self, monkeypatch):
+        # a tracer wraps Packet.from_bytes and Reassembler.step on their
+        # classes while a bridge runs, and must then see every datagram
+        bus = TopicBus()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
+        calls = {"from_bytes": 0, "step": 0}
+        from_bytes, step = Packet.from_bytes, Reassembler.step
+
+        def counting_from_bytes(cls, b):
+            calls["from_bytes"] += 1
+            return from_bytes(b)
+
+        def counting_step(self, pkt):
+            calls["step"] += 1
+            return step(self, pkt)
+
+        frames = [[p.to_bytes() for p in packetize_image(gen_test_image(seq, 32, 24), 256)]
+                  for seq in (2, 3)]
+        with Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"),
+                    bus=bus) as bridge, UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+            for seq, datagrams in zip((2, 3), frames):
+                for d in datagrams:
+                    tx.send_to(d, ("127.0.0.1", bridge.image_port))
+                frame = sub.get(timeout=2.0)
+                assert frame is not None and frame.image.seq == seq
+                if seq == 2:  # the image loop is running: wrap its calls now
+                    monkeypatch.setattr(Packet, "from_bytes", classmethod(counting_from_bytes))
+                    monkeypatch.setattr(Reassembler, "step", counting_step)
+        assert len(frames[1]) == 7
+        assert calls == {"from_bytes": 7, "step": 7}
 
     def test_stop_unsubscribes_from_commands(self):
         bus = TopicBus()
@@ -340,9 +436,8 @@ class TestBridgeLive:
             pkt2 = bridge.command_forward(MotionRequest.walk(0.25))
             assert pkt2.header.seq == 1
             got = robot_side.recv(timeout=2.0)
-            assert got is not None
-            assert got[0] == pkt.to_bytes()
-            req = decode_request(got[0][HEADER_SIZE:])
+            assert got == pkt.to_bytes()
+            req = decode_request(got[HEADER_SIZE:])
             assert req.mode == MotionMode.STAND
             bridge.stop()
 

@@ -164,11 +164,7 @@ class TestUdpEndpoint:
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as rx:
             with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
                 tx.send_to(b"ping", ("127.0.0.1", rx.local_port))
-                got = rx.recv(timeout=2.0)
-                assert got is not None
-                data, addr = got
-                assert data == b"ping"
-                assert addr[0] == "127.0.0.1"
+                assert rx.recv(timeout=2.0) == b"ping"
 
     def test_recv_timeout_returns_none(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as rx:
@@ -185,7 +181,7 @@ class TestUdpEndpoint:
                 finally:
                     sender.join(timeout=5.0)
             assert not sender.is_alive()
-            assert got is not None and got[0] == b"late"
+            assert got == b"late"
 
     def test_bind_on_a_taken_port_closes_the_socket(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as taken:
@@ -208,4 +204,4 @@ class TestUdpEndpoint:
             with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
                 tx.send_to(data, ("127.0.0.1", rx.local_port))
                 got = rx.recv(timeout=2.0)
-        assert got is not None and got[0] == data
+        assert got == data

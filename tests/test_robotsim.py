@@ -267,7 +267,7 @@ class TestRobotSimLive:
             got = image_in.recv(timeout=0.05)
             if got is None:
                 break
-            ev = rx.step(Packet.from_bytes(got[0]))
+            ev = rx.step(Packet.from_bytes(got))
             if isinstance(ev, ImageComplete):
                 completed.append(ev.image.seq)
         assert completed, "no frames survived the loopback"
@@ -278,7 +278,7 @@ class TestRobotSimLive:
             got = motion_in.recv(timeout=0.05)
             if got is None:
                 break
-            pkt = Packet.from_bytes(got[0])
+            pkt = Packet.from_bytes(got)
             assert pkt.header.stream_id == StreamId.MOTION
             assert pkt.header.kind == PacketKind.SINGLE
             reading = decode_motion(pkt.payload, seq=pkt.header.seq)
