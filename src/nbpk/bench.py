@@ -3,8 +3,9 @@
 Two modes. The default composes the sender, the impaired channel, and the
 reassembler in-process on a virtual clock, so runs are deterministic given
 a seed and can be far faster than real time. The loopback mode runs a real
-emulator and bridge over UDP sockets and reports receive-side rates
-(impairment settings do not apply there — the sockets are real).
+emulator and bridge over UDP sockets and reports receive-side rates; it
+applies no impairment, so ``nbpk bench --loopback`` refuses the impairment
+flags. Both modes keep their books in one ``Report``.
 
 Under independent per-packet loss ``p``, a frame of ``n`` packets survives
 only if all of them do, so the expected delivery ratio is ``(1-p)**n``.
@@ -25,15 +26,14 @@ from .bridge import (
     TopicBus,
 )
 from .channel import ImpairmentConfig, StreamImpairer
-from .fragment import ImageComplete, Reassembler, packetize_image
+from .fragment import ImageComplete, Reassembler, StreamStats, packetize_image
 from .robotsim import RobotConfig, RobotSim, gen_test_image, image_ok
-from .wire import DEFAULT_FRAG_PAYLOAD
+from .wire import DEFAULT_FRAG_PAYLOAD, ImageStartMeta
 
 
 def packets_per_frame(width: int, height: int, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> int:
-    """START packet plus one fragment per ``frag_payload`` slice of pixels."""
-    total = width * height * 2
-    return 1 + (-(-total // frag_payload))
+    """The START packet plus the fragments it announces."""
+    return 1 + ImageStartMeta(width * height * 2, width, height, frag_payload).frag_count
 
 
 def analytic_delivery(loss_p: float, packets_per_frame: int) -> float:
@@ -99,13 +99,25 @@ class Report:
             )
 
 
-def _latency_stats(latencies_us: list[int]) -> tuple[float, float]:
-    if not latencies_us:
-        return 0.0, 0.0
-    ordered = sorted(latencies_us)
-    mean = sum(ordered) / len(ordered)
+def _report(frames_sent: int, latencies_us: list[int], verify_failures: int,
+            stats: StreamStats, expected_ratio: float, seconds: float) -> Report:
+    """One run's books; ``latencies_us`` holds one entry per delivered frame."""
+    delivered = len(latencies_us)
+    ordered = sorted(latencies_us) or [0]  # no frame: both latencies read 0
     rank = max(0, math.ceil(0.95 * len(ordered)) - 1)  # nearest-rank 95th percentile
-    return mean, float(ordered[rank])
+    return Report(
+        frames_sent=frames_sent,
+        frames_delivered=delivered,
+        delivery_ratio=delivered / frames_sent if frames_sent else 0.0,
+        expected_ratio=expected_ratio,
+        mean_latency_us=sum(ordered) / len(ordered),
+        p95_latency_us=float(ordered[rank]),
+        orphan_fragments=stats.orphan_fragments,
+        duplicate_fragments=stats.duplicate_fragments,
+        bytes_on_wire=stats.bytes_received,
+        achieved_fps=delivered / seconds if seconds > 0 else 0.0,
+        verify_failures=verify_failures,
+    )
 
 
 def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
@@ -121,12 +133,10 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     push, step = imp.push, rx.step
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
-    delivered = 0
     verify_failures = 0
 
     def complete(image, t_us):
-        nonlocal delivered, verify_failures
-        delivered += 1
+        nonlocal verify_failures
         latencies.append(t_us - image.timestamp_us)
         if trace_out is not None:
             trace_out.append(image.seq)
@@ -147,21 +157,8 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
         if event.__class__ is ImageComplete:
             complete(event.image, t_us)
 
-    mean_lat, p95_lat = _latency_stats(latencies)
-    stats = rx.stats()
-    return Report(
-        frames_sent=frames_sent,
-        frames_delivered=delivered,
-        delivery_ratio=delivered / frames_sent,
-        expected_ratio=analytic_delivery(cfg.loss_p, s.packets_per_frame),
-        mean_latency_us=mean_lat,
-        p95_latency_us=p95_lat,
-        orphan_fragments=stats.orphan_fragments,
-        duplicate_fragments=stats.duplicate_fragments,
-        bytes_on_wire=stats.bytes_received,
-        achieved_fps=delivered / s.duration_s,
-        verify_failures=verify_failures,
-    )
+    return _report(frames_sent, latencies, verify_failures, rx.stats(),
+                   analytic_delivery(cfg.loss_p, s.packets_per_frame), s.duration_s)
 
 
 def loopback_pair(s: Scenario, bus: Optional[TopicBus] = None) -> tuple[RobotSim, Bridge]:
@@ -180,24 +177,20 @@ def loopback_pair(s: Scenario, bus: Optional[TopicBus] = None) -> tuple[RobotSim
 def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
     """Run emulator→bridge over real UDP loopback for ``s.duration_s``.
 
-    Wall-clock, receive-side measurement; ``s.impairment`` is ignored.
+    Wall-clock, receive-side measurement; no impairment is applied, so the
+    expected ratio is 1 and ``s.impairment`` is ignored.
     After the sender stops, ``settle_s`` of drain time lets in-flight
     frames complete before the books close.
     """
     bus = TopicBus()
     sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(256))
     sim, bridge = loopback_pair(s, bus)
-    delivered = 0
     verify_failures = 0
     latencies: list[int] = []
 
     def drain(block_s: float) -> None:
-        nonlocal delivered, verify_failures
-        while True:
-            frame = sub.get(timeout=block_s)
-            if frame is None:
-                return
-            delivered += 1
+        nonlocal verify_failures
+        while (frame := sub.get(timeout=block_s)) is not None:
             latencies.append(frame.recv_timestamp_us - frame.image.timestamp_us)
             if not image_ok(frame.image):
                 verify_failures += 1
@@ -214,21 +207,6 @@ def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
             drain(0.05)
     drain(0.0)
 
-    frames_sent = sim.images_sent
     elapsed = time.monotonic() - t0 - settle_s
-    stats = bridge.stats()
-    mean_lat, p95_lat = _latency_stats(latencies)
-    return Report(
-        frames_sent=frames_sent,
-        frames_delivered=delivered,
-        delivery_ratio=delivered / frames_sent if frames_sent else 0.0,
-        expected_ratio=1.0,
-        mean_latency_us=mean_lat,
-        p95_latency_us=p95_lat,
-        orphan_fragments=stats.image.orphan_fragments,
-        duplicate_fragments=stats.image.duplicate_fragments,
-        bytes_on_wire=stats.image.bytes_received,
-        achieved_fps=delivered / elapsed if elapsed > 0 else 0.0,
-        verify_failures=verify_failures,
-    )
+    return _report(sim.images_sent, latencies, verify_failures, bridge.stats().image, 1.0, elapsed)
 

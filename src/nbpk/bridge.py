@@ -84,7 +84,8 @@ class Subscription:
             self._cond.notify()
 
     def get(self, timeout: Optional[float] = None) -> Optional[Any]:
-        """Pop the next message, waiting up to ``timeout`` (0: no wait); None if none came."""
+        """Pop the next message, waiting up to ``timeout`` (0: no wait; None: until a
+        message comes or the subscription closes); None if none came."""
         with self._cond:
             self._cond.wait_for(lambda: self._dq or self._closed, timeout)
             if self._dq:
@@ -295,9 +296,10 @@ class Bridge(Service):
         )
 
     def stop(self) -> None:
-        """Stop the loops, close the sockets, then leave ``motion/request``."""
-        super().stop()
+        """Leave ``motion/request``, which ends the command loop, then stop the
+        other loops and close the sockets."""
         self._cmd_sub.close()
+        super().stop()
 
     def command_forward(self, req: MotionRequest) -> Packet:
         """Send one command packet to the robot; returns what went on the wire."""
@@ -341,10 +343,7 @@ class Bridge(Service):
                 self._on_stats(snap)
 
     def _command_loop(self) -> None:
-        while not self._stop.is_set():
-            req = self._cmd_sub.get(timeout=0.1)
-            if req is None:
-                continue
+        while (req := self._cmd_sub.get()) is not None:
             try:
                 self.command_forward(req)
             except (WireError, OSError):

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, TypeVar
 
 from .fragment import Packet
 from .wire import UDP_MAX_DATAGRAM, PacketKind, SeqOrder, StreamId, WireError
@@ -63,7 +63,7 @@ class EndpointConfig:
 
     bind_host: str = "0.0.0.0"
     bind_port: int = 0
-    kernel_buffer: int = 1 << 22
+    kernel_buffer: ClassVar[int] = 1 << 22
 
     def __post_init__(self) -> None:
         check_bind_port("bind_port", self.bind_port)

@@ -176,12 +176,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_prob(name: str, v: float) -> float:
-    if not 0.0 <= v <= 1.0:
-        raise UsageError(f"{name} must lie in [0, 1], got {v}")
-    return v
-
-
 def _check_positive(name: str, v: float) -> float:
     if v <= 0:
         raise UsageError(f"{name} must be positive, got {v}")
@@ -227,7 +221,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None, help="write the JSON report here")
     bench.add_argument("--loopback", action="store_true",
-                       help="real UDP loopback run (impairments ignored)")
+                       help="real UDP loopback run (refuses --loss, --dup and --reorder)")
 
     rec = sub.add_parser("record", help="receive streams and log them")
     rec.add_argument("out", help="log file to write")
@@ -276,7 +270,6 @@ def _config(cls, **fields):
 
 def _bridge_config(args) -> BridgeConfig:
     host, port = _parse_host_port(args.robot, DEFAULT_COMMAND_PORT)
-    _check_positive("--stats-period", args.stats_period)
     return _config(
         BridgeConfig,
         image_port=args.image_port,
@@ -331,15 +324,11 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _check_positive("--duration", args.duration)
-    _check_positive("--fps", args.fps)
-    imp = ImpairmentConfig(
-        loss_p=_check_prob("--loss", args.loss),
-        dup_p=_check_prob("--dup", args.dup),
-        reorder_p=_check_prob("--reorder", args.reorder),
-        seed=args.seed,
-    )
-    scenario = bench_mod.Scenario(duration_s=args.duration, fps=args.fps, impairment=imp)
+    if args.loopback and (args.loss or args.dup or args.reorder):
+        raise UsageError("--loopback sends over real sockets and cannot apply --loss, --dup or --reorder")
+    imp = _config(ImpairmentConfig, loss_p=args.loss, dup_p=args.dup, reorder_p=args.reorder,
+                  seed=args.seed)
+    scenario = _config(bench_mod.Scenario, duration_s=args.duration, fps=args.fps, impairment=imp)
     if args.loopback:
         _config(RobotConfig, fps=args.fps)  # the emulator's bounds
     report = bench_mod.run_loopback(scenario) if args.loopback else bench_mod.run_scenario(scenario)

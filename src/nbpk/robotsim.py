@@ -154,22 +154,20 @@ def apply_command(walk: WalkState, req: MotionRequest, now: float) -> WalkState:
     return replace(walk, target=target, last_command_time=now)
 
 
-def step(walk: WalkState, dt: float, now: float, *,
-         ramp_rate: float = DEFAULT_RAMP_RATE,
-         idle_timeout: float = DEFAULT_IDLE_TIMEOUT_S) -> WalkState:
+def step(walk: WalkState, dt: float, now: float) -> WalkState:
     """Advance the walk model by ``dt`` seconds.
 
-    The current velocity moves toward the target at most ``ramp_rate``
-    per second per component. If no command arrived within
-    ``idle_timeout``, the target is forced to zero first (deadman rule),
-    and the returned state keeps that zeroed target.
+    The current velocity moves toward the target at most
+    ``DEFAULT_RAMP_RATE`` per second per component. If no command arrived
+    within ``DEFAULT_IDLE_TIMEOUT_S``, the target is forced to zero first
+    (deadman rule), and the returned state keeps that zeroed target.
     """
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     target = walk.target
-    if now - walk.last_command_time > idle_timeout:
+    if now - walk.last_command_time > DEFAULT_IDLE_TIMEOUT_S:
         target = (0.0, 0.0, 0.0)
-    max_step = ramp_rate * dt
+    max_step = DEFAULT_RAMP_RATE * dt
     current = tuple(
         c + min(max_step, max(-max_step, t - c))
         for c, t in zip(walk.current, target)
@@ -184,8 +182,7 @@ def step(walk: WalkState, dt: float, now: float, *,
     return replace(walk, target=target, current=current, pose=(x, y, theta))
 
 
-def gen_motion(seq: int, t: float, walk: WalkState,
-               joint_count: int = DEFAULT_JOINT_COUNT) -> MotionReading:
+def gen_motion(seq: int, t: float, walk: WalkState) -> MotionReading:
     """Deterministic motion reading at time ``t`` seconds.
 
     Joints swing on a shared 0.5 Hz sinusoid with a per-joint phase step;
@@ -196,7 +193,7 @@ def gen_motion(seq: int, t: float, walk: WalkState,
     phase = 2.0 * math.pi * SWING_HZ * t
     positions = tuple(
         JOINT_SWING_RAD * math.sin(phase + j * JOINT_PHASE_STEP_RAD)
-        for j in range(joint_count)
+        for j in range(DEFAULT_JOINT_COUNT)
     )
     return MotionReading(
         positions=positions,

@@ -296,8 +296,8 @@ class MotionReading:
         return len(self.positions)
 
     @classmethod
-    def zero(cls, joint_count: int = DEFAULT_JOINT_COUNT) -> "MotionReading":
-        return cls(positions=(0.0,) * joint_count)
+    def zero(cls) -> "MotionReading":
+        return cls(positions=(0.0,) * DEFAULT_JOINT_COUNT)
 
     @staticmethod
     def payload_size(joint_count: int) -> int:

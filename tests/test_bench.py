@@ -15,6 +15,8 @@ from nbpk.bench import (
 )
 from nbpk.channel import ImpairmentConfig
 from nbpk.cli import main
+from nbpk.fragment import MAX_FRAG_PAYLOAD, MIN_FRAG_PAYLOAD, packetize_image
+from nbpk.robotsim import gen_test_image
 
 
 class TestAnalyticModel:
@@ -49,6 +51,15 @@ class TestAnalyticModel:
         assert packets_per_frame(320, 240, 1400) == 111  # 153600 B: 109 full + 1000 B tail
         assert packets_per_frame(64, 48, 1400) == 6
         assert packets_per_frame(64, 48, 6144) == 2  # exactly one full fragment
+
+    @pytest.mark.parametrize("width, height, frag_payload", [
+        *((w, h, fp) for w, h in ((320, 240), (64, 48), (160, 120), (33, 7))
+          for fp in (MIN_FRAG_PAYLOAD, 1400, MAX_FRAG_PAYLOAD)),
+        (320, 240, 1536), (64, 48, 1024), (64, 48, 6144),  # exact divisors of the frame
+    ])
+    def test_packets_per_frame_is_what_the_packetizer_sends(self, width, height, frag_payload):
+        sent = packetize_image(gen_test_image(0, width, height), frag_payload)
+        assert packets_per_frame(width, height, frag_payload) == len(sent)
 
 
 class TestScenario:
@@ -233,3 +244,7 @@ class TestRunLoopback:
         assert r.verify_failures == 0
         assert r.achieved_fps > 15.0
         assert r.mean_latency_us > 0
+        # the image stream's counters: a clean run, and every delivered
+        # frame's 6 packets, headers included, came off the wire
+        assert r.orphan_fragments == r.duplicate_fragments == 0
+        assert r.bytes_on_wire >= r.frames_delivered * (6 * 26 + 12 + 64 * 48 * 2)

@@ -389,6 +389,17 @@ class TestBridgeLive:
         assert len(frames[1]) == 7
         assert calls == {"from_bytes": 7, "step": 7}
 
+    def test_idle_stop_ends_the_command_loop(self):
+        # the command loop waits on its subscription alone, so stop() must close it
+        bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
+        bridge.start()
+        time.sleep(0.3)
+        t0 = time.monotonic()
+        bridge.stop()
+        assert time.monotonic() - t0 < 0.5
+        assert [t.name for t in bridge._threads if t.is_alive()] == []
+        assert "nbpk-bridge-command" in [t.name for t in bridge._threads]
+
     def test_stop_unsubscribes_from_commands(self):
         bus = TopicBus()
         with Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus):

@@ -167,7 +167,7 @@ class TestMainExitCodes:
 
     def test_loss_out_of_range(self, capsys):
         assert main(["bench", "--loss", "1.5", "--duration", "0.1"]) == 1
-        assert "--loss" in capsys.readouterr().err
+        assert "loss_p" in capsys.readouterr().err
 
     def test_nonpositive_duration(self, capsys):
         assert main(["bench", "--duration", "0"]) == 1
@@ -231,6 +231,13 @@ class TestMainExitCodes:
     def test_bench_loopback_fps_out_of_range_opens_no_socket(self, capsys):
         assert main(["bench", "--loopback", "--fps", "61", "--duration", "0.1"]) == 1
         assert "fps" in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
+
+    @pytest.mark.parametrize("flag", ["--loss", "--dup", "--reorder"])
+    def test_bench_loopback_refuses_impairment_and_opens_no_socket(self, capsys, flag):
+        assert main(["bench", "--loopback", flag, "0.5", "--duration", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "--loopback" in err and flag in err
         gc.collect()  # a socket left open warns when it is collected
 
     def test_teleop_needs_tty(self, capsys):

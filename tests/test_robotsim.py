@@ -142,12 +142,12 @@ class TestWalkModel:
 
     def test_ramp_saturates_within_one_second(self):
         walk = apply_command(WalkState(), MotionRequest.walk(0.5), now=0.0)
-        walk = step(walk, dt=1.0, now=0.5, ramp_rate=2.0)
+        walk = step(walk, dt=1.0, now=0.5)
         assert walk.current[0] == pytest.approx(min(0.5, 2.0 * 1.0))
 
     def test_ramp_limits_small_steps(self):
         walk = apply_command(WalkState(), MotionRequest.walk(1.0), now=0.0)
-        walk = step(walk, dt=0.1, now=0.05, ramp_rate=2.0)
+        walk = step(walk, dt=0.1, now=0.05)
         assert walk.current[0] == pytest.approx(0.2)
 
     def test_idle_timeout_forces_stand(self):
@@ -159,11 +159,11 @@ class TestWalkModel:
 
     def test_velocity_reaches_zero_within_ramp_time(self):
         walk = apply_command(WalkState(), MotionRequest.walk(1.0, -1.0, 1.0), now=0.0)
-        walk = step(walk, dt=0.5, now=0.0, ramp_rate=2.0)
+        walk = step(walk, dt=0.5, now=0.0)
         now = 0.0
         for _ in range(12):  # 0.6 s past the idle timeout at 500 ms
             now += 0.1
-            walk = step(walk, dt=0.1, now=now, ramp_rate=2.0)
+            walk = step(walk, dt=0.1, now=now)
         assert walk.current == (0.0, 0.0, 0.0)
 
     @settings(max_examples=200)
@@ -188,7 +188,7 @@ class TestWalkModel:
     def test_odometry_straight_line(self):
         walk = WalkState(current=(1.0, 0.0, 0.0), target=(1.0, 0.0, 0.0),
                          last_command_time=0.0)
-        walk = step(walk, dt=2.0, now=0.1, ramp_rate=10.0)
+        walk = step(walk, dt=2.0, now=0.1)
         x, y, theta = walk.pose
         assert x == pytest.approx(2.0 * 0.20)  # nominal full speed forward
         assert y == pytest.approx(0.0)
