@@ -17,6 +17,7 @@ re-recording sets it again.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import time
@@ -183,10 +184,9 @@ class LogWriter:
         self.close()
 
 
-def read_log_epoch_us(path) -> int:
-    """Wall-clock epoch stamped into the file header at creation."""
-    with open(path, "rb") as f:
-        head = f.read(LOG_HEADER_SIZE)
+def _check_header(f) -> int:
+    """Read and check the 16-byte file header from ``f``; return its epoch."""
+    head = f.read(LOG_HEADER_SIZE)
     if len(head) < LOG_HEADER_SIZE:
         raise TooShortError(f"log header needs {LOG_HEADER_SIZE} bytes, got {len(head)}")
     magic, version, _reserved, epoch_us = _LOG_HEADER.unpack(head)
@@ -197,6 +197,12 @@ def read_log_epoch_us(path) -> int:
     return epoch_us
 
 
+def read_log_epoch_us(path) -> int:
+    """Wall-clock epoch stamped into the file header at creation."""
+    with open(path, "rb") as f:
+        return _check_header(f)
+
+
 def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
     """Yield records in file order; a final ``Truncated`` marks a cut file.
 
@@ -204,9 +210,8 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
     that the reader never raises — a file cut mid-record yields every
     complete record followed by one ``Truncated``.
     """
-    read_log_epoch_us(path)  # validates magic/version
     with open(path, "rb") as f:
-        f.seek(LOG_HEADER_SIZE)
+        _check_header(f)
         while True:
             start = f.tell()
             head = f.read(RECORD_HEADER_SIZE)
@@ -320,30 +325,49 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
 
 # --- image export ----------------------------------------------------------
 
-def yuv422_to_rgb(img: Image) -> np.ndarray:
-    """Convert packed YUYV to an (h, w, 3) uint8 RGB array.
+def _bt601(y, u, v):
+    """FORMAT.md's float64 formula before the clamp: (R, G, B) at Y, U-128, V-128."""
+    return y + 1.402 * v, y - 0.344136 * u - 0.714136 * v, y + 1.772 * u
 
-    BT.601 full-range: R = Y + 1.402 (V-128); G = Y - 0.344136 (U-128)
-    - 0.714136 (V-128); B = Y + 1.772 (U-128); clamped to [0, 255] and
-    rounded to nearest (ties away from zero). Works per pixel pair: each
-    chroma term is computed once and applied to both Y samples, in float64
-    and in the order written, so the result equals the per-pixel formula.
-    """
+
+@functools.cache  # on first use: a process that never exports skips ~3 ms and ~2 MB
+def _chroma_tables():
+    """Each channel's rounded chroma offset, the formula at Y = 0: R's by V,
+    G's by U*256 + V, B's by U. A G whose exact chroma term is a tie
+    (344136 u + 714136 v ≡ 500000 mod 10⁶, exact on float64's integers) may
+    round differently for different Y; each pair that does gets the
+    formula's row of 256 G values."""
+    c, y = np.arange(256) - 128.0, np.arange(256)
+    r, g, b = (np.floor(x + 0.5).astype(np.int16).ravel() for x in _bt601(0.0, c[:, None], c))
+    ties = np.flatnonzero((344136 * c[:, None] + 714136 * c) % 1e6 == 5e5)
+    rows = ((t, np.floor(np.clip(_bt601(y, c[t >> 8], c[t & 255])[1], 0, 255) + 0.5)) for t in ties)
+    return r, g, b, [(int(t), row.astype(np.uint8)) for t, row in rows
+                     if (row != np.clip(y + g[t], 0, 255)).any()]
+
+
+def yuv422_to_rgb(img: Image) -> np.ndarray:
+    """Convert packed YUYV to an (h, w, 3) uint8 RGB array, bit for bit
+    FORMAT.md's float64 BT.601 formula (``_bt601``, clamped and rounded).
+    Each channel is clamp(Y + offset, 0, 255) in int16, the offset looked up
+    by chroma (R's by V, B's by U, G's by the (U, V) pair), in 1-D passes
+    over the pixel pairs; a G tie pair whose rounding depends on Y takes the
+    formula's row."""
     if img.width % 2 != 0:
         raise ValueError(f"YUV422 requires even width, got {img.width}")
-    w, h = img.width, img.height
-    pairs = np.frombuffer(img.pixels, dtype=np.uint8).reshape(h, w // 2, 4)
-    y = pairs[..., 0::2]  # (h, w/2, 2): the pair's two Y samples
-    u = pairs[..., 1:2].astype(np.float64) - 128.0  # (h, w/2, 1), shared by the pair
-    v = pairs[..., 3:4].astype(np.float64) - 128.0
-    rgb = np.empty((h, w // 2, 2, 3))
-    np.add(y, 1.402 * v, out=rgb[..., 0])
-    np.subtract(y, 0.344136 * u, out=rgb[..., 1])
-    rgb[..., 1] -= 0.714136 * v
-    np.add(y, 1.772 * u, out=rgb[..., 2])
-    np.clip(rgb, 0.0, 255.0, out=rgb)
-    rgb += 0.5  # now >= 0.5, so truncating to uint8 is floor
-    return rgb.astype(np.uint8).reshape(h, w, 3)
+    r_offset, g_offset, b_offset, g_ties = _chroma_tables()
+    pairs = np.frombuffer(img.pixels, dtype=np.uint8).reshape(-1, 4)  # Y0 U Y1 V
+    u, v = pairs[:, 1], pairs[:, 3]
+    uv = u.astype(np.uint16) << 8 | v
+    offsets = r_offset.take(v), g_offset.take(uv), b_offset.take(u)
+    rgb = np.empty((len(pairs), 2, 3), np.uint8)
+    for ch, offset in enumerate(offsets):
+        for slot in (0, 1):
+            x = pairs[:, 2 * slot] + offset  # uint8 + int16 -> int16
+            rgb[:, slot, ch] = np.clip(x, 0, 255, out=x)
+    for t, row in g_ties:
+        at = np.flatnonzero(uv == t)
+        rgb[at, :, 1] = row[pairs[at][:, 0::2]]
+    return rgb.reshape(img.height, img.width, 3)
 
 
 def export_ppm(img: Image, path) -> None:

@@ -1,12 +1,12 @@
 import itertools
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_allocation
 from oracles import frame_outcomes
 
 from nbpk.fragment import (
@@ -340,21 +340,6 @@ class TestReassembler:
         for p in image_packets(seq=1):
             rx.step(p)
         assert snap.frames_complete == 0
-
-
-def peak_allocation(work) -> int:
-    """Peak bytes that ``work()`` holds allocated at once, by tracemalloc."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        work()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestCopyPolicy:

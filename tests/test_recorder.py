@@ -44,6 +44,7 @@ from nbpk.wire import (
     TooShortError,
 )
 
+from conftest import peak_allocation
 from oracles import yuv422_to_rgb_reference, yuv_to_rgb_scalar
 
 
@@ -153,6 +154,25 @@ class TestLogFile:
         p.write_bytes(b"NBLG\x01")
         with pytest.raises(TooShortError):
             read_log_epoch_us(p)
+
+    def test_short_header_stops_read_log_before_any_record(self, tmp_path):
+        p = tmp_path / "a.nbl"
+        p.write_bytes(b"NBLG\x01")
+        with pytest.raises(TooShortError):
+            next(read_log(p))
+
+    def test_read_log_opens_the_file_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.nbl"
+        record_messages(sample_messages(2), p)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(recorder, "open", counting_open, raising=False)
+        assert len(list(read_log(p))) == 4
+        assert opened == [p]
 
     def test_roundtrip_bytes_identical(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -560,6 +580,22 @@ class TestYuvConversion:
         img = gen_test_image(0, 32, 24)
         assert yuv422_to_rgb(img).shape == (24, 32, 3)
 
+    def test_g_tie_pair_matches_the_scalar_formula_for_every_y(self):
+        # At U=78, V=178 G's exact chroma term is -18.5, a tie, and float64
+        # rounds it up for some Y and down for others.
+        ys = list(range(256))
+        img = make_yuyv(512, 1, [(y, 78, 255 - y, 178) for y in ys])
+        rgb = yuv422_to_rgb(img)
+        for y in ys:
+            assert tuple(rgb[0, 2 * y]) == yuv_to_rgb_scalar(y, 78, 178)
+            assert tuple(rgb[0, 2 * y + 1]) == yuv_to_rgb_scalar(255 - y, 78, 178)
+
+    def test_peak_allocation_stays_within_5x_the_output(self):
+        img = gen_test_image(3)  # 320x240: 230,400 bytes of RGB
+        yuv422_to_rgb(img)  # the first call builds the chroma tables, once per process
+        peak = peak_allocation(lambda: yuv422_to_rgb(img))
+        assert peak <= 5 * 320 * 240 * 3
+
 
 class TestYuvExactness:
     """The library against the original full-resolution float64 formula
@@ -601,3 +637,13 @@ class TestPpmExport:
         raw = p.read_bytes()
         assert raw.startswith(b"P6\n32 24\n255\n")
         assert len(raw) == len(b"P6\n32 24\n255\n") + 32 * 24 * 3
+
+    @pytest.mark.parametrize("width,height", [(320, 240), (2, 3)])
+    def test_random_frame_is_header_then_reference_rgb(self, tmp_path, width, height):
+        rng = np.random.default_rng(width + height)
+        pixels = rng.integers(0, 256, size=width * height * 2, dtype=np.uint8).tobytes()
+        img = Image(width=width, height=height, pixels=pixels, seq=0, timestamp_us=0)
+        p = tmp_path / "a.ppm"
+        export_ppm(img, p)
+        header = b"P6\n%d %d\n255\n" % (width, height)
+        assert p.read_bytes() == header + yuv422_to_rgb_reference(img).tobytes()
