@@ -15,6 +15,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator
 
 from .channel import (
@@ -30,8 +31,8 @@ from .fragment import Packet, check_frag_payload, packetize_image, packetize_sin
 from .wire import (
     DEFAULT_FRAG_PAYLOAD,
     DEFAULT_JOINT_COUNT,
-    MAX_IMAGE_BYTES,
     Image,
+    ImageStartMeta,
     MotionMode,
     MotionReading,
     MotionRequest,
@@ -86,16 +87,31 @@ class RobotConfig:
         if self.motion_rate <= 0.0:
             raise ValueError(f"motion_rate must be positive, got {self.motion_rate}")
         n = self.width * self.height * 2
-        if n > MAX_IMAGE_BYTES:
-            raise ValueError(f"a {self.width}x{self.height} YUV422 image exceeds the "
-                             f"{MAX_IMAGE_BYTES}-byte wire limit")
         if n < _MIN_PATTERN_BYTES:
             raise ValueError(f"a {self.width}x{self.height} YUV422 image is too small for the "
                              f"test pattern (min {_MIN_PATTERN_BYTES} bytes)")
         check_frag_payload(self.frag_payload)
+        ImageStartMeta(n, self.width, self.height, self.frag_payload).validate()  # the START's rule
 
 
 # --- test image pattern ----------------------------------------------------
+
+@lru_cache(maxsize=4)
+def _size_terms(n: int) -> tuple[bytes, tuple[int, ...]]:
+    """For ``n``-byte patterns: the ramp every body is sliced from, and the
+    columns of the linear map by which a body's CRC-32 moves with its start
+    value (``crc32(body, 1 << k) ^ crc32(body)``, alike for every body of
+    ``n - 8`` bytes)."""
+    zeros = bytes(n - 8)
+    base = zlib.crc32(zeros)
+    return (_RAMP * ((n + 4 + 255) // 256 + 1),  # room for the largest start, 4 + 255
+            tuple(zlib.crc32(zeros, 1 << k) ^ base for k in range(32)))
+
+
+@lru_cache(maxsize=4 * 256)  # each size's 256 body starts
+def _body_crc(n: int, start: int) -> int:
+    return zlib.crc32(memoryview(_size_terms(n)[0])[start:start + n - 8])
+
 
 def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
     """Build a YUV422-sized deterministic pattern for frame ``seq``.
@@ -105,16 +121,23 @@ def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
     of everything before them, little-endian. Any corruption — including
     fragments spliced in from another frame — breaks the CRC.
     """
+    if width < 0 or height < 0:
+        raise ValueError(f"image size {width}x{height} must not be negative")
     n = width * height * 2
     if n < _MIN_PATTERN_BYTES:
         raise ValueError(f"image of {n} bytes is too small for the test pattern (min {_MIN_PATTERN_BYTES})")
     if not 0 <= seq < (1 << 32):
         raise ValueError(f"seq must be an unsigned 32-bit integer, got {seq}")
     start = 4 + (seq & 0xFF)  # byte j of the repeated ramp is j mod 256
-    body = memoryview(_RAMP * ((start + n) // 256 + 1))[start:start + n - 8]
+    ramp, columns = _size_terms(n)
     prefix = struct.pack("<I", seq)
-    crc = zlib.crc32(body, zlib.crc32(prefix))
-    pixels = b"".join((prefix, body, struct.pack("<I", crc)))
+    # crc32(body, c) == crc32(body) ^ A(c), where A XORs the columns of c's set bits
+    crc, c = _body_crc(n, start), zlib.crc32(prefix)
+    for column in columns:
+        if c & 1:
+            crc ^= column
+        c >>= 1
+    pixels = b"".join((prefix, memoryview(ramp)[start:start + n - 8], struct.pack("<I", crc)))
     return Image(width=width, height=height, pixels=pixels, seq=seq)
 
 

@@ -181,6 +181,13 @@ class TestMainExitCodes:
                      "--command-port", "0", "--duration", "0.1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width, height", [("-320", "-240"), ("70000", "1")])
+    def test_robot_geometry_off_the_wire_opens_no_socket(self, capsys, width, height):
+        assert main(["robot", "--width", width, "--height", height,
+                     "--command-port", "0", "--duration", "0.1"]) == 1
+        assert "width" in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
+
     def test_robot_image_below_test_pattern(self, capsys):
         assert main(["robot", "--width", "2", "--height", "2",
                      "--command-port", "0", "--duration", "0.1"]) == 1

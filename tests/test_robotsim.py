@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_allocation
 from oracles import pattern_reference
 
+from nbpk import robotsim
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.fragment import MAX_FRAG_PAYLOAD, MIN_FRAG_PAYLOAD, ImageComplete, Reassembler, Packet
 from nbpk.robotsim import (
@@ -95,6 +97,28 @@ class TestTestImage:
     def test_seq_range(self):
         with pytest.raises(ValueError):
             gen_test_image(2**32, 32, 24)
+
+    @pytest.mark.parametrize("width,height", [(-4, -4), (-16, 1), (1, -16)])
+    def test_negative_size_rejected(self, width, height):
+        with pytest.raises(ValueError, match="negative"):
+            gen_test_image(0, width, height)
+
+    def test_peak_allocation_within_1_1x_the_pixels(self):
+        gen_test_image(6, 320, 240)  # first use of the size fills its cache
+        n = 320 * 240 * 2
+        assert peak_allocation(lambda: gen_test_image(7, 320, 240)) <= 1.1 * n
+
+    def test_more_sizes_than_the_cache_holds(self):
+        maxsize = robotsim._size_terms.cache_info().maxsize
+        for width in range(8, 8 + 2 * maxsize + 1):
+            for seq in (0, 255, 2**32 - 1):
+                assert gen_test_image(seq, width, 3).pixels == pattern_reference(seq, width, 3), (width, seq)
+        assert robotsim._size_terms.cache_info().currsize == maxsize
+
+    def test_every_seq_low_byte_verifies_at_qvga(self):
+        for low in range(256):  # each low byte starts the body at its own ramp offset
+            seq = low + 256 * (low * 40503 % 2**24)
+            assert image_ok(gen_test_image(seq, 320, 240)), seq
 
     @given(st.integers(0, 2**32 - 1))
     def test_verify_any_seq(self, seq):
@@ -215,6 +239,12 @@ class TestRobotConfig:
         RobotConfig(width=1280, height=960)
         with pytest.raises(ValueError):
             RobotConfig(width=1280, height=962)
+
+    @pytest.mark.parametrize("width,height,field", [(-320, -240, "width"), (70000, 1, "width"),
+                                                    (1, 70000, "height")])
+    def test_geometry_follows_the_start_rule(self, width, height, field):
+        with pytest.raises(ValueError, match=field):
+            RobotConfig(width=width, height=height)
 
     def test_image_fits_test_pattern(self):
         RobotConfig(width=4, height=2)  # 16 bytes, the smallest pattern
