@@ -29,11 +29,12 @@ from .channel import (
     check_bind_port,
     check_dest_port,
 )
-from .fragment import ImageComplete, Packet, Reassembler, StreamStats, packetize_single
+from .fragment import ImageComplete, Reassembler, StreamStats, packetize_single
 from .wire import (
     Image,
     MotionReading,
     MotionRequest,
+    Packet,
     PacketKind,
     StreamId,
     SeqOrder,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, TypeVar
 
-from .fragment import Packet
-from .wire import UDP_MAX_DATAGRAM, PacketKind, SeqOrder, StreamId, WireError
+from .wire import UDP_MAX_DATAGRAM, Packet, PacketKind, SeqOrder, StreamId, WireError
 
 #: Default ports: one per stream so the receiver can tell sources apart.
 DEFAULT_IMAGE_PORT = 10021
@@ -122,6 +121,7 @@ class Service:
     ``loops`` on a daemon thread named by its key, once; ``stop`` joins
     them, then closes every endpoint. A datagram that breaks the wire
     contract is counted in ``malformed_packets`` and never stops a loop.
+    A loop that raises is logged and sets the stop; ``stop`` re-raises the first after closing.
     """
 
     def __init__(self, loops: dict[str, Callable[[], None]], endpoints: Iterable[EndpointConfig]):
@@ -131,6 +131,7 @@ class Service:
             opened.pop_all()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        self._errors: list[Exception] = []
         self._started_at = time.monotonic()
         self.malformed_packets = 0
 
@@ -139,7 +140,7 @@ class Service:
             raise RuntimeError(f"{type(self).__name__} already started")
         self._started_at = time.monotonic()
         for name, fn in self._loops.items():
-            t = threading.Thread(target=fn, name=name, daemon=True)
+            t = threading.Thread(target=self._run, args=(fn,), name=name, daemon=True)
             t.start()
             self._threads.append(t)
 
@@ -149,6 +150,18 @@ class Service:
             t.join(timeout=5.0)
         for ep in self._endpoints:
             ep.close()
+        if self._errors:
+            raise self._errors[0]
+
+    def _run(self, loop: Callable[[], None]) -> None:
+        try:
+            loop()
+        except Exception as exc:
+            import logging  # only a failing loop needs it; at import it adds ~0.4 MB to every process
+
+            logging.getLogger("nbpk").exception("%s failed; stopping", threading.current_thread().name)
+            self._errors.append(exc)
+            self._stop.set()
 
     def __enter__(self):
         self.start()

@@ -12,92 +12,29 @@ each and are ordered and decoded where they arrive, without a reassembler.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .wire import _HEADER, _KINDS, _STREAM_IDS, MAGIC, WIRE_VERSION  # the accept in from_bytes
 from .wire import (
     HEADER_SIZE,
-    UDP_MAX_DATAGRAM,
     DEFAULT_FRAG_PAYLOAD,
     Image,
     ImageStartMeta,
-    InvariantError,
+    Packet,
     PacketHeader,
     PacketKind,
     SeqOrder,
     StreamId,
     WireError,
-    checked_header,
-    decode_header,
     decode_start_meta,
     encode_start_meta,
-    pack_header,
 )
 
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
-_START, _FRAGMENT = PacketKind.START.value, PacketKind.FRAGMENT.value
-_NO_HEADER = (None,) * 10  # what a datagram shorter than a header unpacks to
+_FRAGMENT = PacketKind.FRAGMENT.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
-
-
-def _check_size(payload_len: int, datagram_len: int) -> None:
-    if datagram_len != HEADER_SIZE + payload_len:
-        raise InvariantError(
-            f"header announces {payload_len} payload bytes, got {datagram_len - HEADER_SIZE}"
-        )
-    if datagram_len > UDP_MAX_DATAGRAM:
-        raise InvariantError(
-            f"datagram of {datagram_len} bytes exceeds UDP maximum {UDP_MAX_DATAGRAM}"
-        )
-
-
-class Packet(namedtuple("Packet", "header payload")):
-    """One datagram: validated header plus its payload.
-
-    Every way to get a Packet checks it exactly once: the constructor and
-    :meth:`from_bytes` run the header validator and the size checks, and
-    ``packetize_image`` checks a frame's START and derives its fragments
-    from it. So :meth:`to_bytes` only packs. The payload of a fragment or of
-    a parsed datagram is a read-only view over immutable ``bytes``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, header: PacketHeader, payload: bytes = b"") -> "Packet":
-        header = checked_header(*header)
-        _check_size(header.payload_len, HEADER_SIZE + len(payload))
-        return _tuple_new(cls, (header, payload))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    @property
-    def size(self) -> int:
-        return HEADER_SIZE + len(self.payload)
-
-    def to_bytes(self) -> bytes:
-        return pack_header(self.header) + self.payload
-
-    @classmethod
-    def from_bytes(cls, b: bytes) -> "Packet":
-        """Parse one datagram: one ``unpack_from`` and one test of every rule
-        that ``decode_header`` and the size checks apply. A datagram that
-        fails it goes through them, which raise the classified ``WireError``."""
-        n = len(b)
-        magic, version, stream, kind, flags, seq, index, count, size, ts = (
-            _HEADER.unpack_from(b) if n >= HEADER_SIZE else _NO_HEADER)
-        stream_, kind_ = _STREAM_IDS.get(stream), _KINDS.get(kind)
-        if (magic == MAGIC and version == WIRE_VERSION and flags == 0 and stream_ is not None
-                and kind_ is not None and size == n - HEADER_SIZE and n <= UDP_MAX_DATAGRAM
-                and (index < count if kind == _FRAGMENT else index == 0 and (count > 0) == (kind == _START))):
-            header = _tuple_new(PacketHeader, (stream_, kind_, seq, index, count, size, ts))
-        else:
-            header = decode_header(b)
-            _check_size(header.payload_len, n)
-        return _tuple_new(cls, (header, memoryview(bytes(b))[HEADER_SIZE:]))
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---

@@ -42,6 +42,7 @@ from .wire import (
     MotionReading,
     MotionRequest,
     RESTART_WINDOW,
+    START_META_SIZE,
     SeqOrder,
     StreamId,
     TooShortError,
@@ -90,7 +91,7 @@ def image_to_record_payload(img: Image) -> bytes:
 def image_from_record_payload(payload: bytes, *, seq: int = 0,
                               timestamp_us: int = 0) -> Image:
     meta = decode_start_meta(payload)
-    pixels = payload[12:]
+    pixels = payload[START_META_SIZE:]
     if len(pixels) != meta.total_len:
         raise TooShortError(
             f"image record carries {len(pixels)} pixel bytes, metadata announces {meta.total_len}"
@@ -137,7 +138,7 @@ class LogWriter:
         if restart and stream_id not in self._last_ts:
             raise ValueError(f"restart on the first record of stream {stream_id!r}")
         floor = self._last_ts.get(stream_id, 0)
-        if not restart and timestamp_us < floor:
+        if not restart and isinstance(timestamp_us, int) and timestamp_us < floor:
             raise ValueError(f"timestamps must be non-decreasing per stream: {timestamp_us} after {floor}")
         if not (isinstance(timestamp_us, int) and 0 <= timestamp_us < 1 << 64):
             raise ValueError(f"timestamp_us must be an int in [0, 2**64), got {timestamp_us!r}")

@@ -27,7 +27,7 @@ from .channel import (
     check_bind_port,
     check_dest_port,
 )
-from .fragment import Packet, check_frag_payload, packetize_image, packetize_single
+from .fragment import check_frag_payload, packetize_image, packetize_single
 from .wire import (
     DEFAULT_FRAG_PAYLOAD,
     DEFAULT_JOINT_COUNT,
@@ -36,6 +36,7 @@ from .wire import (
     MotionMode,
     MotionReading,
     MotionRequest,
+    Packet,
     PacketKind,
     SeqOrder,
     StreamId,

@@ -1,9 +1,9 @@
 """Binary wire format for the streaming bridge.
 
-Every datagram starts with a fixed 26-byte header (see ``PacketHeader``)
-followed by an opaque payload. All multi-byte integers are little-endian;
-floats are IEEE-754 binary32. The full layout, with a worked example, is
-documented in FORMAT.md at the repository root.
+Every datagram (``Packet``) starts with a fixed 26-byte header (see
+``PacketHeader``) followed by an opaque payload. All multi-byte integers
+are little-endian; floats are IEEE-754 binary32. The full layout, with a
+worked example, is documented in FORMAT.md at the repository root.
 
 Magic, ``version``, ``flags``, ``encoding`` and every reserved byte are
 constants of format version 1: the encoders write them, the decoders
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
@@ -104,7 +105,7 @@ class PacketHeader(NamedTuple):
     ``seq`` counts messages per stream, modulo 2**32; all packets of one
     message share the same ``seq`` and ``timestamp_us``. Constructing a
     header checks nothing; :func:`encode_header`, :func:`decode_header`
-    and ``Packet`` do, through one validator.
+    and :class:`Packet` do, through one validator, ``_checked_header``.
     """
 
     stream_id: StreamId
@@ -118,13 +119,14 @@ class PacketHeader(NamedTuple):
 
 _STREAM_IDS = {s.value: s for s in StreamId}
 _KINDS = {k.value: k for k in PacketKind}
-_SINGLE, _START = PacketKind.SINGLE.value, PacketKind.START.value
-_U16, _U32, _U64 = 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
-_tuple_new = tuple.__new__  # _tuple_new(PacketHeader, fields) skips the checks
+_SINGLE, _START, _FRAGMENT = (k.value for k in PacketKind)
+_U32 = 0xFFFFFFFF
+_NO_HEADER = (None,) * 10  # what a datagram shorter than a header unpacks to
+_tuple_new = tuple.__new__  # builds a Packet or header with no checks
 
 
-def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
-                   timestamp_us) -> PacketHeader:
+def _checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
+                    timestamp_us) -> PacketHeader:
     """The one header validator, shared by encode and decode. Returns the header
     with ``stream_id`` and ``kind`` as enum members; raises ``InvariantError``
     for a broken field rule (FORMAT.md, "Kind invariants")."""
@@ -136,17 +138,11 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
         kind_ = _KINDS[kind]
     except (KeyError, TypeError):
         raise InvariantError(f"unknown packet kind {kind!r}") from None
-    if not (type(seq) is int and type(frag_index) is int and type(frag_count) is int
-            and type(payload_len) is int and type(timestamp_us) is int
-            and 0 <= seq <= _U32 and 0 <= frag_index <= _U16 and 0 <= frag_count <= _U16
-            and 0 <= payload_len <= _U16 and 0 <= timestamp_us <= _U64):
-        # not all plain ints in range: in-range int subclasses (bool, IntEnum)
-        # still pass, anything else is named in the error
-        _check_uint("seq", seq, 32)
-        _check_uint("frag_index", frag_index, 16)
-        _check_uint("frag_count", frag_count, 16)
-        _check_uint("payload_len", payload_len, 16)
-        _check_uint("timestamp_us", timestamp_us, 64)
+    _check_uint("seq", seq, 32)
+    _check_uint("frag_index", frag_index, 16)
+    _check_uint("frag_count", frag_count, 16)
+    _check_uint("payload_len", payload_len, 16)
+    _check_uint("timestamp_us", timestamp_us, 64)
     if kind == _SINGLE:
         if frag_index != 0 or frag_count != 0:
             raise InvariantError("SINGLE packets must carry frag_index=0 and frag_count=0")
@@ -161,8 +157,8 @@ def checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
                                      timestamp_us))
 
 
-def pack_header(h: PacketHeader) -> bytes:
-    """Wire form of a header that already passed :func:`checked_header`."""
+def _pack_header(h: PacketHeader) -> bytes:
+    """Wire form of a header that already passed ``_checked_header``."""
     stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us = h
     return _HEADER.pack(MAGIC, WIRE_VERSION, stream_id, kind, 0, seq, frag_index,
                         frag_count, payload_len, timestamp_us)
@@ -170,7 +166,7 @@ def pack_header(h: PacketHeader) -> bytes:
 
 def encode_header(h: PacketHeader) -> bytes:
     """Serialize a header to its 26-byte wire form. Raises on invalid fields."""
-    return pack_header(checked_header(*h))
+    return _pack_header(_checked_header(*h))
 
 
 def decode_header(b: bytes) -> PacketHeader:
@@ -186,7 +182,63 @@ def decode_header(b: bytes) -> PacketHeader:
         raise BadVersionError(f"unsupported version {version}")
     if flags != 0:
         raise InvariantError(f"reserved flags must be 0, got {flags:#x}")
-    return checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts)
+    return _checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len, ts)
+
+
+def _check_size(payload_len: int, datagram_len: int) -> None:
+    if datagram_len != HEADER_SIZE + payload_len:
+        raise InvariantError(
+            f"header announces {payload_len} payload bytes, got {datagram_len - HEADER_SIZE}"
+        )
+    if datagram_len > UDP_MAX_DATAGRAM:
+        raise InvariantError(
+            f"datagram of {datagram_len} bytes exceeds UDP maximum {UDP_MAX_DATAGRAM}"
+        )
+
+
+class Packet(namedtuple("Packet", "header payload")):
+    """One datagram: validated header plus its payload.
+
+    Every way to get a Packet checks it exactly once: the constructor and
+    :meth:`from_bytes` run the header validator and the size rule, and
+    ``fragment.packetize_image`` checks a frame's START and derives its
+    fragments from it. So :meth:`to_bytes` only packs. The payload of a
+    fragment or of a parsed datagram is a read-only view over immutable ``bytes``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, header: PacketHeader, payload: bytes = b"") -> "Packet":
+        header = _checked_header(*header)
+        _check_size(header.payload_len, HEADER_SIZE + len(payload))
+        return _tuple_new(cls, (header, payload))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    @property
+    def size(self) -> int:
+        return HEADER_SIZE + len(self.payload)
+
+    def to_bytes(self) -> bytes:
+        return _pack_header(self.header) + self.payload
+
+    @classmethod
+    def from_bytes(cls, b: bytes) -> "Packet":
+        """Parse one datagram: one ``unpack_from`` and one test of every rule
+        that ``decode_header`` and the size checks apply. A datagram that
+        fails it goes through them, which raise the classified ``WireError``."""
+        n = len(b)
+        magic, version, stream, kind, flags, seq, index, count, size, ts = (
+            _HEADER.unpack_from(b) if n >= HEADER_SIZE else _NO_HEADER)
+        stream_, kind_ = _STREAM_IDS.get(stream), _KINDS.get(kind)
+        if (magic == MAGIC and version == WIRE_VERSION and flags == 0 and stream_ is not None
+                and kind_ is not None and size == n - HEADER_SIZE and n <= UDP_MAX_DATAGRAM
+                and (index < count if kind == _FRAGMENT else index == 0 and (count > 0) == (kind == _START))):
+            header = _tuple_new(PacketHeader, (stream_, kind_, seq, index, count, size, ts))
+        else:
+            header = decode_header(b)
+            _check_size(header.payload_len, n)
+        return _tuple_new(cls, (header, memoryview(bytes(b))[HEADER_SIZE:]))
 
 
 class SeqOrder:

@@ -18,7 +18,7 @@ from nbpk.bridge import (
     TopicBus,
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.fragment import Packet, Reassembler, packetize_image, packetize_single
+from nbpk.fragment import Reassembler, packetize_image, packetize_single
 from nbpk.robotsim import gen_test_image, image_ok
 from nbpk.wire import (
     HEADER_SIZE,
@@ -26,6 +26,7 @@ from nbpk.wire import (
     MotionMode,
     MotionReading,
     MotionRequest,
+    Packet,
     PacketKind,
     StreamId,
     decode_request,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import logging
 import math
 import socket
 import threading
@@ -14,6 +15,7 @@ from nbpk.channel import (
     SPLITMIX64_GAMMA,
     EndpointConfig,
     ImpairmentConfig,
+    Service,
     StreamImpairer,
     UdpEndpoint,
     splitmix64,
@@ -205,3 +207,26 @@ class TestUdpEndpoint:
                 tx.send_to(data, ("127.0.0.1", rx.local_port))
                 got = rx.recv(timeout=2.0)
         assert got == data
+
+
+class TestService:
+    def test_a_loop_that_raises_stops_the_others_and_stop_raises_it(self, caplog):
+        ended = threading.Event()
+
+        def fail():
+            raise RuntimeError("loop failed")
+
+        def wait():
+            svc._stop.wait()
+            ended.set()
+
+        svc = Service({"nbpk-test-fail": fail, "nbpk-test-wait": wait}, ())
+        with caplog.at_level(logging.ERROR, logger="nbpk"):
+            svc.start()
+            ended_on_its_own = ended.wait(2.0)
+            with pytest.raises(RuntimeError, match="loop failed"):
+                svc.stop()
+        assert ended_on_its_own
+        assert not any(t.is_alive() for t in svc._threads)
+        [rec] = caplog.records
+        assert rec.name == "nbpk" and "nbpk-test-fail" in rec.getMessage() and rec.exc_info

@@ -22,7 +22,7 @@ NUMPY_MODULES = {"inertial", "recorder"}
 NUMPY_FREE_CLOSURES = {
     "wire": {"wire"},
     "fragment": {"fragment", "wire"},
-    "channel": {"channel", "fragment", "wire"},
+    "channel": {"channel", "wire"},
     "robotsim": {"robotsim", "channel", "fragment", "wire"},
     "bridge": {"bridge", "channel", "fragment", "wire"},
     "bench": {"bench", "bridge", "channel", "fragment", "robotsim", "wire"},

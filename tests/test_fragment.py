@@ -14,7 +14,6 @@ from nbpk.fragment import (
     Duplicate,
     ImageComplete,
     Orphan,
-    Packet,
     Reassembler,
     packetize_image,
     packetize_single,
@@ -26,6 +25,7 @@ from nbpk.wire import (
     InvariantError,
     MotionReading,
     MotionRequest,
+    Packet,
     PacketHeader,
     PacketKind,
     StreamId,

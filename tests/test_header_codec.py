@@ -14,10 +14,10 @@ import random
 import pytest
 from oracles import decode_header_reference, decode_packet_reference, encode_header_reference
 
-from nbpk.fragment import Packet
 from nbpk.wire import (
     HEADER_SIZE,
     UDP_MAX_DATAGRAM,
+    Packet,
     PacketHeader,
     PacketKind,
     StreamId,

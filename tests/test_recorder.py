@@ -232,7 +232,7 @@ class TestLogFile:
         assert list(read_log(p)) == []
 
     @pytest.mark.parametrize("timestamp_us, restart", [(2**64, False), (1.5, False),
-                                                       (-1, True)])
+                                                       (-1, True), ("5", False), (None, False)])
     def test_timestamp_outside_u64_rejected_and_nothing_written(self, tmp_path, timestamp_us,
                                                                 restart):
         p = tmp_path / "a.nbl"

@@ -13,7 +13,7 @@ from oracles import pattern_reference
 
 from nbpk import robotsim
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.fragment import MAX_FRAG_PAYLOAD, MIN_FRAG_PAYLOAD, ImageComplete, Reassembler, Packet
+from nbpk.fragment import MAX_FRAG_PAYLOAD, MIN_FRAG_PAYLOAD, ImageComplete, Reassembler
 from nbpk.robotsim import (
     GRAVITY_MPS2,
     NOMINAL_MAX_YAW_RPS,
@@ -30,6 +30,7 @@ from nbpk.wire import (
     REQUEST_SIZE,
     Image,
     MotionRequest,
+    Packet,
     PacketHeader,
     PacketKind,
     StreamId,
