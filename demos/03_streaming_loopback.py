@@ -55,7 +55,7 @@ finally:
 stats = bridge.stats()
 print(f"\n{frames} frames on the bus ({bad} failed verification), "
       f"robot sent {sim.images_sent} images / {sim.motions_sent} readings")
-print(f"bridge: {stats.frames_published} frames published, "
+print(f"bridge: {stats.image.frames_complete} frames published, "
       f"{stats.commands_forwarded} commands forwarded, "
       f"{stats.malformed_packets} malformed packets")
 final = sim.walk_snapshot()

@@ -5,10 +5,11 @@ typed payloads, and per-subscriber queues. Publishing never blocks — each
 subscriber's ``BoundedFifo`` keeps its newest N messages and counts what
 it sheds (``BoundedFifo(1)`` keeps only the newest).
 
-The bridge itself runs one receive loop per stream, publishes completed
-images on ``camera/image_raw`` and motion readings on ``motion/state``,
-emits a stats snapshot on ``bridge/stats`` once per period, and forwards
-anything published on ``motion/request`` to the robot as a command packet.
+The bridge runs one receive loop per stream, which feeds each datagram to the
+stream's ``fragment.Receiver`` and publishes what it returns: images on
+``camera/image_raw``, readings on ``motion/state``. It emits a stats snapshot on
+``bridge/stats`` once per period, and forwards anything published on
+``motion/request`` to the robot as a command packet.
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ from .channel import (
     check_bind_port,
     check_dest_port,
 )
-from .fragment import ImageComplete, Reassembler, StreamStats, packetize_single
+from .fragment import Reassembler, Receiver, StreamStats, packetize_single
 from .wire import (
     Image,
     MotionReading,
     MotionRequest,
     Packet,
-    PacketKind,
     StreamId,
-    SeqOrder,
     WireError,
-    decode_motion,
     encode_request,
 )
 
@@ -191,15 +189,17 @@ class CameraFrame:
 
 @dataclass(frozen=True)
 class BridgeStats:
-    """One stats-tick snapshot, published on ``bridge/stats``."""
+    """One stats-tick snapshot, published on ``bridge/stats``. Each counter has one
+    writing thread: the image loop (``image``), the motion loop (``motion``,
+    ``motions_published``) or the command loop (``commands_*``); the rest are sums."""
 
     image: StreamStats
-    motion: StreamStats  # bytes and seq counts only: a reading needs no reassembly
-    frames_published: int  # image.frames_complete: every completed frame is published
+    motion: StreamStats  # no reassembly: bytes, seq and malformed counts only
     motions_published: int
-    commands_forwarded: int
-    frames_stale: int  # image.frames_stale + motion.frames_stale
-    malformed_packets: int
+    commands_forwarded: int  # motion/request messages the command loop sent to the robot
+    commands_failed: int  # requests it could not encode or send
+    frames_stale: int  # image.frames_stale + motion.frames_stale; kept while perfbench prints it
+    malformed_packets: int  # image.malformed_packets + motion.malformed_packets
     uptime_s: float
 
     def to_json(self) -> str:
@@ -235,8 +235,8 @@ class Bridge(Service):
     """Threaded receive/publish/forward engine. Use as a context manager.
 
     Frames that fail reassembly never reach the bus. Subscribers see each
-    stream's messages in seq order: the reassembler orders frames at their
-    START and the motion port orders readings (``wire.SeqOrder``).
+    stream's messages in seq order: each stream's receiver orders them
+    (``wire.SeqOrder``), the reassembler at a frame's START.
     """
 
     def __init__(self, cfg: BridgeConfig, bus: Optional[TopicBus] = None,
@@ -260,13 +260,11 @@ class Bridge(Service):
         self._robot_addr = (cfg.robot_host, cfg.robot_command_port)
         self._image_rx = Reassembler()
         self._image_latency_us = 0
-        self._motion_bytes = 0
-        self._motion_order = SeqOrder()
+        self._motion_rx = Receiver(StreamId.MOTION)
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
         self._cmd_lock = threading.Lock()
         self._cmd_seq = 0
-        self.motions_published = 0
-        self.commands_forwarded = 0
+        self.motions_published = self.commands_forwarded = self.commands_failed = 0
 
     @property
     def image_port(self) -> int:
@@ -282,17 +280,16 @@ class Bridge(Service):
         self._robot_addr = (host, port)
 
     def stats(self) -> BridgeStats:
-        image, order = self._image_rx.stats(), self._motion_order
+        image, motion = self._image_rx.stats(), self._motion_rx.stats()
         image.latency_accumulator_us = self._image_latency_us
         return BridgeStats(
             image=image,
-            motion=StreamStats(frames_stale=order.stale, sender_restarts=order.restarts,
-                               bytes_received=self._motion_bytes),
-            frames_published=image.frames_complete,
+            motion=motion,
             motions_published=self.motions_published,
             commands_forwarded=self.commands_forwarded,
-            frames_stale=image.frames_stale + order.stale,
-            malformed_packets=self.malformed_packets,
+            commands_failed=self.commands_failed,
+            frames_stale=image.frames_stale + motion.frames_stale,
+            malformed_packets=image.malformed_packets + motion.malformed_packets,
             uptime_s=time.monotonic() - self._started_at,
         )
 
@@ -310,29 +307,16 @@ class Bridge(Service):
             self._cmd_seq = (seq + 1) % (1 << 32)  # seq is a u32 and wraps
         pkt = packetize_single(payload, StreamId.COMMAND, seq=seq, timestamp_us=_now_us())
         self._command_out.send_to(pkt.to_bytes(), self._robot_addr)
-        self.commands_forwarded += 1
         return pkt
 
     def _image_loop(self) -> None:
-        rx = self._image_rx
-        for pkt in self._packets(self._image_in, StreamId.IMAGE,
-                                 (PacketKind.START, PacketKind.FRAGMENT)):
-            event = rx.step(pkt)
-            if isinstance(event, ImageComplete):
-                now = _now_us()
-                self._image_latency_us += max(0, now - event.image.timestamp_us)
-                self.bus.publish(TOPIC_IMAGE, CameraFrame(image=event.image, recv_timestamp_us=now))
+        for image in self._messages(self._image_in, self._image_rx):
+            now = _now_us()
+            self._image_latency_us += max(0, now - image.timestamp_us)
+            self.bus.publish(TOPIC_IMAGE, CameraFrame(image=image, recv_timestamp_us=now))
 
     def _motion_loop(self) -> None:
-        for pkt in self._packets(self._motion_in, StreamId.MOTION, (PacketKind.SINGLE,),
-                                 self._motion_order):
-            self._motion_bytes += pkt.size
-            h = pkt.header
-            try:
-                reading = decode_motion(pkt.payload, seq=h.seq, timestamp_us=h.timestamp_us)
-            except WireError:
-                self.malformed_packets += 1
-                continue
+        for reading in self._messages(self._motion_in, self._motion_rx):
             self.bus.publish(TOPIC_MOTION, reading)
             self.motions_published += 1
 
@@ -347,5 +331,6 @@ class Bridge(Service):
         while (req := self._cmd_sub.get()) is not None:
             try:
                 self.command_forward(req)
+                self.commands_forwarded += 1
             except (WireError, OSError):
-                self.malformed_packets += 1
+                self.commands_failed += 1

@@ -1,4 +1,4 @@
-"""Datagram transport, the service skeleton, and a deterministic lossy-channel simulator.
+"""UDP endpoints, the receive-loop skeleton (``Service``), and a deterministic lossy-channel simulator.
 
 The simulator's randomness is pinned to splitmix64 with the standard
 published constants, so a given seed produces the same loss/duplication/
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, TypeVar
 
-from .wire import UDP_MAX_DATAGRAM, Packet, PacketKind, SeqOrder, StreamId, WireError
+from .wire import UDP_MAX_DATAGRAM
 
 #: Default ports: one per stream so the receiver can tell sources apart.
 DEFAULT_IMAGE_PORT = 10021
@@ -119,9 +119,9 @@ class Service:
 
     Opens one endpoint per config, all or none. ``start`` runs each of
     ``loops`` on a daemon thread named by its key, once; ``stop`` joins
-    them, then closes every endpoint. A datagram that breaks the wire
-    contract is counted in ``malformed_packets`` and never stops a loop.
-    A loop that raises is logged and sets the stop; ``stop`` re-raises the first after closing.
+    them, then closes every endpoint. A receive loop hands each datagram to
+    its stream's socket-free ``fragment.Receiver``. A loop that raises is logged
+    and sets the stop, which ends :meth:`wait`; ``stop`` re-raises the first after closing.
     """
 
     def __init__(self, loops: dict[str, Callable[[], None]], endpoints: Iterable[EndpointConfig]):
@@ -133,7 +133,6 @@ class Service:
         self._threads: list[threading.Thread] = []
         self._errors: list[Exception] = []
         self._started_at = time.monotonic()
-        self.malformed_packets = 0
 
     def start(self) -> None:
         if self._threads:
@@ -153,6 +152,10 @@ class Service:
         if self._errors:
             raise self._errors[0]
 
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Whether the service stopped (a failed loop stops it) within ``timeout`` s (None: no limit)."""
+        return self._stop.wait(timeout)
+
     def _run(self, loop: Callable[[], None]) -> None:
         try:
             loop()
@@ -170,32 +173,17 @@ class Service:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _packets(self, endpoint: UdpEndpoint, stream: StreamId, kinds: tuple[PacketKind, ...],
-                 order: Optional[SeqOrder] = None) -> Iterator[Packet]:
-        """Each valid packet of ``stream`` and one of ``kinds`` from ``endpoint``.
-
-        A port of SINGLEs (whole messages) passes its ``order``, which drops
-        stale ones. Only valid packets come out. The socket is drained without
-        a wait; an empty one is waited on for up to 0.1 s, to see a stop.
-        """
+    def _messages(self, endpoint: UdpEndpoint, rx) -> Iterator:
+        """What ``rx.feed`` makes of each datagram from ``endpoint``, until the stop (seen within 0.1 s)."""
         while not self._stop.is_set():
             try:
                 datagram = endpoint.recv(timeout=0.1)
-                if datagram is None:
-                    continue
-                pkt = Packet.from_bytes(datagram)
-            except WireError:
-                self.malformed_packets += 1
-                continue
             except OSError:
                 if self._stop.is_set():
                     return
                 raise
-            h = pkt.header
-            if h.stream_id != stream or h.kind not in kinds:
-                self.malformed_packets += 1
-            elif order is None or order.advance(h.seq):
-                yield pkt
+            if datagram is not None and (message := rx.feed(datagram)) is not None:
+                yield message
 
 
 @dataclass(frozen=True)

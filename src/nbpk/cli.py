@@ -36,6 +36,7 @@ from .channel import (
     DEFAULT_IMAGE_PORT,
     DEFAULT_MOTION_PORT,
     ImpairmentConfig,
+    Service,
 )
 from .robotsim import RobotConfig, RobotSim
 from .wire import MotionRequest, StreamId
@@ -282,16 +283,16 @@ def _bridge_config(args) -> BridgeConfig:
 
 # --- subcommands -----------------------------------------------------------
 
-def _run_until_interrupt(duration: float | None) -> None:
-    """Block for ``duration`` seconds, or until Ctrl-C when it is None."""
+def _serve(service: Service, duration: float | None) -> int:
+    """Run ``service`` for ``duration`` seconds (None: until Ctrl-C); 2 once a loop dies (it logs why)."""
     try:
-        if duration is not None:
-            time.sleep(duration)
-        else:
-            while True:
-                time.sleep(0.5)
+        with service:
+            service.wait(duration)
     except KeyboardInterrupt:
         pass
+    except Exception:  # stop() re-raises the failed loop's exception
+        return 2
+    return 0
 
 
 def _cmd_robot(args) -> int:
@@ -310,17 +311,14 @@ def _cmd_robot(args) -> int:
         frag_payload=args.frag_size,
     )
     log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
-    with RobotSim(cfg):
-        _run_until_interrupt(args.duration)
-    return 0
+    return _serve(RobotSim(cfg), args.duration)
 
 
 def _cmd_bridge(args) -> int:
     if args.duration is not None:
         _check_positive("--duration", args.duration)
-    with Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True)):
-        _run_until_interrupt(args.duration)
-    return 0
+    return _serve(Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True)),
+                  args.duration)
 
 
 def _cmd_bench(args) -> int:

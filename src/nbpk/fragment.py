@@ -1,4 +1,4 @@
-"""Image fragmentation and single-slot reassembly.
+"""Image fragmentation, and the socket-free receive port of each stream.
 
 Large frames travel as one START packet announcing the frame geometry
 followed by FRAGMENT packets carrying pixel slices. A reassembler serves
@@ -7,13 +7,13 @@ the stream's seq order (``wire.SeqOrder``) drops an incomplete older frame
 on the spot; one that does not is a stale orphan. Packets that can't be
 matched to the in-flight frame are orphans; repeats of an already-stored
 fragment are duplicates. Readings and commands fit one SINGLE datagram
-each and are ordered and decoded where they arrive, without a reassembler.
+each, which a ``Receiver`` orders and decodes; a reassembler is the image's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from .wire import (
     HEADER_SIZE,
@@ -26,6 +26,8 @@ from .wire import (
     SeqOrder,
     StreamId,
     WireError,
+    decode_motion,
+    decode_request,
     decode_start_meta,
     encode_start_meta,
 )
@@ -84,6 +86,7 @@ class StreamStats:
     sender_restarts: int = 0
     bytes_received: int = 0
     latency_accumulator_us: int = 0
+    malformed_packets: int = 0  # off-contract datagrams and undecodable payloads
 
 
 def check_frag_payload(frag_payload: int) -> None:
@@ -148,25 +151,59 @@ class _Slot:
         self.timestamp_us = timestamp_us
 
 
-class Reassembler:
-    """Single-consumer reassembly state machine for one image stream.
+class Receiver:
+    """The socket-free receive port of one stream. For the motion or command stream it
+    takes SINGLEs in seq order and decodes them. Its socket's loop alone feeds it."""
+
+    def __init__(self, stream: StreamId):
+        self.stream = stream  # which fixes its packet kinds (FORMAT.md) and its decoder
+        self.kinds = ((PacketKind.START, PacketKind.FRAGMENT) if stream == StreamId.IMAGE
+                      else (PacketKind.SINGLE,))
+        self._stats, self._order = StreamStats(), SeqOrder()
+
+    def stats(self) -> StreamStats:
+        """Read-only snapshot of the counters."""
+        return replace(self._stats, frames_stale=self._order.stale, sender_restarts=self._order.restarts)
+
+    def feed(self, datagram: bytes) -> Any:
+        """The message ``datagram`` completes, or None; one that breaks the contract is malformed."""
+        try:
+            pkt = Packet.from_bytes(datagram)  # looked up per call, as is step: a tracer wraps them
+            if pkt.header[0] == self.stream and pkt.header[1] in self.kinds:
+                return self._take(pkt)
+        except WireError:
+            pass
+        self._stats.malformed_packets += 1
+        return None
+
+    def _take(self, pkt: Packet) -> Any:
+        h = pkt.header
+        if not self._order.advance(h.seq):
+            return None
+        self._stats.bytes_received += pkt.size
+        if h.stream_id == StreamId.MOTION:  # decode_* looked up per call, for a tracer to wrap
+            return decode_motion(pkt.payload, seq=h.seq, timestamp_us=h.timestamp_us)
+        return decode_request(pkt.payload)
+
+
+class Reassembler(Receiver):
+    """Single-consumer reassembly state machine for one image stream: its receiver.
 
     One instance per receive loop. The frame in flight is kept in one slot,
     opened only by a START that advances the seq order, so frames complete
     in seq order. The one eviction is preemption by the next frame's START;
     the reassembler keeps no clock, so its output is a pure function of the
-    packets fed to it. Feed packets whose headers already passed validation
-    (every ``Packet`` has).
+    packets fed to it. :meth:`step` takes packets whose headers already
+    passed validation (every ``Packet`` has).
     """
 
     def __init__(self):
+        super().__init__(StreamId.IMAGE)
         self._slot: Optional[_Slot] = None
-        self._stats = StreamStats()
-        self._order = SeqOrder()
 
-    def stats(self) -> StreamStats:
-        """Read-only snapshot of the counters."""
-        return replace(self._stats, frames_stale=self._order.stale, sender_restarts=self._order.restarts)
+    def _take(self, pkt: Packet) -> Optional[Image]:
+        event = self.step(pkt)
+        return event.image if event.__class__ is ImageComplete else None
 
     def step(self, pkt: Packet) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""

@@ -27,7 +27,7 @@ from .channel import (
     check_bind_port,
     check_dest_port,
 )
-from .fragment import check_frag_payload, packetize_image, packetize_single
+from .fragment import Receiver, check_frag_payload, packetize_image, packetize_single
 from .wire import (
     DEFAULT_FRAG_PAYLOAD,
     DEFAULT_JOINT_COUNT,
@@ -37,11 +37,7 @@ from .wire import (
     MotionReading,
     MotionRequest,
     Packet,
-    PacketKind,
-    SeqOrder,
     StreamId,
-    WireError,
-    decode_request,
     encode_motion,
 )
 
@@ -257,7 +253,7 @@ class RobotSim(Service):
         self.motions_sent = 0
         self.commands_received = 0
         self.send_errors = 0
-        self.command_order = SeqOrder()  # .stale and .restarts count command seqs
+        self.command_rx = Receiver(StreamId.COMMAND)
 
     @property
     def command_port(self) -> int:
@@ -313,12 +309,6 @@ class RobotSim(Service):
             self.motions_sent += 1
 
     def _command_loop(self) -> None:
-        for pkt in self._packets(self._command_in, StreamId.COMMAND, (PacketKind.SINGLE,),
-                                 self.command_order):
-            try:
-                req = decode_request(pkt.payload)
-            except WireError:
-                self.malformed_packets += 1
-                continue
+        for req in self._messages(self._command_in, self.command_rx):
             self._commands.put((req, time.monotonic()))
             self.commands_received += 1

@@ -2,6 +2,7 @@ import gc
 import math
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from nbpk.bridge import (
     TopicBus,
 )
 from nbpk.channel import EndpointConfig, UdpEndpoint
-from nbpk.fragment import Reassembler, packetize_image, packetize_single
+from nbpk.fragment import Reassembler, Receiver, StreamStats, packetize_image, packetize_single
 from nbpk.robotsim import gen_test_image, image_ok
 from nbpk.wire import (
     HEADER_SIZE,
@@ -31,6 +32,7 @@ from nbpk.wire import (
     StreamId,
     decode_request,
     encode_motion,
+    encode_request,
 )
 
 
@@ -142,9 +144,9 @@ class TestBridgeConfig:
             BridgeConfig(stats_period_s=0)
 
 
-def off_contract_datagrams(bridge: Bridge) -> list[tuple[bytes, int]]:
-    """One datagram (and the bridge port it goes to) of each class that breaks
-    the wire contract: six in all."""
+def off_contract_datagrams() -> list[tuple[bytes, StreamId]]:
+    """One datagram of each class that breaks the wire contract, six in all,
+    each with the stream whose bridge port it goes to."""
     # motion travels one sample per SINGLE: a valid START/FRAGMENT pair
     # on the motion port is off-contract, as is a motion SINGLE sent to
     # the image port; images travel as START/FRAGMENT, so an image
@@ -155,10 +157,56 @@ def off_contract_datagrams(bridge: Bridge) -> list[tuple[bytes, int]]:
     motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
                                      seq=0, timestamp_us=0)
     image_single = packetize_single(b"\x00" * 16, StreamId.IMAGE, seq=0, timestamp_us=0)
-    return [(b"garbage", bridge.image_port), (b"\x00" * 40, bridge.motion_port),
-            *[(p.to_bytes(), bridge.motion_port) for p in motion_frame],
-            (motion_single.to_bytes(), bridge.image_port),
-            (image_single.to_bytes(), bridge.image_port)]
+    return [(b"garbage", StreamId.IMAGE), (b"\x00" * 40, StreamId.MOTION),
+            *[(p.to_bytes(), StreamId.MOTION) for p in motion_frame],
+            (motion_single.to_bytes(), StreamId.IMAGE),
+            (image_single.to_bytes(), StreamId.IMAGE)]
+
+
+def backlog() -> list[tuple[bytes, StreamId]]:
+    """Frames 5, 6 and 7 with every off-contract class interleaved, some
+    between a frame's START and its FRAGMENT."""
+    frames = [[(p.to_bytes(), StreamId.IMAGE) for p in packetize_image(gen_test_image(seq, 16, 8))]
+              for seq in (5, 6, 7)]
+    bad = off_contract_datagrams()
+    return [*frames[0][:1], *bad[:2], *frames[0][1:], *bad[2:4], *frames[1],
+            *frames[2][:1], *bad[4:], *frames[2][1:]]
+
+
+# two stale seqs (a repeat and a late one), then a sender restart: 38 back
+STALE_AND_RESTART = (40, 41, 41, 39, 3, 4)
+
+
+def singles(stream: StreamId, payload: bytes) -> list[tuple[bytes, StreamId]]:
+    return [(packetize_single(payload, stream, seq=seq, timestamp_us=seq).to_bytes(), stream)
+            for seq in STALE_AND_RESTART]
+
+
+def motion_mix() -> list[tuple[bytes, StreamId]]:
+    return singles(StreamId.MOTION, encode_motion(MotionReading.zero()))
+
+
+def command_mix() -> list[tuple[bytes, StreamId]]:
+    # garbage, and a reading (the right kind, the wrong stream) on the command port
+    return [(b"not a packet", StreamId.COMMAND), (motion_mix()[0][0], StreamId.COMMAND),
+            *singles(StreamId.COMMAND, encode_request(MotionRequest.stand()))]
+
+
+def feed_fresh(datagrams: list[tuple[bytes, StreamId]]):
+    """What fresh receivers, with no socket, make of ``datagrams``: each
+    stream's messages and the stats of its receiver."""
+    receivers = {StreamId.IMAGE: Reassembler(), StreamId.MOTION: Receiver(StreamId.MOTION),
+                 StreamId.COMMAND: Receiver(StreamId.COMMAND)}
+    messages = {stream: [] for stream in receivers}
+    for datagram, stream in datagrams:
+        message = receivers[stream].feed(datagram)
+        if message is not None:
+            messages[stream].append(message)
+    return messages, {stream: rx.stats() for stream, rx in receivers.items()}
+
+
+def port_of(bridge: Bridge, stream: StreamId) -> int:
+    return bridge.image_port if stream == StreamId.IMAGE else bridge.motion_port
 
 
 def make_pair(**scenario_kwargs):
@@ -166,6 +214,56 @@ def make_pair(**scenario_kwargs):
     s = Scenario(duration_s=1.0, fps=20.0, width=64, height=48, **scenario_kwargs)
     sim, bridge = loopback_pair(s, bus)
     return bus, sim, bridge
+
+
+class TestReceivers:
+    def test_fresh_receivers_take_the_backlog_without_a_socket(self):
+        mix = [*backlog(), *motion_mix(), *command_mix()]
+        messages, stats = feed_fresh(mix)
+        assert messages[StreamId.IMAGE] == [gen_test_image(seq, 16, 8) for seq in (5, 6, 7)]
+        assert [r.seq for r in messages[StreamId.MOTION]] == [40, 41, 3, 4]
+        assert [r.timestamp_us for r in messages[StreamId.MOTION]] == [40, 41, 3, 4]
+        assert messages[StreamId.COMMAND] == [MotionRequest.stand()] * 4
+        image_bytes = sum(p.size for seq in (5, 6, 7) for p in packetize_image(gen_test_image(seq, 16, 8)))
+        assert stats[StreamId.IMAGE] == StreamStats(frames_complete=3, bytes_received=image_bytes,
+                                                    malformed_packets=3)
+        single = len(mix[-1][0])  # a command datagram: header and request
+        motion = HEADER_SIZE + len(encode_motion(MotionReading.zero()))
+        assert stats[StreamId.MOTION] == StreamStats(frames_stale=2, sender_restarts=1,
+                                                     bytes_received=4 * motion, malformed_packets=3)
+        assert stats[StreamId.COMMAND] == StreamStats(frames_stale=2, sender_restarts=1,
+                                                      bytes_received=4 * single, malformed_packets=2)
+        # every datagram is a message, a START that opened its frame, a stale seq or malformed
+        opened = 3
+        assert len(mix) == sum(len(m) for m in messages.values()) + opened + sum(
+            st.frames_stale + st.malformed_packets for st in stats.values())
+
+    def test_a_receiver_counts_an_undecodable_single_as_malformed(self):
+        rx = Receiver(StreamId.MOTION)
+        short = packetize_single(b"\x00" * 8, StreamId.MOTION, seq=1, timestamp_us=0)
+        assert rx.feed(short.to_bytes()) is None
+        assert rx.stats() == StreamStats(bytes_received=short.size, malformed_packets=1)
+
+    def test_a_live_robot_counts_commands_as_a_fresh_receiver_does(self):
+        bus, sim, bridge = make_pair()
+        mix = command_mix()
+        messages, offline = feed_fresh(mix)
+        expected = (offline[StreamId.COMMAND], len(messages[StreamId.COMMAND]))
+
+        def counted():
+            return sim.command_rx.stats(), sim.commands_received
+
+        with sim, bridge, UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+            for datagram, _ in mix:
+                tx.send_to(datagram, ("127.0.0.1", sim.command_port))
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and counted() != expected:
+                time.sleep(0.02)
+            time.sleep(0.1)  # long enough for a miscount past the total to show
+            got = counted()
+        assert got == expected == (StreamStats(frames_stale=2, sender_restarts=1,
+                                               bytes_received=4 * len(mix[-1][0]),
+                                               malformed_packets=2), 4)
 
 
 class TestBridgeLive:
@@ -214,6 +312,7 @@ class TestBridgeLive:
 
     def test_stats_identity_after_quiesce(self):
         bus, sim, bridge = make_pair()
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(256))  # deep enough to drop nothing
         bridge.start()
         sim.start()
         time.sleep(1.0)
@@ -221,7 +320,7 @@ class TestBridgeLive:
         time.sleep(0.3)
         snap = bridge.stats()
         bridge.stop()
-        assert snap.frames_published == snap.image.frames_complete
+        assert len(sub.drain()) == snap.image.frames_complete > 0  # every completed frame is published
         assert snap.frames_stale == 0
         assert snap.motions_published > 0
         # readings are decoded at the motion port, not reassembled: only bytes count
@@ -257,7 +356,7 @@ class TestBridgeLive:
         assert got == seqs
         counts = snap.image if image else snap.motion
         assert (counts.sender_restarts, counts.frames_stale, snap.frames_stale) == (restarts, 0, 0)
-        assert (snap.frames_published if image else snap.motions_published) == len(seqs)
+        assert (counts.frames_complete if image else snap.motions_published) == len(seqs)
 
     def test_stats_topic_ticks(self):
         bus = TopicBus()
@@ -278,7 +377,7 @@ class TestBridgeLive:
         time.sleep(0.3)
         snap = bridge.stats()
         bridge.stop()
-        assert snap.frames_published == 0
+        assert snap.image.frames_complete == 0
         assert snap.image.bytes_received == 0
         assert snap.malformed_packets == 0
 
@@ -286,32 +385,37 @@ class TestBridgeLive:
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
         bridge.start()
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
-            for datagram, port in off_contract_datagrams(bridge):
-                tx.send_to(datagram, ("127.0.0.1", port))
+            for datagram, stream in off_contract_datagrams():
+                tx.send_to(datagram, ("127.0.0.1", port_of(bridge, stream)))
         deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and bridge.malformed_packets < 6:
+        while time.monotonic() < deadline and bridge.stats().malformed_packets < 6:
             time.sleep(0.02)
         snap = bridge.stats()
         bridge.stop()
         assert snap.malformed_packets == 6
-        assert snap.frames_published == 0
+        assert (snap.image.malformed_packets, snap.motion.malformed_packets) == (3, 3)
+        assert snap.image.frames_complete == 0
         assert snap.motion.frames_complete == 0
         assert snap.motions_published == 0
 
     def test_a_backlog_is_drained_in_order(self):
         # the first wake-up finds frames and every off-contract class queued,
-        # interleaved, some between a frame's START and its FRAGMENT
+        # interleaved, some between a frame's START and its FRAGMENT, and
+        # stale and restarted motion seqs; the bridge counts what fresh
+        # receivers fed the same datagrams count
         bus = TopicBus()
         sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"), bus=bus)
-        frames = [[(p.to_bytes(), bridge.image_port) for p in packetize_image(gen_test_image(seq, 16, 8))]
-                  for seq in (5, 6, 7)]
-        bad = off_contract_datagrams(bridge)
-        queued = [*frames[0][:1], *bad[:2], *frames[0][1:], *bad[2:4], *frames[1],
-                  *frames[2][:1], *bad[4:], *frames[2][1:]]
+        queued = [*backlog(), *motion_mix()]
+        messages, offline = feed_fresh(queued)
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
-            for datagram, port in queued:
-                tx.send_to(datagram, ("127.0.0.1", port))
+            for datagram, stream in queued:
+                tx.send_to(datagram, ("127.0.0.1", port_of(bridge, stream)))
+
+        def counted(snap):
+            return (replace(snap.image, latency_accumulator_us=0), snap.motion, snap.motions_published)
+
+        expected = (offline[StreamId.IMAGE], offline[StreamId.MOTION], len(messages[StreamId.MOTION]))
         with bridge:
             got = []
             deadline = time.monotonic() + 2.0
@@ -320,14 +424,17 @@ class TestBridgeLive:
                 if frame is not None:
                     got.append(frame)
             deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and bridge.malformed_packets < len(bad):
+            while time.monotonic() < deadline and counted(bridge.stats()) != expected:
                 time.sleep(0.02)
             time.sleep(0.1)  # long enough for a miscount past the total to show
             snap = bridge.stats()
         assert [f.image.seq for f in got] == [5, 6, 7]
         assert all(image_ok(f.image) for f in got)
-        assert snap.malformed_packets == len(bad) == 6
-        assert snap.frames_published == 3
+        assert [f.image for f in got] == messages[StreamId.IMAGE]
+        assert counted(snap) == expected
+        assert snap.malformed_packets == len(off_contract_datagrams()) == 6
+        assert snap.frames_stale == offline[StreamId.MOTION].frames_stale == 2
+        assert snap.image.frames_complete == 3
 
     def test_stop_is_seen_under_a_flood(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))
@@ -464,8 +571,20 @@ class TestBridgeLive:
                 time.sleep(0.01)
             target = sim.walk_snapshot().target
         assert [p.header.seq for p in sent] == [2**32 - 1, 0]
-        assert sim.commands_received == 2 and sim.command_order.stale == 0
+        assert sim.commands_received == 2 and sim.command_rx.stats().frames_stale == 0
         assert target == (0.25, 0.0, 0.0)
+
+    def test_a_command_that_fails_to_forward_is_counted_failed_not_malformed(self):
+        bus = TopicBus()
+        with Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"),
+                    bus=bus) as bridge:
+            bus.publish(TOPIC_COMMAND, MotionRequest(mode=MotionMode.WALK, vx=math.nan))
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and bridge.stats().commands_failed < 1:
+                time.sleep(0.02)
+            time.sleep(0.1)
+            snap = bridge.stats()
+        assert (snap.commands_failed, snap.commands_forwarded, snap.malformed_packets) == (1, 0, 0)
 
     def test_command_forward_rejects_nan(self):
         bridge = Bridge(BridgeConfig(image_port=0, motion_port=0, bind_host="127.0.0.1"))

@@ -4,6 +4,7 @@ import logging
 import math
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -230,3 +231,21 @@ class TestService:
         assert not any(t.is_alive() for t in svc._threads)
         [rec] = caplog.records
         assert rec.name == "nbpk" and "nbpk-test-fail" in rec.getMessage() and rec.exc_info
+
+    def test_wait_returns_when_a_loop_dies_or_the_time_is_up(self, caplog):
+        failing = threading.Event()
+
+        def fail():
+            failing.wait()
+            raise RuntimeError("loop failed")
+
+        svc = Service({"nbpk-test-fail": fail}, ())
+        with caplog.at_level(logging.ERROR, logger="nbpk"):
+            svc.start()
+            assert svc.wait(0.05) is False
+            failing.set()
+            t0 = time.monotonic()
+            assert svc.wait(5.0) is True
+            assert time.monotonic() - t0 < 1.0
+            with pytest.raises(RuntimeError, match="loop failed"):
+                svc.stop()

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import logging
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from nbpk.cli import (
     to_request,
 )
 from nbpk.recorder import record_messages
-from nbpk.robotsim import gen_test_image
+from nbpk.robotsim import RobotSim, gen_test_image
 from nbpk.wire import MotionMode
 
 
@@ -334,7 +335,25 @@ class TestRunCommands:
         assert lines
         for line in lines:
             doc = json.loads(line)
-            assert doc["frames_published"] == 0 and "uptime_s" in doc
+            assert doc["image"]["frames_complete"] == 0 and "uptime_s" in doc
+            assert doc["commands_failed"] == 0 and "frames_published" not in doc
+
+    def test_a_dead_loop_ends_the_command_with_exit_2(self, monkeypatch, caplog):
+        def fail(self):
+            raise RuntimeError("camera gone")
+
+        monkeypatch.setattr(RobotSim, "_image_loop", fail)
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \
+                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as motion_in:
+            t0 = time.monotonic()
+            with caplog.at_level(logging.ERROR, logger="nbpk"):
+                code = main(["robot", "--command-port", "0", "--duration", "30",
+                             "--image-port", str(image_in.local_port),
+                             "--motion-port", str(motion_in.local_port)])
+            took = time.monotonic() - t0
+        assert code == 2 and took < 1.0
+        [rec] = caplog.records  # the one line: the service logs the loop that died
+        assert "nbpk-robot-image" in rec.getMessage() and "camera gone" in str(rec.exc_info[1])
 
     def test_robot_streams_for_duration(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \

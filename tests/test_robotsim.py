@@ -365,11 +365,11 @@ class TestRobotSimLive:
                 tx.send_to(stand.to_bytes(), ("127.0.0.1", sim.command_port))
                 deadline = time.monotonic() + 2.0
                 while time.monotonic() < deadline and (
-                        sim.commands_received + sim.command_order.stale < 2
+                        sim.commands_received + sim.command_rx.stats().frames_stale < 2
                         or sim.walk_snapshot().target == (0.0, 0.0, 0.0)):
                     time.sleep(0.01)
                 target = sim.walk_snapshot().target  # well inside the 0.5 s deadman
-        assert (sim.commands_received, sim.command_order.stale) == (1, 1)
+        assert (sim.commands_received, sim.command_rx.stats().frames_stale) == (1, 1)
         assert target == (1.0, 0.0, 0.0)
         image_in.close()
         motion_in.close()
@@ -408,9 +408,9 @@ class TestRobotSimLive:
                 tx.send_to(b"not a packet", ("127.0.0.1", sim.command_port))
                 tx.send_to(start.to_bytes(), ("127.0.0.1", sim.command_port))
                 deadline = time.monotonic() + 2.0
-                while time.monotonic() < deadline and sim.malformed_packets < 2:
+                while time.monotonic() < deadline and sim.command_rx.stats().malformed_packets < 2:
                     time.sleep(0.02)
-            assert sim.malformed_packets == 2
+            assert sim.command_rx.stats().malformed_packets == 2
             assert sim.commands_received == 0
         image_in.close()
         motion_in.close()
