@@ -4,8 +4,9 @@ The simulator's randomness is pinned to splitmix64 with the standard
 published constants, so a given seed produces the same loss/duplication/
 reorder trace on any platform. The state moves forward three draws per
 input packet, always (loss, duplication, reorder). Draw ``k`` depends on
-``seed + k * gamma`` alone, so a draw whose outcome is fixed (probability
-0 or 1, or the packet already lost) is skipped, not mixed.
+``seed + k * gamma`` alone, so 128 packets' draws are mixed in one block,
+a lost packet's included, and a probability of 0 or 1 mixes none: the
+trace is the one that mixing every draw gives.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import math
 import select
 import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -29,19 +31,26 @@ DEFAULT_COMMAND_PORT = 10023
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
-_GAMMA2, _GAMMA3 = 2 * SPLITMIX64_GAMMA, 3 * SPLITMIX64_GAMMA
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# A block is an int of 128 lanes of 128 bits: a 64-bit lane times a 64-bit mixer stays in its lane.
+_LANES = 128
+_LANE_U64 = struct.Struct("<" + "Q8x" * _LANES)  # the low 64 bits of every lane
+_LANE_ONES = int.from_bytes(_LANE_U64.pack(*[1] * _LANES), "little")
+_LANE_LOW = _LANE_ONES * _MASK64
+_LANE_STEPS = int.from_bytes(_LANE_U64.pack(*range(_LANES)), "little") * 3 * SPLITMIX64_GAMMA & _LANE_LOW
 
 T = TypeVar("T")
 
 
-def splitmix64(state: int) -> int:
-    """splitmix64's output for the Weyl state ``seed + k * SPLITMIX64_GAMMA``
-    (mod 2**64) of draw ``k >= 1``; ``state`` is a u64."""
-    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+def splitmix64_block(state: int) -> tuple[int, ...]:
+    """splitmix64's outputs for the 128 Weyl states ``state + 3 * k * SPLITMIX64_GAMMA``
+    (mod 2**64), ``k = 0 .. 127``: every third draw, from the one at ``state``."""
+    z = ((state & _MASK64) * _LANE_ONES + _LANE_STEPS) & _LANE_LOW
+    z = ((z ^ (z >> 30)) & _LANE_LOW) * _MIX1 & _LANE_LOW
+    z = ((z ^ (z >> 27)) & _LANE_LOW) * _MIX2 & _LANE_LOW
+    return _LANE_U64.unpack((z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
 
 
 def check_bind_port(name: str, port: int) -> None:
@@ -219,11 +228,11 @@ class StreamImpairer:
 
     def __init__(self, cfg: ImpairmentConfig):
         self.cfg = cfg
-        self._state = cfg.seed & _MASK64
-        # A draw's u < p is k < ceil(p * 2**53) for its top 53 bits k, exactly. At p = 0
-        # or 1 the outcome is fixed, and the limit is that outcome instead.
-        self._limits = tuple(p == 1.0 if p in (0.0, 1.0) else math.ceil(p * (1 << 53))
+        # A draw's u < p is draw < ceil(p * 2**53) << 11, exactly. At p = 0 or 1 the
+        # outcome is fixed, and the limit is that outcome instead.
+        self._limits = tuple(p == 1.0 if p in (0.0, 1.0) else math.ceil(p * (1 << 53)) << 11
                              for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
+        self._fates: list = []  # this block's loss, duplication and reorder outcomes
         self._pending: list[tuple[int, int, int, T]] = []  # a heap of reordered entries
         self._index = 0
 
@@ -231,19 +240,21 @@ class StreamImpairer:
         """Feed one item; returns whatever the channel releases now."""
         i = self._index
         self._index = i + 1
-        x = self._state  # draws 1, 2, 3 of this item are x + gamma, x + 2 gamma, x + 3 gamma
-        self._state = (x + _GAMMA3) & _MASK64
+        k = i % _LANES
+        if not k:  # item i's draws are 3i + 1, 3i + 2 and 3i + 3
+            x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
+            self._fates = [(limit,) * _LANES if limit.__class__ is bool else
+                           [draw < limit for draw in splitmix64_block(x + j * SPLITMIX64_GAMMA)]
+                           for j, limit in enumerate(self._limits, 1)]
         pending = self._pending
         out = []
         while pending and pending[0][0] <= i:
             out.append(heappop(pending)[3])
-        loss, dup, reorder = self._limits
-        lost = loss if loss.__class__ is bool else splitmix64((x + SPLITMIX64_GAMMA) & _MASK64) >> 11 < loss
-        if lost:
+        lost, dup, reorder = self._fates
+        if lost[k]:
             return out
-        twice = dup if dup.__class__ is bool else splitmix64((x + _GAMMA2) & _MASK64) >> 11 < dup
-        late = reorder if reorder.__class__ is bool else splitmix64(self._state) >> 11 < reorder
-        if late:
+        twice = dup[k]
+        if reorder[k]:
             slot = i + self.cfg.reorder_depth
             heappush(pending, (slot, i, 0, item))
             if twice:

@@ -20,6 +20,7 @@ import select
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 from . import bench as bench_mod
 from . import inertial, recorder
@@ -283,14 +284,18 @@ def _bridge_config(args) -> BridgeConfig:
 
 # --- subcommands -----------------------------------------------------------
 
-def _serve(service: Service, duration: float | None) -> int:
-    """Run ``service`` for ``duration`` seconds (None: until Ctrl-C); 2 once a loop dies (it logs why)."""
+def _serve(service: Service, run: Callable[[], object]) -> int:
+    """Call ``run``, which ends when ``service.wait`` does, while ``service`` runs; 2 if a loop died."""
+    died = False
     try:
         with service:
-            service.wait(duration)
+            run()
+            died = service.wait(0)  # before stop(), only a loop that died has set it
     except KeyboardInterrupt:
         pass
     except Exception:  # stop() re-raises the failed loop's exception
+        if not died:
+            raise
         return 2
     return 0
 
@@ -311,14 +316,15 @@ def _cmd_robot(args) -> int:
         frag_payload=args.frag_size,
     )
     log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
-    return _serve(RobotSim(cfg), args.duration)
+    sim = RobotSim(cfg)
+    return _serve(sim, lambda: sim.wait(args.duration))
 
 
 def _cmd_bridge(args) -> int:
     if args.duration is not None:
         _check_positive("--duration", args.duration)
-    return _serve(Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True)),
-                  args.duration)
+    bridge = Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True))
+    return _serve(bridge, lambda: bridge.wait(args.duration))
 
 
 def _cmd_bench(args) -> int:
@@ -340,10 +346,13 @@ def _cmd_bench(args) -> int:
 
 def _cmd_record(args) -> int:
     _check_positive("--duration", args.duration)
-    with Bridge(_bridge_config(args)) as bridge:
-        n = recorder.record(bridge.bus, args.out, args.duration)
-    print(json.dumps({"records": n, "path": args.out}))
-    return 0
+    bridge = Bridge(_bridge_config(args))
+
+    def run():
+        n = recorder.record(bridge.bus, args.out, args.duration, stopped=lambda: bridge.wait(0))
+        print(json.dumps({"records": n, "path": args.out}))
+
+    return _serve(bridge, run)
 
 
 def _cmd_replay(args) -> int:

@@ -22,7 +22,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -236,8 +236,8 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
 
 def record(bus: TopicBus, path, duration_s: float,
            topics: tuple[str, ...] = (TOPIC_IMAGE, TOPIC_MOTION),
-           epoch_us: Optional[int] = None) -> int:
-    """Subscribe to ``topics`` and log everything seen for ``duration_s``.
+           epoch_us: Optional[int] = None, stopped: Callable[[], bool] = lambda: False) -> int:
+    """Subscribe to ``topics`` and log everything seen for ``duration_s``, or until ``stopped()``.
 
     Returns the number of records written. The file is valid even if the
     run observes nothing (header-only). Each message goes through
@@ -258,7 +258,7 @@ def record(bus: TopicBus, path, duration_s: float,
         with LogWriter(path, epoch_us=epoch_us) as w:
             while True:
                 wrote = write_queued(w)
-                if time.monotonic() >= deadline:
+                if time.monotonic() >= deadline or stopped():
                     break
                 if not wrote:
                     time.sleep(0.002)

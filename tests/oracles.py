@@ -52,6 +52,21 @@ def splitmix64_sequence(seed: int, n: int) -> list[int]:
 SPLITMIX64_SEED0_FIRST = 0xE220A8397B1DCDAF
 
 
+def splitmix64_seed_for(output: int, k: int) -> int:
+    """The seed whose draw ``k >= 1`` is ``output``, by running splitmix64's
+    output function backwards: a xor-shift is undone by applying it until the
+    value is stable, a multiply by the mixer's inverse mod 2**64."""
+    def unshift(y: int, shift: int) -> int:
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(output, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) & MASK64
+
+
 def impair_reference(cfg, items: list) -> list:
     """The channel simulator as one sort over the whole stream (the library's
     original ``impair``): three draws per item, a survivor lands in slot

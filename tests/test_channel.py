@@ -7,10 +7,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import SPLITMIX64_SEED0_FIRST, impair_reference, splitmix64_sequence
+from oracles import SPLITMIX64_SEED0_FIRST, impair_reference, splitmix64_seed_for, splitmix64_sequence
 
 from nbpk.channel import (
     SPLITMIX64_GAMMA,
@@ -19,7 +19,7 @@ from nbpk.channel import (
     Service,
     StreamImpairer,
     UdpEndpoint,
-    splitmix64,
+    splitmix64_block,
 )
 
 MASK64 = (1 << 64) - 1
@@ -32,21 +32,31 @@ def impair(cfg: ImpairmentConfig, items) -> list:
     return out + imp.flush()
 
 
+LANES = 128  # draws per stream in one block
+# seeds anywhere, and seeds near 2**64, whose Weyl states wrap inside the first block
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**20, 2**64 + 2**20))
+
+
 class TestSplitMix64:
     def test_known_vector_seed_zero(self):
-        assert splitmix64(SPLITMIX64_GAMMA) == SPLITMIX64_SEED0_FIRST
+        assert splitmix64_block(SPLITMIX64_GAMMA)[0] == SPLITMIX64_SEED0_FIRST
         assert SPLITMIX64_SEED0_FIRST == 16294208416658607535
 
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 64))
-    def test_matches_reference(self, seed, n):
-        draws = [splitmix64((seed + k * SPLITMIX64_GAMMA) & MASK64) for k in range(1, n + 1)]
-        assert draws == splitmix64_sequence(seed, n)
+    @given(SEEDS)
+    @example(2**64 - 1)
+    @example(2**64 - 5)
+    def test_matches_reference(self, seed):
+        # every lane of the blocks that start at draws 1, 2 and 3: draws 1 .. 384 in all
+        draws = splitmix64_sequence(seed, 3 * LANES)
+        for j in (1, 2, 3):
+            assert splitmix64_block(seed + j * SPLITMIX64_GAMMA) == tuple(draws[j - 1::3])
 
-    @given(st.integers(0, 2**64 - 1))
+    @given(SEEDS)
     def test_floats_in_unit_interval(self, state):
-        # a u64 output, so its top 53 bits over 2**53 lie in [0, 1)
-        assert 0 <= splitmix64(state) <= MASK64
-        assert 0.0 <= (splitmix64(state) >> 11) * 2.0**-53 < 1.0
+        # u64 outputs, so their top 53 bits over 2**53 lie in [0, 1)
+        for draw in splitmix64_block(state):
+            assert 0 <= draw <= MASK64
+            assert 0.0 <= (draw >> 11) * 2.0**-53 < 1.0
 
     def test_float_uses_top_53_bits(self):
         # the first packet's loss draw u: loss_p == u keeps it, the next double up loses it
@@ -122,7 +132,7 @@ class TestStreamImpairer:
     @settings(max_examples=200)
     @given(
         st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
-        st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 120),
+        st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 3 * LANES + 16),
     )
     def test_equivalent_to_batch(self, loss, dup, reorder, depth, seed, n):
         cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder,
@@ -135,6 +145,13 @@ class TestStreamImpairer:
         streamed.extend(imp.flush())
         assert streamed == impair_reference(cfg, items)
 
+    # either side of each refill, with every stream drawing
+    @pytest.mark.parametrize("n", [LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 8 * LANES])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 5])
+    def test_equivalent_across_blocks(self, n, seed):
+        cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3, seed=seed)
+        assert impair(cfg, range(n)) == impair_reference(cfg, list(range(n)))
+
     # hypothesis's floats(0, 1) rarely draws the doubles next to 0 and 1
     @pytest.mark.parametrize("p", [0.0, 5e-324, 0.01, 1 - 2**-53, 1.0])
     @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
@@ -144,6 +161,20 @@ class TestStreamImpairer:
             cfg = ImpairmentConfig(**{"loss_p": other, "dup_p": other, "reorder_p": other, name: p},
                                    reorder_depth=3, seed=seed)
             assert impair(cfg, items) == impair_reference(cfg, items), cfg
+
+    # Item 200, in the second block, gets a chosen draw: u = 0 lies below 5e-324, and
+    # u = 1 - 2**-53 does not lie below itself. The next draw in u decides the other way.
+    @pytest.mark.parametrize("p, draw, fires", [
+        (5e-324, 0, True), (5e-324, 2**11 - 1, True), (5e-324, 2**11, False),
+        (1 - 2**-53, MASK64, False), (1 - 2**-53, MASK64 - 2**11, True),
+    ])
+    @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
+    def test_edge_probabilities_decide_by_the_top_53_bits(self, name, p, draw, fires):
+        i, k = 200, 3 * 200 + ("loss_p", "dup_p", "reorder_p").index(name) + 1
+        cfg = ImpairmentConfig(**{name: p}, reorder_depth=2, seed=splitmix64_seed_for(draw, k))
+        assert ((splitmix64_sequence(cfg.seed, k)[-1] >> 11) * 2.0**-53 < p) == fires
+        items = list(range(i + 3))
+        assert impair(cfg, items) == impair_reference(cfg, items)
 
     def test_releases_do_not_wait_for_flush(self):
         imp = StreamImpairer(ImpairmentConfig())

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, TopicBus
+from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, Bridge, TopicBus
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.cli import (
     TeleopState,
@@ -18,7 +18,7 @@ from nbpk.cli import (
     teleop_loop,
     to_request,
 )
-from nbpk.recorder import record_messages
+from nbpk.recorder import Truncated, read_log, record_messages
 from nbpk.robotsim import RobotSim, gen_test_image
 from nbpk.wire import MotionMode
 
@@ -354,6 +354,22 @@ class TestRunCommands:
         assert code == 2 and took < 1.0
         [rec] = caplog.records  # the one line: the service logs the loop that died
         assert "nbpk-robot-image" in rec.getMessage() and "camera gone" in str(rec.exc_info[1])
+
+    def test_a_dead_bridge_loop_ends_record_with_exit_2(self, monkeypatch, caplog, tmp_path):
+        def fail(self):
+            raise RuntimeError("image socket gone")
+
+        monkeypatch.setattr(Bridge, "_image_loop", fail)
+        path = tmp_path / "run.nbpk"
+        t0 = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger="nbpk"):
+            code = main(["record", str(path), "--duration", "5",
+                         "--image-port", "0", "--motion-port", "0"])
+        took = time.monotonic() - t0
+        assert code == 2 and took < 1.0
+        [rec] = caplog.records  # the one line: the service logs the loop that died
+        assert "nbpk-bridge-image" in rec.getMessage() and "image socket gone" in str(rec.exc_info[1])
+        assert not any(isinstance(r, Truncated) for r in read_log(path))  # the log is whole
 
     def test_robot_streams_for_duration(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \
