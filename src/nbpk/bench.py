@@ -123,14 +123,15 @@ def _report(frames_sent: int, latencies_us: list[int], verify_failures: int,
 def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     """Simulate a run on a virtual clock; deterministic given the seed.
 
-    A packet arrives at the virtual time of the push that releases it, so
-    latency comes only from reordering. If ``trace_out`` is given, the seq
+    Each frame's packets go through the channel in one ``push_all``, and a
+    packet arrives at the virtual time of the frame whose run releases it,
+    so latency comes only from reordering. If ``trace_out`` is given, the seq
     of every delivered frame is appended to it in completion order.
     """
     cfg = s.effective_impairment()
     imp = StreamImpairer(cfg)
     rx = Reassembler()
-    push, step = imp.push, rx.step
+    push_all, step = imp.push_all, rx.step
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
     verify_failures = 0
@@ -147,11 +148,10 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     for i in range(frames_sent):
         t_us = round(i * 1e6 / s.fps)
         img = replace(gen_test_image(i, s.width, s.height), timestamp_us=t_us)
-        for pkt in packetize_image(img, s.frag_payload):
-            for released in push(pkt):
-                event = step(released)
-                if event.__class__ is ImageComplete:
-                    complete(event.image, t_us)
+        for released in push_all(packetize_image(img, s.frag_payload)):
+            event = step(released)
+            if event.__class__ is ImageComplete:
+                complete(event.image, t_us)
     for released in imp.flush():
         event = step(released)
         if event.__class__ is ImageComplete:

@@ -6,7 +6,8 @@ reorder trace on any platform. The state moves forward three draws per
 input packet, always (loss, duplication, reorder). Draw ``k`` depends on
 ``seed + k * gamma`` alone, so 128 packets' draws are mixed in one block,
 a lost packet's included, and a probability of 0 or 1 mixes none: the
-trace is the one that mixing every draw gives.
+trace is the one that mixing every draw gives. A run of packets fed in
+one call is released exactly as the same packets fed one at a time.
 """
 
 from __future__ import annotations
@@ -215,9 +216,11 @@ class ImpairmentConfig:
 
 
 class StreamImpairer:
-    """Apply loss, duplication and reordering to a packet stream, one item at a time.
+    """Apply loss, duplication and reordering to a packet stream, a run of items at a time.
 
-    A pure function of (cfg, items pushed): the same seed yields the same
+    ``push_all`` feeds a run and ``push`` one item; a run releases exactly
+    what pushing its items one by one would. A pure function of (cfg,
+    items pushed), however they are split: the same seed yields the same
     output every time. Items are never altered, only kept, repeated, or
     moved; a reordered item is released ``reorder_depth`` slots late, with
     ties broken by original send index, and duplicates release back to
@@ -232,37 +235,41 @@ class StreamImpairer:
         # outcome is fixed, and the limit is that outcome instead.
         self._limits = tuple(p == 1.0 if p in (0.0, 1.0) else math.ceil(p * (1 << 53)) << 11
                              for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
-        self._fates: list = []  # this block's loss, duplication and reorder outcomes
+        self._fates = ((), (), ())  # this block's loss, duplication and reorder outcomes
         self._pending: list[tuple[int, int, int, T]] = []  # a heap of reordered entries
         self._index = 0
 
     def push(self, item: T) -> list[T]:
         """Feed one item; returns whatever the channel releases now."""
+        return self.push_all((item,))
+
+    def push_all(self, items: Iterable[T]) -> list[T]:
+        """Feed items in turn; returns what pushing each one would, concatenated."""
         i = self._index
-        self._index = i + 1
-        k = i % _LANES
-        if not k:  # item i's draws are 3i + 1, 3i + 2 and 3i + 3
-            x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
-            self._fates = [(limit,) * _LANES if limit.__class__ is bool else
-                           [draw < limit for draw in splitmix64_block(x + j * SPLITMIX64_GAMMA)]
-                           for j, limit in enumerate(self._limits, 1)]
-        pending = self._pending
-        out = []
-        while pending and pending[0][0] <= i:
-            out.append(heappop(pending)[3])
+        pending, depth = self._pending, self.cfg.reorder_depth
         lost, dup, reorder = self._fates
-        if lost[k]:
-            return out
-        twice = dup[k]
-        if reorder[k]:
-            slot = i + self.cfg.reorder_depth
-            heappush(pending, (slot, i, 0, item))
-            if twice:
-                heappush(pending, (slot, i, 1, item))
-        else:  # released in slot i, after every pending entry due by then
-            out.append(item)
-            if twice:
-                out.append(item)
+        out = []
+        for item in items:
+            k = i % _LANES
+            if not k:  # item i's draws are 3i + 1, 3i + 2 and 3i + 3
+                x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
+                self._fates = lost, dup, reorder = [
+                    (limit,) * _LANES if limit.__class__ is bool else
+                    [draw < limit for draw in splitmix64_block(x + j * SPLITMIX64_GAMMA)]
+                    for j, limit in enumerate(self._limits, 1)]
+            while pending and pending[0][0] <= i:
+                out.append(heappop(pending)[3])
+            if not lost[k]:
+                if reorder[k]:
+                    heappush(pending, (i + depth, i, 0, item))
+                    if dup[k]:
+                        heappush(pending, (i + depth, i, 1, item))
+                else:  # released in slot i, after every pending entry due by then
+                    out.append(item)
+                    if dup[k]:
+                        out.append(item)
+            i += 1
+        self._index = i
         return out
 
     def flush(self) -> list[T]:

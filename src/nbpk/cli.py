@@ -6,7 +6,8 @@ Set NBPK_LOG={error|info|debug} for verbosity.
 
 Teleop drives the robot from the keyboard: w/s step vx, a/d step vy,
 q/e step omega, space stands, x exits (after a final stand). Every
-component stays clamped to [-1, 1].
+component stays clamped to [-1, 1]. A dead bridge loop ends teleop, like
+robot, bridge and record, with exit 2.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class _TerminalKeys:
 
 def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
                 get_key=None, out=None, step: float = DEFAULT_TELEOP_STEP,
-                max_runtime: float | None = None) -> None:
-    """Publish the commanded velocity on ``motion/request`` at ``rate``.
+                max_runtime: float | None = None, stopped: Callable[[], bool] = lambda: False) -> None:
+    """Publish the commanded velocity on ``motion/request`` at ``rate``, until x or ``stopped()``.
 
     ``get_key(timeout)`` supplies keypresses (defaults to the terminal);
     the latest echoed robot velocity from ``motion/state`` is printed
@@ -147,7 +148,7 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
     try:
         while not state.exit_requested:
             now = time.monotonic()
-            if max_runtime is not None and now - started >= max_runtime:
+            if stopped() or max_runtime is not None and now - started >= max_runtime:
                 break
             key = get_key(max(0.0, min(next_pub, next_echo) - now))
             if key is not None:
@@ -398,12 +399,9 @@ def _cmd_teleop(args) -> int:
     _check_positive("--step", args.step)
     if not sys.stdin.isatty():
         raise UsageError("teleop reads single keys and needs an interactive terminal")
-    with Bridge(_bridge_config(args)) as bridge:
-        try:
-            teleop_loop(bridge.bus, rate=args.rate, step=args.step)
-        except KeyboardInterrupt:
-            pass
-    return 0
+    bridge = Bridge(_bridge_config(args))
+    return _serve(bridge, lambda: teleop_loop(bridge.bus, rate=args.rate, step=args.step,
+                                              stopped=lambda: bridge.wait(0)))
 
 
 def _cmd_inertia(args) -> int:

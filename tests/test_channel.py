@@ -25,16 +25,27 @@ from nbpk.channel import (
 MASK64 = (1 << 64) - 1
 
 
-def impair(cfg: ImpairmentConfig, items) -> list:
-    """Push every item through a fresh impairer, then flush it."""
-    imp = StreamImpairer(cfg)
-    out = [released for item in items for released in imp.push(item)]
+def impair(cfg: ImpairmentConfig, items, chunks=None) -> list:
+    """Push the items through a fresh impairer, then flush it: one at a time
+    through ``push``, or, given chunk sizes (cycled), in runs through ``push_all``."""
+    imp, items = StreamImpairer(cfg), list(items)
+    if chunks is None:
+        out = [released for item in items for released in imp.push(item)]
+    else:
+        out, start, sizes = [], 0, itertools.cycle(chunks)
+        while start < len(items):
+            size = next(sizes)
+            out += imp.push_all(items[start:start + size])
+            start += size
     return out + imp.flush()
 
 
 LANES = 128  # draws per stream in one block
 # seeds anywhere, and seeds near 2**64, whose Weyl states wrap inside the first block
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**20, 2**64 + 2**20))
+# runs of 0-300 items, so a run can start, end or lie anywhere in a block; None pushes one at a time
+CHUNKS = st.lists(st.integers(0, 300), min_size=1, max_size=6).filter(any)
+CHUNKING = st.one_of(st.none(), CHUNKS)
 
 
 class TestSplitMix64:
@@ -132,55 +143,68 @@ class TestStreamImpairer:
     @settings(max_examples=200)
     @given(
         st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
-        st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 3 * LANES + 16),
+        st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 3 * LANES + 16), CHUNKING,
     )
-    def test_equivalent_to_batch(self, loss, dup, reorder, depth, seed, n):
+    def test_equivalent_to_batch(self, loss, dup, reorder, depth, seed, n, chunks):
         cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder,
                                reorder_depth=depth, seed=seed)
         items = list(range(n))
-        imp = StreamImpairer(cfg)
-        streamed = []
-        for item in items:
-            streamed.extend(imp.push(item))
-        streamed.extend(imp.flush())
-        assert streamed == impair_reference(cfg, items)
+        assert impair(cfg, items, chunks) == impair_reference(cfg, items)
 
     # either side of each refill, with every stream drawing
+    @settings(max_examples=20)
+    @given(chunks=CHUNKING)
     @pytest.mark.parametrize("n", [LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 8 * LANES])
     @pytest.mark.parametrize("seed", [0, 2**64 - 5])
-    def test_equivalent_across_blocks(self, n, seed):
+    def test_equivalent_across_blocks(self, n, seed, chunks):
         cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3, seed=seed)
-        assert impair(cfg, range(n)) == impair_reference(cfg, list(range(n)))
+        assert impair(cfg, range(n), chunks) == impair_reference(cfg, list(range(n)))
 
     # hypothesis's floats(0, 1) rarely draws the doubles next to 0 and 1
+    @settings(max_examples=10)
+    @given(chunks=CHUNKING)
     @pytest.mark.parametrize("p", [0.0, 5e-324, 0.01, 1 - 2**-53, 1.0])
     @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
-    def test_edge_probabilities_match_reference(self, name, p):
+    def test_edge_probabilities_match_reference(self, name, p, chunks):
         items = list(range(200))
         for other, seed in itertools.product((0.0, 0.2, 1.0), (0, 2**64 + 7)):  # seed mod 2**64
             cfg = ImpairmentConfig(**{"loss_p": other, "dup_p": other, "reorder_p": other, name: p},
                                    reorder_depth=3, seed=seed)
-            assert impair(cfg, items) == impair_reference(cfg, items), cfg
+            assert impair(cfg, items, chunks) == impair_reference(cfg, items), cfg
 
     # Item 200, in the second block, gets a chosen draw: u = 0 lies below 5e-324, and
     # u = 1 - 2**-53 does not lie below itself. The next draw in u decides the other way.
+    @settings(max_examples=10)
+    @given(chunks=CHUNKING)
     @pytest.mark.parametrize("p, draw, fires", [
         (5e-324, 0, True), (5e-324, 2**11 - 1, True), (5e-324, 2**11, False),
         (1 - 2**-53, MASK64, False), (1 - 2**-53, MASK64 - 2**11, True),
     ])
     @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
-    def test_edge_probabilities_decide_by_the_top_53_bits(self, name, p, draw, fires):
+    def test_edge_probabilities_decide_by_the_top_53_bits(self, name, p, draw, fires, chunks):
         i, k = 200, 3 * 200 + ("loss_p", "dup_p", "reorder_p").index(name) + 1
         cfg = ImpairmentConfig(**{name: p}, reorder_depth=2, seed=splitmix64_seed_for(draw, k))
         assert ((splitmix64_sequence(cfg.seed, k)[-1] >> 11) * 2.0**-53 < p) == fires
         items = list(range(i + 3))
-        assert impair(cfg, items) == impair_reference(cfg, items)
+        assert impair(cfg, items, chunks) == impair_reference(cfg, items)
 
-    def test_releases_do_not_wait_for_flush(self):
+    @settings(max_examples=100)
+    @given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 5), st.integers(0, 2**32),
+           st.integers(0, 3 * LANES + 16), CHUNKS)
+    def test_releases_do_not_wait_for_flush(self, loss, reorder, depth, seed, n, chunks):
         imp = StreamImpairer(ImpairmentConfig())
         assert imp.push("a") == ["a"]
         assert imp.push("b") == ["b"]
         assert imp.flush() == []
+        # each run releases what pushing its items one at a time releases by the same point
+        cfg = ImpairmentConfig(loss_p=loss, dup_p=0.2, reorder_p=reorder, reorder_depth=depth, seed=seed)
+        runs, one_at_a_time = StreamImpairer(cfg), StreamImpairer(cfg)
+        start, sizes = 0, itertools.cycle(chunks)
+        while start < n:
+            run = range(start, min(n, start + next(sizes)))
+            assert runs.push_all(run) == [x for item in run for x in one_at_a_time.push(item)]
+            start = run.stop
+        assert runs.flush() == one_at_a_time.flush()
 
 
 class TestEndpointConfig:

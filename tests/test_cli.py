@@ -2,10 +2,12 @@ import gc
 import io
 import json
 import logging
+import sys
 import time
 
 import pytest
 
+from nbpk import cli
 from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, Bridge, TopicBus
 from nbpk.channel import EndpointConfig, UdpEndpoint
 from nbpk.cli import (
@@ -370,6 +372,42 @@ class TestRunCommands:
         [rec] = caplog.records  # the one line: the service logs the loop that died
         assert "nbpk-bridge-image" in rec.getMessage() and "image socket gone" in str(rec.exc_info[1])
         assert not any(isinstance(r, Truncated) for r in read_log(path))  # the log is whole
+
+    def test_a_dead_bridge_loop_ends_teleop_with_exit_2(self, monkeypatch, caplog):
+        class NoKeys:
+            """A terminal nobody types at; it presses x after 5 s, so a teleop
+            that ignores the dead loop fails the test instead of hanging it."""
+
+            def __init__(self):
+                self._deadline = time.monotonic() + 5.0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def __call__(self, timeout):
+                if time.monotonic() >= self._deadline:
+                    return "x"
+                time.sleep(timeout)
+                return None
+
+        def fail(self):
+            raise RuntimeError("image socket gone")
+
+        monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+        monkeypatch.setattr(cli, "_TerminalKeys", NoKeys)
+        monkeypatch.setattr(Bridge, "_image_loop", fail)
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as robot:
+            t0 = time.monotonic()
+            with caplog.at_level(logging.ERROR, logger="nbpk"):
+                code = main(["teleop", "--image-port", "0", "--motion-port", "0",
+                             "--robot", f"127.0.0.1:{robot.local_port}"])
+            took = time.monotonic() - t0
+        assert code == 2 and took < 1.0
+        [rec] = caplog.records  # the one line: the service logs the loop that died
+        assert "nbpk-bridge-image" in rec.getMessage() and "image socket gone" in str(rec.exc_info[1])
 
     def test_robot_streams_for_duration(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \
