@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from . import bench as bench_mod
-from . import inertial, recorder
 from .bridge import (
     TOPIC_COMMAND,
     TOPIC_MOTION,
@@ -122,9 +121,8 @@ class _TerminalKeys:
         return os.read(self._fd, 1).decode("ascii", errors="replace")
 
 
-def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
-                get_key=None, out=None, step: float = DEFAULT_TELEOP_STEP,
-                max_runtime: float | None = None, stopped: Callable[[], bool] = lambda: False) -> None:
+def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ, get_key=None, out=None,
+                step: float = DEFAULT_TELEOP_STEP, stopped: Callable[[], bool] = lambda: False) -> None:
     """Publish the commanded velocity on ``motion/request`` at ``rate``, until x or ``stopped()``.
 
     ``get_key(timeout)`` supplies keypresses (defaults to the terminal);
@@ -138,19 +136,17 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ,
     sub = bus.subscribe(TOPIC_MOTION, BoundedFifo(1))
     state = TeleopState(step=step)
     period = 1.0 / rate
-    started = time.monotonic()
-    next_pub = started
-    next_echo = started + 1.0
+    next_pub = time.monotonic()
+    next_echo = next_pub + 1.0
     own_keys = None
     if get_key is None:
         own_keys = _TerminalKeys().__enter__()
         get_key = own_keys
     try:
         while not state.exit_requested:
-            now = time.monotonic()
-            if stopped() or max_runtime is not None and now - started >= max_runtime:
+            if stopped():
                 break
-            key = get_key(max(0.0, min(next_pub, next_echo) - now))
+            key = get_key(max(0.0, min(next_pub, next_echo) - time.monotonic()))
             if key is not None:
                 state = map_key(state, key)
                 if state.exit_requested:
@@ -346,6 +342,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_record(args) -> int:
+    from . import recorder  # it and inertial load numpy, so only the commands that use them import them
+
     _check_positive("--duration", args.duration)
     bridge = Bridge(_bridge_config(args))
 
@@ -357,6 +355,8 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import recorder
+
     if args.speed == "max":
         speed = math.inf
     else:
@@ -373,6 +373,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import recorder
+
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must not be negative, got {args.limit}")
     os.makedirs(args.outdir, exist_ok=True)
@@ -405,6 +407,8 @@ def _cmd_teleop(args) -> int:
 
 
 def _cmd_inertia(args) -> int:
+    from . import inertial
+
     if args.bodies is None:
         bodies = [inertial.bundled_backpack_body()]
     else:

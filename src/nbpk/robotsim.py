@@ -1,4 +1,4 @@
-"""Robot-side emulator: periodic image/motion senders and a command listener.
+"""Robot-side emulator: an image sender, and a motion sender that reads the commands.
 
 Stands in for the robot's cognition and motion loops at desk scale. Images
 carry a deterministic test pattern with a CRC-32 trailer so the receiving
@@ -10,7 +10,6 @@ auto-stands when commands stop arriving.
 from __future__ import annotations
 
 import math
-import queue
 import struct
 import time
 import zlib
@@ -55,6 +54,9 @@ TORSO_PITCH_RAD = 0.02
 
 DEFAULT_RAMP_RATE = 2.0  # fraction of full speed per second
 DEFAULT_IDLE_TIMEOUT_S = 0.5  # auto-stand after this much command silence
+
+#: Command datagrams read per motion tick, so a flood cannot stall the tick; the rest wait in the socket.
+_COMMANDS_PER_TICK = 64
 
 _MIN_PATTERN_BYTES = 16
 _RAMP = bytes(range(256))
@@ -229,11 +231,11 @@ def gen_motion(seq: int, t: float, walk: WalkState) -> MotionReading:
 # --- the emulator ----------------------------------------------------------
 
 class RobotSim(Service):
-    """Threaded emulator: image loop, motion loop, command listener.
+    """Threaded emulator: an image loop and a motion loop; nothing passes between them.
 
-    The walk state is owned by the motion loop; the command listener only
-    enqueues decoded requests. Sending is fire-and-forget — stopping the
-    emulator flushes nothing.
+    The motion loop owns the walk and the command socket. Each tick applies the
+    commands already queued (at most ``_COMMANDS_PER_TICK``) at the tick's own
+    time, then steps the walk. Sending is fire-and-forget: stop flushes nothing.
     """
 
     def __init__(self, cfg: RobotConfig):
@@ -241,12 +243,10 @@ class RobotSim(Service):
         self._image_addr = (cfg.peer_host, cfg.image_port)
         self._motion_addr = (cfg.peer_host, cfg.motion_port)
         super().__init__({"nbpk-robot-image": self._image_loop,
-                          "nbpk-robot-motion": self._motion_loop,
-                          "nbpk-robot-command": self._command_loop},
+                          "nbpk-robot-motion": self._motion_loop},
                          (EndpointConfig(),
                           EndpointConfig(bind_host=cfg.command_bind_host, bind_port=cfg.command_port)))
         self._out, self._command_in = self._endpoints
-        self._commands: queue.SimpleQueue[tuple[MotionRequest, float]] = queue.SimpleQueue()
         self._walk = WalkState()
         # single-writer counters; readers only observe
         self.images_sent = 0
@@ -293,12 +293,12 @@ class RobotSim(Service):
         t0 = last = time.monotonic()
         walk = WalkState()
         for seq, now in self._ticks(self.cfg.motion_rate):
-            while True:
-                try:
-                    req, t_cmd = self._commands.get_nowait()
-                except queue.Empty:
+            for _ in range(_COMMANDS_PER_TICK):
+                if (datagram := self._command_in.recv(0)) is None:
                     break
-                walk = apply_command(walk, req, t_cmd)
+                if (req := self.command_rx.feed(datagram)) is not None:
+                    walk = apply_command(walk, req, now)
+                    self.commands_received += 1
             walk = step(walk, now - last, now)
             last = now
             self._walk = walk
@@ -307,8 +307,3 @@ class RobotSim(Service):
                                    seq=seq, timestamp_us=int(now * 1e6))
             self._send(self._motion_addr, pkt)
             self.motions_sent += 1
-
-    def _command_loop(self) -> None:
-        for req in self._messages(self._command_in, self.command_rx):
-            self._commands.put((req, time.monotonic()))
-            self.commands_received += 1

@@ -93,6 +93,12 @@ def scripted_keys(script):
     return get_key
 
 
+def after(seconds):
+    """A ``stopped`` callback that turns true ``seconds`` from now."""
+    deadline = time.monotonic() + seconds
+    return lambda: time.monotonic() >= deadline
+
+
 class TestTeleopLoop:
     def test_immediate_exit_sends_single_stand(self):
         bus = TopicBus()
@@ -105,8 +111,7 @@ class TestTeleopLoop:
     def test_publishes_at_rate(self):
         bus = TopicBus()
         sub = bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
-        teleop_loop(bus, rate=10, get_key=idle_keys, out=io.StringIO(),
-                    max_runtime=1.0)
+        teleop_loop(bus, rate=10, get_key=idle_keys, out=io.StringIO(), stopped=after(1.0))
         cmds = sub.drain()
         # ~10 periodic publishes plus the final stand
         assert 8 <= len(cmds) <= 13
@@ -116,7 +121,7 @@ class TestTeleopLoop:
         bus = TopicBus()
         sub = bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
         teleop_loop(bus, rate=20, get_key=scripted_keys("ww"), out=io.StringIO(),
-                    max_runtime=0.3)
+                    stopped=after(0.3))
         cmds = sub.drain()
         # first publish lands between the two keypresses
         assert cmds[0].mode == MotionMode.WALK
@@ -126,7 +131,7 @@ class TestTeleopLoop:
 
     def test_echo_line_written(self):
         out = io.StringIO()
-        teleop_loop(TopicBus(), rate=10, get_key=idle_keys, out=out, max_runtime=1.2)
+        teleop_loop(TopicBus(), rate=10, get_key=idle_keys, out=out, stopped=after(1.2))
         assert "cmd=(0.00, 0.00, 0.00)" in out.getvalue()
         assert "robot=-" in out.getvalue()  # nothing echoed back
 

@@ -26,6 +26,7 @@ NUMPY_FREE_CLOSURES = {
     "robotsim": {"robotsim", "channel", "fragment", "wire"},
     "bridge": {"bridge", "channel", "fragment", "wire"},
     "bench": {"bench", "bridge", "channel", "fragment", "robotsim", "wire"},
+    "cli": {"cli", "bench", "bridge", "channel", "fragment", "robotsim", "wire"},
 }
 
 

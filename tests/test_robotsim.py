@@ -1,6 +1,9 @@
 import gc
 import math
 import struct
+import subprocess
+import sys
+import threading
 import time
 import zlib
 
@@ -275,6 +278,18 @@ class TestRobotConfig:
         RobotConfig(command_port=1024)
 
 
+FLOOD = """
+import socket, sys, time
+addr, junk = ("127.0.0.1", int(sys.argv[1])), b"not a command"
+end = time.monotonic() + float(sys.argv[2])
+with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+    print("flooding", flush=True)
+    while time.monotonic() < end:
+        for _ in range(1000):
+            sock.sendto(junk, addr)
+"""
+
+
 class TestRobotSimLive:
     def _receivers(self):
         image_in = UdpEndpoint(EndpointConfig(bind_host="127.0.0.1"))
@@ -349,6 +364,41 @@ class TestRobotSimLive:
         image_in.close()
         motion_in.close()
 
+    def test_a_lone_command_at_a_low_motion_rate_moves_the_robot(self):
+        image_in, motion_in = self._receivers()
+        cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
+                          motion_port=motion_in.local_port, command_port=0,
+                          command_bind_host="127.0.0.1",
+                          fps=5.0, motion_rate=1.0, width=32, height=24)
+        walk = packetize_single(encode_request(MotionRequest.walk(1.0)),
+                                StreamId.COMMAND, seq=0, timestamp_us=0)
+        with image_in, motion_in, RobotSim(cfg) as sim, \
+                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+            time.sleep(0.05)
+            tx.send_to(walk.to_bytes(), ("127.0.0.1", sim.command_port))
+            time.sleep(1.0 / cfg.motion_rate + 0.2)
+            current, received = sim.walk_snapshot().current, sim.commands_received
+        # the tick that applies the command counts the deadman's silence from its own time
+        assert received == 1
+        assert current[0] > 0
+
+    def test_a_command_flood_cannot_stall_the_tick(self):
+        image_in, motion_in = self._receivers()
+        cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
+                          motion_port=motion_in.local_port, command_port=0,
+                          command_bind_host="127.0.0.1",
+                          fps=5.0, motion_rate=100.0, width=32, height=24)
+        with image_in, motion_in, RobotSim(cfg) as sim:
+            # another process, so the flood does not wait on this one's GIL
+            with subprocess.Popen([sys.executable, "-I", "-c", FLOOD, str(sim.command_port), "1.5"],
+                                  stdout=subprocess.PIPE, text=True) as flood:
+                assert flood.stdout.readline() == "flooding\n"
+                t0, sent0 = time.monotonic(), sim.motions_sent
+                assert flood.wait(timeout=10.0) == 0
+                elapsed, sent = time.monotonic() - t0, sim.motions_sent - sent0
+        assert sent >= 0.9 * cfg.motion_rate * elapsed, (sent, elapsed)
+        assert sim.command_rx.stats().malformed_packets > 0
+
     def test_late_command_is_not_applied(self):
         image_in, motion_in = self._receivers()
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
@@ -383,6 +433,9 @@ class TestRobotSimLive:
         with RobotSim(cfg) as sim:
             with pytest.raises(RuntimeError):
                 sim.start()
+            # two loops; commands are read by the motion loop, not a thread of their own
+            assert sorted(t.name for t in threading.enumerate() if t.name.startswith("nbpk-robot")) \
+                == ["nbpk-robot-image", "nbpk-robot-motion"]
         image_in.close()
         motion_in.close()
 
