@@ -13,6 +13,8 @@ each, which a ``Receiver`` orders and decodes; a reassembler is the image's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import repeat
 from typing import Any, Optional, Union
 
 from .wire import (
@@ -96,34 +98,41 @@ def check_frag_payload(frag_payload: int) -> None:
         )
 
 
+@lru_cache(maxsize=4)
+def _layout(total_len: int, width: int, height: int, frag_payload: int) -> tuple:
+    """One geometry's terms: the START's metadata bytes, the fragment count,
+    and each fragment's payload length and pixel slice."""
+    meta = ImageStartMeta(total_len, width, height, frag_payload)
+    starts = range(0, total_len, frag_payload)
+    return (encode_start_meta(meta), meta.frag_count,
+            tuple(min(frag_payload, total_len - s) for s in starts),
+            tuple(slice(s, s + frag_payload) for s in starts))
+
+
 def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> list[Packet]:
     """Split an image into one START packet plus its fragments.
 
     Fragment ``i`` carries pixel bytes ``[i*frag_payload, (i+1)*frag_payload)``
     (the last one may be shorter) as a view of ``bytes(img.pixels)``, so no
-    packet aliases a mutable buffer. All packets share the image's seq and timestamp.
+    packet aliases a mutable buffer. All packets share the image's seq and
+    timestamp. The terms that depend only on the geometry (the START's
+    metadata, each fragment's length and slice) are cached per geometry.
     """
     check_frag_payload(frag_payload)
     data = memoryview(bytes(img.pixels))
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
-    meta = ImageStartMeta(len(data), img.width, img.height, frag_payload)
-    frag_count = meta.frag_count
-    meta_bytes = encode_start_meta(meta)
+    meta_bytes, frag_count, lengths, slices = _layout(len(data), img.width, img.height, frag_payload)
     start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, img.seq, 0, frag_count,
                                 len(meta_bytes), img.timestamp_us), meta_bytes)
     # The START passed every check its fragments need (seq, timestamp and
     # frag_count in range), and each fragment's index < frag_count and
     # length <= MAX_FRAG_PAYLOAD hold by construction: build them unchecked.
     stream, _, seq, _, _, _, timestamp_us = start.header
-    kind = PacketKind.FRAGMENT
-    packets = [start]
-    for i in range(frag_count):
-        chunk = data[i * frag_payload:(i + 1) * frag_payload]
-        header = _tuple_new(PacketHeader, (stream, kind, seq, i, frag_count, len(chunk),
-                                           timestamp_us))
-        packets.append(_tuple_new(Packet, (header, chunk)))
-    return packets
+    headers = map(_tuple_new, repeat(PacketHeader), zip(
+        repeat(stream), repeat(PacketKind.FRAGMENT), repeat(seq), range(frag_count),
+        repeat(frag_count), lengths, repeat(timestamp_us)))
+    return [start, *map(_tuple_new, repeat(Packet), zip(headers, map(data.__getitem__, slices)))]
 
 
 def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us: int) -> Packet:

@@ -96,15 +96,21 @@ class RobotConfig:
 # --- test image pattern ----------------------------------------------------
 
 @lru_cache(maxsize=4)
-def _size_terms(n: int) -> tuple[bytes, tuple[int, ...]]:
+def _size_terms(n: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
     """For ``n``-byte patterns: the ramp every body is sliced from, and the
-    columns of the linear map by which a body's CRC-32 moves with its start
-    value (``crc32(body, 1 << k) ^ crc32(body)``, alike for every body of
-    ``n - 8`` bytes)."""
+    linear map by which a body's CRC-32 moves with its start value ``c``
+    (``crc32(body, c) ^ crc32(body)``, alike for every body of ``n - 8``
+    bytes) as four 256-entry tables, table ``j`` indexed by byte ``j`` of ``c``."""
     zeros = bytes(n - 8)
     base = zlib.crc32(zeros)
-    return (_RAMP * ((n + 4 + 255) // 256 + 1),  # room for the largest start, 4 + 255
-            tuple(zlib.crc32(zeros, 1 << k) ^ base for k in range(32)))
+    tables = []
+    for j in range(4):
+        table = [0]
+        for k in range(8 * j, 8 * j + 8):  # entries with bit k set add column k
+            column = zlib.crc32(zeros, 1 << k) ^ base
+            table += [t ^ column for t in table]
+        tables.append(tuple(table))
+    return _RAMP * ((n + 4 + 255) // 256 + 1), tuple(tables)  # room for the largest start, 4 + 255
 
 
 @lru_cache(maxsize=4 * 256)  # each size's 256 body starts
@@ -128,14 +134,11 @@ def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
     if not 0 <= seq < (1 << 32):
         raise ValueError(f"seq must be an unsigned 32-bit integer, got {seq}")
     start = 4 + (seq & 0xFF)  # byte j of the repeated ramp is j mod 256
-    ramp, columns = _size_terms(n)
+    ramp, (t0, t1, t2, t3) = _size_terms(n)
     prefix = struct.pack("<I", seq)
-    # crc32(body, c) == crc32(body) ^ A(c), where A XORs the columns of c's set bits
-    crc, c = _body_crc(n, start), zlib.crc32(prefix)
-    for column in columns:
-        if c & 1:
-            crc ^= column
-        c >>= 1
+    # crc32(body, c) == crc32(body) ^ A(c), and A is linear: one table lookup per byte of c
+    c = zlib.crc32(prefix)
+    crc = _body_crc(n, start) ^ t0[c & 0xFF] ^ t1[c >> 8 & 0xFF] ^ t2[c >> 16 & 0xFF] ^ t3[c >> 24]
     pixels = b"".join((prefix, memoryview(ramp)[start:start + n - 8], struct.pack("<I", crc)))
     return Image(width=width, height=height, pixels=pixels, seq=seq)
 

@@ -166,6 +166,30 @@ def decode_packet_reference(b: bytes) -> tuple[PacketHeader, bytes]:
     return h, bytes(b[_HEADER_LAYOUT.size:])
 
 
+def packetize_reference(img, frag_payload: int) -> list[bytes]:
+    """One frame's datagrams, each built field by field from FORMAT.md: a
+    START whose payload is the 12-byte metadata, then one FRAGMENT per
+    ``frag_payload`` pixel bytes, the last taking what is left."""
+    pixels = bytes(img.pixels)
+    count = -(-len(pixels) // frag_payload)
+
+    def header(kind: int, index: int, payload_len: int) -> bytes:
+        # magic, version 1, stream IMAGE = 1, kind, flags 0, seq u32,
+        # frag_index u16, frag_count u16, payload_len u16, timestamp_us u64
+        return struct.pack("<4sBBBBIHHHQ", b"NBPK", 1, 1, kind, 0, img.seq, index, count,
+                           payload_len, img.timestamp_us)
+
+    # total_len u32, width u16, height u16, encoding YUV422 = 1, reserved 0, frag_payload u16
+    meta = struct.pack("<IHHBBH", len(pixels), img.width, img.height, 1, 0, frag_payload)
+    datagrams = [header(1, 0, len(meta)) + meta]
+    offset = 0
+    while offset < len(pixels):
+        chunk = pixels[offset:offset + frag_payload]
+        datagrams.append(header(2, len(datagrams) - 1, len(chunk)) + chunk)
+        offset += len(chunk)
+    return datagrams
+
+
 def frame_outcomes(frame_packet_counts: list[int], survived: list[bool]) -> list[bool]:
     """Which frames complete, for an in-order lossy stream.
 

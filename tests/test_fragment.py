@@ -1,14 +1,16 @@
 import itertools
+import random
 import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_allocation
-from oracles import frame_outcomes
+from oracles import frame_outcomes, packetize_reference
 
+from nbpk import fragment
 from nbpk.fragment import (
     Dropped,
     Duplicate,
@@ -91,6 +93,49 @@ class TestPacketize:
         pkt = packetize_single(b"abcd", StreamId.MOTION, seq=0, timestamp_us=0)
         with pytest.raises(InvariantError):
             pkt._replace(payload=b"abc")
+
+
+def random_image(width, height, seq=0, timestamp_us=0):
+    pixels = random.Random(seq).randbytes(width * height * 2)
+    return Image(width=width, height=height, pixels=pixels, seq=seq, timestamp_us=timestamp_us)
+
+
+class TestPacketizeAgainstOracle:
+    """Every datagram of a frame, against ``packetize_reference``."""
+
+    @staticmethod
+    def check(img, frag_payload):
+        pkts = packetize_image(img, frag_payload)
+        assert [p.to_bytes() for p in pkts] == packetize_reference(img, frag_payload)
+        for p in pkts:
+            assert type(p) is Packet and type(p.header) is PacketHeader
+            assert p.header.stream_id is StreamId.IMAGE
+        assert pkts[0].header.kind is PacketKind.START
+        for p in pkts[1:]:
+            assert p.header.kind is PacketKind.FRAGMENT
+            assert type(p.payload) is memoryview and p.payload.readonly
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.tuples(st.integers(1, 16), st.integers(1, 16)), st.just((320, 240))),
+           # exact divisors of QVGA's 153,600 bytes and of small frames, so some last fragments are full
+           st.one_of(st.integers(256, 65000), st.sampled_from([256, 300, 320, 384, 480, 512, 1446, 65000])),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+    @example((320, 240), 256, 3, 99)
+    def test_matches_the_reference(self, size, frag_payload, seq, timestamp_us):
+        self.check(random_image(*size, seq, timestamp_us), frag_payload)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_same_byte_count_other_shape_gets_its_own_start(self, order):
+        sizes = [(320, 240), (240, 320), (640, 120)][::order]
+        for width, height in sizes:  # the reference's START carries each shape's own width and height
+            self.check(random_image(width, height, seq=width), 1400)
+
+    def test_more_geometries_than_the_cache_holds(self):
+        maxsize = fragment._layout.cache_info().maxsize
+        for _ in range(2):  # the second pass meets geometries the first evicted
+            for width in range(8, 8 + 2 * maxsize + 1):
+                self.check(random_image(width, 40, seq=width), 256)
+        assert fragment._layout.cache_info().currsize == maxsize
 
 
 class TestGoldenBytes:

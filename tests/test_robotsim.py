@@ -291,13 +291,15 @@ with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
 
 
 class TestRobotSimLive:
-    def _receivers(self):
-        image_in = UdpEndpoint(EndpointConfig(bind_host="127.0.0.1"))
-        motion_in = UdpEndpoint(EndpointConfig(bind_host="127.0.0.1"))
-        return image_in, motion_in
+    @pytest.fixture
+    def receivers(self):
+        """The peer's image and motion endpoints, closed in teardown even when a test fails."""
+        with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as image_in, \
+                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as motion_in:
+            yield image_in, motion_in
 
-    def test_streams_and_rates(self):
-        image_in, motion_in = self._receivers()
+    def test_streams_and_rates(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1",
@@ -333,11 +335,9 @@ class TestRobotSimLive:
         # sender-side seq has no gaps; UDP loopback rarely drops, but allow it
         assert seqs == sorted(seqs)
         assert len(seqs) >= 0.9 * sim.motions_sent
-        image_in.close()
-        motion_in.close()
 
-    def test_command_feeds_walk(self):
-        image_in, motion_in = self._receivers()
+    def test_command_feeds_walk(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1",
@@ -361,19 +361,16 @@ class TestRobotSimLive:
                 time.sleep(0.05)
                 stopped = sim.walk_snapshot().current == (0.0, 0.0, 0.0)
             assert stopped
-        image_in.close()
-        motion_in.close()
 
-    def test_a_lone_command_at_a_low_motion_rate_moves_the_robot(self):
-        image_in, motion_in = self._receivers()
+    def test_a_lone_command_at_a_low_motion_rate_moves_the_robot(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1",
                           fps=5.0, motion_rate=1.0, width=32, height=24)
         walk = packetize_single(encode_request(MotionRequest.walk(1.0)),
                                 StreamId.COMMAND, seq=0, timestamp_us=0)
-        with image_in, motion_in, RobotSim(cfg) as sim, \
-                UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
+        with RobotSim(cfg) as sim, UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as tx:
             time.sleep(0.05)
             tx.send_to(walk.to_bytes(), ("127.0.0.1", sim.command_port))
             time.sleep(1.0 / cfg.motion_rate + 0.2)
@@ -382,13 +379,13 @@ class TestRobotSimLive:
         assert received == 1
         assert current[0] > 0
 
-    def test_a_command_flood_cannot_stall_the_tick(self):
-        image_in, motion_in = self._receivers()
+    def test_a_command_flood_cannot_stall_the_tick(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1",
                           fps=5.0, motion_rate=100.0, width=32, height=24)
-        with image_in, motion_in, RobotSim(cfg) as sim:
+        with RobotSim(cfg) as sim:
             # another process, so the flood does not wait on this one's GIL
             with subprocess.Popen([sys.executable, "-I", "-c", FLOOD, str(sim.command_port), "1.5"],
                                   stdout=subprocess.PIPE, text=True) as flood:
@@ -399,8 +396,8 @@ class TestRobotSimLive:
         assert sent >= 0.9 * cfg.motion_rate * elapsed, (sent, elapsed)
         assert sim.command_rx.stats().malformed_packets > 0
 
-    def test_late_command_is_not_applied(self):
-        image_in, motion_in = self._receivers()
+    def test_late_command_is_not_applied(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1",
@@ -421,11 +418,9 @@ class TestRobotSimLive:
                 target = sim.walk_snapshot().target  # well inside the 0.5 s deadman
         assert (sim.commands_received, sim.command_rx.stats().frames_stale) == (1, 1)
         assert target == (1.0, 0.0, 0.0)
-        image_in.close()
-        motion_in.close()
 
-    def test_second_start_raises(self):
-        image_in, motion_in = self._receivers()
+    def test_second_start_raises(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1", fps=5.0,
@@ -436,8 +431,6 @@ class TestRobotSimLive:
             # two loops; commands are read by the motion loop, not a thread of their own
             assert sorted(t.name for t in threading.enumerate() if t.name.startswith("nbpk-robot")) \
                 == ["nbpk-robot-image", "nbpk-robot-motion"]
-        image_in.close()
-        motion_in.close()
 
     def test_port_conflict_closes_the_endpoints_already_built(self):
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as taken:
@@ -446,8 +439,8 @@ class TestRobotSimLive:
                                      command_bind_host="127.0.0.1"))
             gc.collect()  # a socket left open warns when it is collected
 
-    def test_malformed_commands_counted(self):
-        image_in, motion_in = self._receivers()
+    def test_malformed_commands_counted(self, receivers):
+        image_in, motion_in = receivers
         cfg = RobotConfig(peer_host="127.0.0.1", image_port=image_in.local_port,
                           motion_port=motion_in.local_port, command_port=0,
                           command_bind_host="127.0.0.1", fps=5.0,
@@ -465,5 +458,3 @@ class TestRobotSimLive:
                     time.sleep(0.02)
             assert sim.command_rx.stats().malformed_packets == 2
             assert sim.commands_received == 0
-        image_in.close()
-        motion_in.close()
