@@ -25,10 +25,12 @@ from .bridge import (
     BridgeConfig,
     TopicBus,
 )
-from .channel import ImpairmentConfig, StreamImpairer
+from .channel import ImpairmentConfig, StreamImpairer, check_positive
 from .fragment import ImageComplete, Reassembler, StreamStats, packetize_image
 from .robotsim import RobotConfig, RobotSim, gen_test_image, image_ok
 from .wire import DEFAULT_FRAG_PAYLOAD, ImageStartMeta
+
+_SETTLE_S = 0.5  # seconds run_loopback drains the bus after the sender stops
 
 
 def packets_per_frame(width: int, height: int, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> int:
@@ -59,15 +61,11 @@ class Scenario:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        check_positive("duration_s", self.duration_s)
+        check_positive("fps", self.fps)
 
     def effective_impairment(self) -> ImpairmentConfig:
-        if self.seed is None:
-            return self.impairment
-        return replace(self.impairment, seed=self.seed)
+        return self.impairment if self.seed is None else replace(self.impairment, seed=self.seed)
 
     @property
     def packets_per_frame(self) -> int:
@@ -174,12 +172,12 @@ def loopback_pair(s: Scenario, bus: Optional[TopicBus] = None) -> tuple[RobotSim
     return sim, bridge
 
 
-def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
+def run_loopback(s: Scenario) -> Report:
     """Run emulator→bridge over real UDP loopback for ``s.duration_s``.
 
     Wall-clock, receive-side measurement; no impairment is applied, so the
     expected ratio is 1 and ``s.impairment`` is ignored.
-    After the sender stops, ``settle_s`` of drain time lets in-flight
+    After the sender stops, ``_SETTLE_S`` of drain time lets in-flight
     frames complete before the books close.
     """
     bus = TopicBus()
@@ -202,11 +200,11 @@ def run_loopback(s: Scenario, settle_s: float = 0.5) -> Report:
             deadline = t0 + s.duration_s
             while time.monotonic() < deadline:
                 drain(min(0.05, max(0.0, deadline - time.monotonic())))
-        settle_deadline = time.monotonic() + settle_s
+        settle_deadline = time.monotonic() + _SETTLE_S
         while time.monotonic() < settle_deadline:
             drain(0.05)
     drain(0.0)
 
-    elapsed = time.monotonic() - t0 - settle_s
+    elapsed = time.monotonic() - t0 - _SETTLE_S
     return _report(sim.images_sent, latencies, verify_failures, bridge.stats().image, 1.0, elapsed)
 

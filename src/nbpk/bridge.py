@@ -9,7 +9,8 @@ The bridge runs one receive loop per stream, which feeds each datagram to the
 stream's ``fragment.Receiver`` and publishes what it returns: images on
 ``camera/image_raw``, readings on ``motion/state``. It emits a stats snapshot on
 ``bridge/stats`` once per period, and forwards anything published on
-``motion/request`` to the robot as a command packet.
+``motion/request`` to the robot as a command packet: the one way to send
+a command.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .channel import (
     DEFAULT_COMMAND_PORT,
@@ -29,13 +30,13 @@ from .channel import (
     Service,
     check_bind_port,
     check_dest_port,
+    check_positive,
 )
 from .fragment import Reassembler, Receiver, StreamStats, packetize_single
 from .wire import (
     Image,
     MotionReading,
     MotionRequest,
-    Packet,
     StreamId,
     WireError,
     encode_request,
@@ -223,8 +224,7 @@ class BridgeConfig:
         check_dest_port("robot_command_port", self.robot_command_port)
         if self.image_port == self.motion_port and self.image_port != 0:
             raise ValueError("image and motion ports must be distinct")
-        if self.stats_period_s <= 0:
-            raise ValueError(f"stats_period_s must be positive, got {self.stats_period_s}")
+        check_positive("stats_period_s", self.stats_period_s)
 
 
 def _now_us() -> int:
@@ -234,16 +234,15 @@ def _now_us() -> int:
 class Bridge(Service):
     """Threaded receive/publish/forward engine. Use as a context manager.
 
-    Frames that fail reassembly never reach the bus. Subscribers see each
-    stream's messages in seq order: each stream's receiver orders them
-    (``wire.SeqOrder``), the reassembler at a frame's START.
+    It talks only through ``bus``: ``motion/request`` is the one way to send
+    a command. Frames that fail reassembly never reach the bus. Subscribers
+    see each stream's messages in seq order: each stream's receiver orders
+    them (``wire.SeqOrder``), the reassembler at a frame's START.
     """
 
-    def __init__(self, cfg: BridgeConfig, bus: Optional[TopicBus] = None,
-                 on_stats: Optional[Callable[[BridgeStats], None]] = None):
+    def __init__(self, cfg: BridgeConfig, bus: Optional[TopicBus] = None):
         self.cfg = cfg
         self.bus = bus if bus is not None else TopicBus()
-        self._on_stats = on_stats
         # a bus whose topic carries another type fails here, before any socket opens
         self.bus.register(TOPIC_IMAGE, CameraFrame)
         self.bus.register(TOPIC_MOTION, MotionReading)
@@ -262,8 +261,7 @@ class Bridge(Service):
         self._image_latency_us = 0
         self._motion_rx = Receiver(StreamId.MOTION)
         self._cmd_sub = self.bus.subscribe(TOPIC_COMMAND, BoundedFifo(64))
-        self._cmd_lock = threading.Lock()
-        self._cmd_seq = 0
+        self._cmd_seq = 0  # the next command's seq; only the command loop writes it
         self.motions_published = self.commands_forwarded = self.commands_failed = 0
 
     @property
@@ -299,16 +297,6 @@ class Bridge(Service):
         self._cmd_sub.close()
         super().stop()
 
-    def command_forward(self, req: MotionRequest) -> Packet:
-        """Send one command packet to the robot; returns what went on the wire."""
-        payload = encode_request(req)  # rejects non-finite or out-of-range values
-        with self._cmd_lock:
-            seq = self._cmd_seq
-            self._cmd_seq = (seq + 1) % (1 << 32)  # seq is a u32 and wraps
-        pkt = packetize_single(payload, StreamId.COMMAND, seq=seq, timestamp_us=_now_us())
-        self._command_out.send_to(pkt.to_bytes(), self._robot_addr)
-        return pkt
-
     def _image_loop(self) -> None:
         for image in self._messages(self._image_in, self._image_rx):
             now = _now_us()
@@ -322,15 +310,16 @@ class Bridge(Service):
 
     def _stats_loop(self) -> None:
         while not self._stop.wait(self.cfg.stats_period_s):
-            snap = self.stats()
-            self.bus.publish(TOPIC_STATS, snap)
-            if self._on_stats is not None:
-                self._on_stats(snap)
+            self.bus.publish(TOPIC_STATS, self.stats())
 
     def _command_loop(self) -> None:
+        """The one sender: a request that fails to encode or to send is counted failed."""
         while (req := self._cmd_sub.get()) is not None:
             try:
-                self.command_forward(req)
+                pkt = packetize_single(encode_request(req), StreamId.COMMAND, seq=self._cmd_seq,
+                                       timestamp_us=_now_us())
+                self._cmd_seq = (self._cmd_seq + 1) % (1 << 32)  # a u32 that wraps
+                self._command_out.send_to(pkt.to_bytes(), self._robot_addr)
                 self.commands_forwarded += 1
             except (WireError, OSError):
                 self.commands_failed += 1

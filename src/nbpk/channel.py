@@ -54,6 +54,13 @@ def splitmix64_block(state: int) -> tuple[int, ...]:
     return _LANE_U64.unpack((z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
 
 
+def check_positive(name: str, v: float) -> float:
+    """``v``, if it is a usable rate, period or duration: ``0 < v < inf``, so NaN fails too."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
 def check_bind_port(name: str, port: int) -> None:
     # 0 asks the OS for an ephemeral port; otherwise stay out of the
     # privileged range.

@@ -4,6 +4,9 @@ Subcommands: robot, bridge, bench, record, replay, export, teleop,
 inertia. Exit code 0 on success, 1 on usage errors, 2 on runtime errors.
 Set NBPK_LOG={error|info|debug} for verbosity.
 
+Each flag fills the config field it names (``dest``); one left out keeps the
+config's default. Rates, periods, durations and steps must be finite and > 0.
+
 Teleop drives the robot from the keyboard: w/s step vx, a/d step vy,
 q/e step omega, space stands, x exits (after a final stand). Every
 component stays clamped to [-1, 1]. A dead bridge loop ends teleop, like
@@ -20,25 +23,20 @@ import os
 import select
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from . import bench as bench_mod
 from .bridge import (
     TOPIC_COMMAND,
     TOPIC_MOTION,
+    TOPIC_STATS,
     BoundedFifo,
     Bridge,
     BridgeConfig,
     TopicBus,
 )
-from .channel import (
-    DEFAULT_COMMAND_PORT,
-    DEFAULT_IMAGE_PORT,
-    DEFAULT_MOTION_PORT,
-    ImpairmentConfig,
-    Service,
-)
+from .channel import ImpairmentConfig, Service, check_positive
 from .robotsim import RobotConfig, RobotSim
 from .wire import MotionRequest, StreamId
 
@@ -130,8 +128,7 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ, get_key=Non
     beside the command once per second. The final publish before
     returning is always STAND.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    check_positive("rate", rate)
     out = sys.stdout if out is None else out
     sub = bus.subscribe(TOPIC_MOTION, BoundedFifo(1))
     state = TeleopState(step=step)
@@ -143,9 +140,7 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ, get_key=Non
         own_keys = _TerminalKeys().__enter__()
         get_key = own_keys
     try:
-        while not state.exit_requested:
-            if stopped():
-                break
+        while not state.exit_requested and not stopped():
             key = get_key(max(0.0, min(next_pub, next_echo) - time.monotonic()))
             if key is not None:
                 state = map_key(state, key)
@@ -175,10 +170,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_positive(name: str, v: float) -> float:
-    if v <= 0:
-        raise UsageError(f"{name} must be positive, got {v}")
-    return v
+def _positive(text: str) -> float:
+    """argparse ``type`` of a rate, duration or step: checked as the configs check theirs."""
+    try:
+        return check_positive("value", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
@@ -192,44 +189,48 @@ def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
 
 
 def build_parser() -> _Parser:
+    """A flag left out is absent from the namespace, so its config field keeps its default."""
     p = _Parser(prog="nbpk", description="Sensor-streaming bridge toolkit")
     sub = p.add_subparsers(dest="command")
 
-    robot = sub.add_parser("robot", help="run the robot-side emulator")
-    robot.add_argument("--fps", type=float, default=30.0)
-    robot.add_argument("--width", type=int, default=320)
-    robot.add_argument("--height", type=int, default=240)
-    robot.add_argument("--motion-rate", type=float, default=100.0)
-    robot.add_argument("--frag-size", type=int, default=1400)
-    robot.add_argument("--image-port", type=int, default=DEFAULT_IMAGE_PORT)
-    robot.add_argument("--motion-port", type=int, default=DEFAULT_MOTION_PORT)
-    robot.add_argument("--command-port", type=int, default=DEFAULT_COMMAND_PORT)
-    robot.add_argument("--peer", default="127.0.0.1", help="bridge host")
-    robot.add_argument("--duration", type=float, default=None, help="stop after this many seconds")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    bridge = sub.add_parser("bridge", help="run the backpack-side bridge")
+    robot = command("robot", "run the robot-side emulator")
+    robot.add_argument("--fps", type=float)
+    robot.add_argument("--width", type=int)
+    robot.add_argument("--height", type=int)
+    robot.add_argument("--motion-rate", type=float)
+    robot.add_argument("--frag-size", dest="frag_payload", type=int)
+    robot.add_argument("--image-port", type=int)
+    robot.add_argument("--motion-port", type=int)
+    robot.add_argument("--command-port", type=int)
+    robot.add_argument("--peer", dest="peer_host", help="bridge host")
+    robot.add_argument("--duration", type=_positive, default=None, help="stop after this many seconds")
+
+    bridge = command("bridge", "run the backpack-side bridge")
     _add_bridge_flags(bridge)
-    bridge.add_argument("--duration", type=float, default=None)
+    bridge.add_argument("--duration", type=_positive, default=None)
 
-    bench = sub.add_parser("bench", help="benchmark against the loss model")
-    bench.add_argument("--duration", type=float, default=10.0)
-    bench.add_argument("--fps", type=float, default=30.0)
-    bench.add_argument("--loss", type=float, default=0.0)
-    bench.add_argument("--dup", type=float, default=0.0)
-    bench.add_argument("--reorder", type=float, default=0.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench = command("bench", "benchmark against the loss model")
+    bench.add_argument("--duration", dest="duration_s", type=float)
+    bench.add_argument("--fps", type=float)
+    bench.add_argument("--loss", dest="loss_p", type=float)
+    bench.add_argument("--dup", dest="dup_p", type=float)
+    bench.add_argument("--reorder", dest="reorder_p", type=float)
+    bench.add_argument("--seed", type=int)
     bench.add_argument("--out", default=None, help="write the JSON report here")
-    bench.add_argument("--loopback", action="store_true",
+    bench.add_argument("--loopback", action="store_true", default=False,
                        help="real UDP loopback run (refuses --loss, --dup and --reorder)")
 
-    rec = sub.add_parser("record", help="receive streams and log them")
+    rec = command("record", "receive streams and log them")
     rec.add_argument("out", help="log file to write")
-    rec.add_argument("--duration", type=float, default=10.0)
+    rec.add_argument("--duration", type=_positive, default=10.0)
     _add_bridge_flags(rec)
 
-    rep = sub.add_parser("replay", help="republish a log")
+    rep = command("replay", "republish a log")
     rep.add_argument("log")
-    rep.add_argument("--speed", default="1.0",
+    rep.add_argument("--speed", type=lambda text: math.inf if text == "max" else _positive(text),
                      help="time multiplier, or 'max' for no pacing")
 
     exp = sub.add_parser("export", help="write logged images as PPM files")
@@ -237,10 +238,10 @@ def build_parser() -> _Parser:
     exp.add_argument("outdir")
     exp.add_argument("--limit", type=int, default=None, help="stop after this many images")
 
-    tel = sub.add_parser("teleop", help="drive the robot from the keyboard")
+    tel = command("teleop", "drive the robot from the keyboard")
     _add_bridge_flags(tel)
-    tel.add_argument("--rate", type=float, default=DEFAULT_TELEOP_RATE_HZ)
-    tel.add_argument("--step", type=float, default=DEFAULT_TELEOP_STEP)
+    tel.add_argument("--rate", type=_positive)
+    tel.add_argument("--step", type=_positive)
 
     ine = sub.add_parser("inertia", help="compose and validate rigid bodies")
     ine.add_argument("bodies", nargs="?", default=None,
@@ -252,31 +253,30 @@ def build_parser() -> _Parser:
 
 
 def _add_bridge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--image-port", type=int, default=DEFAULT_IMAGE_PORT)
-    p.add_argument("--motion-port", type=int, default=DEFAULT_MOTION_PORT)
-    p.add_argument("--robot", default="127.0.0.1",
-                   help="robot address as host[:command-port]")
-    p.add_argument("--stats-period", type=float, default=1.0)
+    p.add_argument("--image-port", type=int)
+    p.add_argument("--motion-port", type=int)
+    p.add_argument("--robot", help="robot address as host[:command-port]")
+    p.add_argument("--stats-period", dest="stats_period_s", type=float)
 
 
-def _config(cls, **fields):
-    """``cls(**fields)``; a value it rejects is a usage error, caught before any socket opens."""
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the command line set."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _config(cls, args, **extra):
+    """``cls`` from the flags named after its fields and ``extra``; what it rejects is a usage error."""
     try:
-        return cls(**fields)
+        return cls(**_given(args, (f.name for f in fields(cls))), **extra)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _bridge_config(args) -> BridgeConfig:
-    host, port = _parse_host_port(args.robot, DEFAULT_COMMAND_PORT)
-    return _config(
-        BridgeConfig,
-        image_port=args.image_port,
-        motion_port=args.motion_port,
-        robot_host=host,
-        robot_command_port=port,
-        stats_period_s=args.stats_period,
-    )
+    if "robot" in args:
+        args.robot_host, args.robot_command_port = _parse_host_port(
+            args.robot, BridgeConfig.robot_command_port)
+    return _config(BridgeConfig, args)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -298,40 +298,32 @@ def _serve(service: Service, run: Callable[[], object]) -> int:
 
 
 def _cmd_robot(args) -> int:
-    if args.duration is not None:  # checked before any socket opens
-        _check_positive("--duration", args.duration)
-    cfg = _config(
-        RobotConfig,
-        peer_host=args.peer,
-        image_port=args.image_port,
-        motion_port=args.motion_port,
-        command_port=args.command_port,
-        fps=args.fps,
-        motion_rate=args.motion_rate,
-        width=args.width,
-        height=args.height,
-        frag_payload=args.frag_size,
-    )
-    log.info("robot: %sx%s @ %s fps -> %s", args.width, args.height, args.fps, args.peer)
+    cfg = _config(RobotConfig, args)
+    log.info("robot: %sx%s @ %s fps -> %s", cfg.width, cfg.height, cfg.fps, cfg.peer_host)
     sim = RobotSim(cfg)
     return _serve(sim, lambda: sim.wait(args.duration))
 
 
 def _cmd_bridge(args) -> int:
-    if args.duration is not None:
-        _check_positive("--duration", args.duration)
-    bridge = Bridge(_bridge_config(args), on_stats=lambda s: print(s.to_json(), flush=True))
-    return _serve(bridge, lambda: bridge.wait(args.duration))
+    bridge = Bridge(_bridge_config(args))
+    snapshots = bridge.bus.subscribe(TOPIC_STATS, BoundedFifo())
+
+    def run():
+        end = math.inf if args.duration is None else time.monotonic() + args.duration
+        while not bridge.wait(0) and (left := end - time.monotonic()) > 0:
+            if (snap := snapshots.get(timeout=min(left, 0.1))) is not None:
+                print(snap.to_json(), flush=True)
+
+    return _serve(bridge, run)
 
 
 def _cmd_bench(args) -> int:
-    if args.loopback and (args.loss or args.dup or args.reorder):
+    imp = _config(ImpairmentConfig, args)
+    if args.loopback and (imp.loss_p or imp.dup_p or imp.reorder_p):
         raise UsageError("--loopback sends over real sockets and cannot apply --loss, --dup or --reorder")
-    imp = _config(ImpairmentConfig, loss_p=args.loss, dup_p=args.dup, reorder_p=args.reorder,
-                  seed=args.seed)
-    scenario = _config(bench_mod.Scenario, duration_s=args.duration, fps=args.fps, impairment=imp)
+    scenario = _config(bench_mod.Scenario, args, impairment=imp)
     if args.loopback:
-        _config(RobotConfig, fps=args.fps)  # the emulator's bounds
+        _config(RobotConfig, args)  # the emulator's bounds on --fps
     report = bench_mod.run_loopback(scenario) if args.loopback else bench_mod.run_scenario(scenario)
     text = json.dumps(asdict(report), sort_keys=True, indent=2)
     print(text)
@@ -344,7 +336,6 @@ def _cmd_bench(args) -> int:
 def _cmd_record(args) -> int:
     from . import recorder  # it and inertial load numpy, so only the commands that use them import them
 
-    _check_positive("--duration", args.duration)
     bridge = Bridge(_bridge_config(args))
 
     def run():
@@ -357,17 +348,8 @@ def _cmd_record(args) -> int:
 def _cmd_replay(args) -> int:
     from . import recorder
 
-    if args.speed == "max":
-        speed = math.inf
-    else:
-        try:
-            speed = float(args.speed)
-        except ValueError:
-            raise UsageError(f"--speed must be a number or 'max', got {args.speed!r}") from None
-        _check_positive("--speed", speed)
-    bus = TopicBus()
     t0 = time.monotonic()
-    n = recorder.replay(args.log, bus, speed=speed)
+    n = recorder.replay(args.log, TopicBus(), **_given(args, ("speed",)))
     print(json.dumps({"records": n, "wall_s": round(time.monotonic() - t0, 3)}))
     return 0
 
@@ -397,12 +379,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_teleop(args) -> int:
-    _check_positive("--rate", args.rate)
-    _check_positive("--step", args.step)
     if not sys.stdin.isatty():
         raise UsageError("teleop reads single keys and needs an interactive terminal")
     bridge = Bridge(_bridge_config(args))
-    return _serve(bridge, lambda: teleop_loop(bridge.bus, rate=args.rate, step=args.step,
+    return _serve(bridge, lambda: teleop_loop(bridge.bus, **_given(args, ("rate", "step")),
                                               stopped=lambda: bridge.wait(0)))
 
 

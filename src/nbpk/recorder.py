@@ -34,6 +34,7 @@ from .bridge import (
     CameraFrame,
     TopicBus,
 )
+from .channel import check_positive
 from .wire import (
     BadMagicError,
     BadVersionError,
@@ -58,6 +59,7 @@ LOG_MAGIC = b"NBLG"
 LOG_VERSION = 1
 LOG_HEADER_SIZE = 16
 RECORD_HEADER_SIZE = 14
+RECORDED_TOPICS = (TOPIC_IMAGE, TOPIC_MOTION)  # what ``record`` logs
 RESTART = 0x01  # record flag: the stream's sender restarted at this record
 _STREAM_IDS = frozenset(StreamId)
 
@@ -234,16 +236,15 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
             yield LogRecord(stream_id, timestamp_us, payload, bool(flags & RESTART))
 
 
-def record(bus: TopicBus, path, duration_s: float,
-           topics: tuple[str, ...] = (TOPIC_IMAGE, TOPIC_MOTION),
-           epoch_us: Optional[int] = None, stopped: Callable[[], bool] = lambda: False) -> int:
-    """Subscribe to ``topics`` and log everything seen for ``duration_s``, or until ``stopped()``.
+def record(bus: TopicBus, path, duration_s: float, stopped: Callable[[], bool] = lambda: False) -> int:
+    """Subscribe to ``RECORDED_TOPICS`` and log everything seen for ``duration_s``, or until ``stopped()``.
 
     Returns the number of records written. The file is valid even if the
     run observes nothing (header-only). Each message goes through
     ``LogWriter.write_message``, which marks a sender restart.
     """
-    subs = [bus.subscribe(t, BoundedFifo(1024)) for t in topics]
+    check_positive("duration_s", duration_s)
+    subs = [bus.subscribe(t, BoundedFifo(1024)) for t in RECORDED_TOPICS]
     deadline = time.monotonic() + duration_s
 
     def write_queued(w: LogWriter) -> bool:
@@ -255,7 +256,7 @@ def record(bus: TopicBus, path, duration_s: float,
         return wrote
 
     try:
-        with LogWriter(path, epoch_us=epoch_us) as w:
+        with LogWriter(path) as w:
             while True:
                 wrote = write_queued(w)
                 if time.monotonic() >= deadline or stopped():

@@ -25,6 +25,7 @@ from .channel import (
     Service,
     check_bind_port,
     check_dest_port,
+    check_positive,
 )
 from .fragment import Receiver, check_frag_payload, packetize_image, packetize_single
 from .wire import (
@@ -83,8 +84,7 @@ class RobotConfig:
         check_bind_port("command_port", self.command_port)
         if not 0.0 < self.fps <= 60.0:
             raise ValueError(f"fps must lie in (0, 60], got {self.fps}")
-        if self.motion_rate <= 0.0:
-            raise ValueError(f"motion_rate must be positive, got {self.motion_rate}")
+        check_positive("motion_rate", self.motion_rate)
         n = self.width * self.height * 2
         if n < _MIN_PATTERN_BYTES:
             raise ValueError(f"a {self.width}x{self.height} YUV422 image is too small for the "

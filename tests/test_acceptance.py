@@ -37,6 +37,7 @@ from nbpk.recorder import (
     Truncated,
     message_to_record,
     read_log,
+    read_log_epoch_us,
     record,
     record_messages,
     replay,
@@ -84,7 +85,7 @@ def verdict(number: int, ok: bool, desc: str, detail: str) -> str:
 
 def test_1_sustained_loopback_minute():
     s = Scenario(duration_s=60.0, fps=30.0, width=320, height=240)
-    r = run_loopback(s, settle_s=0.5)
+    r = run_loopback(s)
     ratio = r.frames_delivered / r.frames_sent if r.frames_sent else 0.0
     ok = ratio >= 0.99 and r.verify_failures == 0 and r.achieved_fps >= 29.0
     line = verdict(
@@ -268,7 +269,7 @@ def test_5_record_replay_byte_identity_and_truncation(tmp_path):
 
     th = threading.Thread(target=feed)
     th.start()
-    wrote = record(bus, original, duration_s=0.8, topics=(TOPIC_IMAGE,), epoch_us=7)
+    wrote = record(bus, original, duration_s=0.8)
     th.join()
 
     recs = [r for r in read_log(original) if isinstance(r, LogRecord)]
@@ -282,7 +283,7 @@ def test_5_record_replay_byte_identity_and_truncation(tmp_path):
     replayed_count = replay(original, bus2, speed=math.inf)
     replayed = sub.drain()
     rerecorded = tmp_path / "rerecorded.nbl"
-    record_messages(replayed, rerecorded, epoch_us=7)
+    record_messages(replayed, rerecorded, epoch_us=read_log_epoch_us(original))
     identical = original.read_bytes() == rerecorded.read_bytes()
 
     raw = original.read_bytes()

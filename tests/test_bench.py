@@ -238,7 +238,7 @@ def test_run_scenario_golden(label, scenario):
 class TestRunLoopback:
     def test_short_live_run(self):
         s = Scenario(duration_s=1.5, fps=20.0, width=64, height=48)
-        r = run_loopback(s, settle_s=0.4)
+        r = run_loopback(s)
         assert r.frames_sent >= 25
         assert r.frames_delivered >= 0.9 * r.frames_sent
         assert r.verify_failures == 0

@@ -2,14 +2,20 @@ import gc
 import io
 import json
 import logging
+import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import nbpk
 from nbpk import cli
-from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, Bridge, TopicBus
-from nbpk.channel import EndpointConfig, UdpEndpoint
+from nbpk.bench import Scenario
+from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, Bridge, BridgeConfig, TopicBus
+from nbpk.channel import EndpointConfig, ImpairmentConfig, UdpEndpoint
 from nbpk.cli import (
     TeleopState,
     UsageError,
@@ -21,7 +27,7 @@ from nbpk.cli import (
     to_request,
 )
 from nbpk.recorder import Truncated, read_log, record_messages
-from nbpk.robotsim import RobotSim, gen_test_image
+from nbpk.robotsim import RobotConfig, RobotSim, gen_test_image
 from nbpk.wire import MotionMode
 
 
@@ -136,8 +142,10 @@ class TestTeleopLoop:
         assert "robot=-" in out.getvalue()  # nothing echoed back
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            teleop_loop(TopicBus(), rate=0, get_key=idle_keys)
+        for rate in (0, math.nan, math.inf):  # a loop that refused none of them would end at 0.3 s
+            with pytest.raises(ValueError):
+                teleop_loop(TopicBus(), rate=rate, get_key=idle_keys, out=io.StringIO(),
+                            stopped=after(0.3))
 
 
 class TestParsing:
@@ -178,7 +186,8 @@ class TestMainExitCodes:
         assert "loss_p" in capsys.readouterr().err
 
     def test_nonpositive_duration(self, capsys):
-        assert main(["bench", "--duration", "0"]) == 1
+        for value in ("0", "nan", "inf"):
+            assert main(["bench", "--duration", value]) == 1
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert main(["replay", "/nonexistent/path.nbl"]) == 2
@@ -206,17 +215,48 @@ class TestMainExitCodes:
                      "--command-port", "0", "--duration", "0.1"]) == 1
         assert "frag_payload" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--fps", "0"), ("--fps", "61"), ("--motion-rate", "0")])
+    @pytest.mark.parametrize("flag, value", [("--fps", "0"), ("--fps", "61"), ("--motion-rate", "0"),
+                                             ("--fps", "nan"), ("--fps", "inf"),
+                                             ("--motion-rate", "nan"), ("--motion-rate", "inf")])
     def test_robot_rate_out_of_range(self, capsys, flag, value):
         assert main(["robot", flag, value, "--command-port", "0", "--duration", "0.1"]) == 1
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["robot", "--command-port", "0"],
-                                      ["bridge", "--image-port", "0", "--motion-port", "0"]])
+    @pytest.mark.parametrize("argv", [
+        ["robot", "--command-port", "0", "--duration", "-1"],
+        ["bridge", "--image-port", "0", "--motion-port", "0", "--duration", "-1"],
+        ["robot", "--command-port", "0", "--duration", "nan"],
+        ["robot", "--command-port", "0", "--duration", "inf"],
+        ["bridge", "--image-port", "0", "--motion-port", "0", "--duration", "nan"],
+        ["bridge", "--image-port", "0", "--motion-port", "0", "--duration", "inf"],
+    ])
     def test_negative_duration_opens_no_socket(self, capsys, argv):
-        assert main([*argv, "--duration", "-1"]) == 1
+        assert main(argv) == 1
         assert "--duration" in capsys.readouterr().err
         gc.collect()  # a socket left open warns when it is collected
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bridge", "--image-port", "0", "--motion-port", "0", "--stats-period", "nan",
+          "--duration", "0.3"], "stats_period_s"),
+        (["bridge", "--image-port", "0", "--motion-port", "0", "--stats-period", "inf",
+          "--duration", "0.3"], "stats_period_s"),
+        (["teleop", "--image-port", "0", "--motion-port", "0", "--rate", "nan"], "--rate"),
+        (["teleop", "--image-port", "0", "--motion-port", "0", "--step", "inf"], "--step"),
+        (["replay", "/nonexistent/path.nbl", "--speed", "inf"], "--speed"),
+    ])
+    def test_non_finite_value_is_usage_error_and_opens_no_socket(self, capsys, argv, named):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        gc.collect()  # a socket left open warns when it is collected
+
+    def test_record_non_finite_duration_is_usage_error_and_writes_no_log(self, tmp_path):
+        p = tmp_path / "x.nbl"
+        env = {**os.environ, "PYTHONPATH": str(Path(nbpk.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "nbpk.cli", "record", str(p),
+                               "--image-port", "0", "--motion-port", "0", "--duration", "nan"],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 1 and "--duration" in done.stderr
+        assert not p.exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["robot", "--image-port", "99999", "--motion-port", "70000", "--command-port", "0"],
@@ -260,6 +300,45 @@ class TestMainExitCodes:
         assert "terminal" in capsys.readouterr().err
 
 
+class _Built(Exception):
+    """Raised by a stand-in for a service or a run, with the config it was given."""
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["robot"], RobotConfig()),
+    (["bridge"], BridgeConfig()),
+    (["bench"], Scenario()),
+    (["robot", "--fps", "15", "--width", "64", "--height", "48", "--motion-rate", "50",
+      "--frag-size", "512", "--image-port", "2001", "--motion-port", "2002",
+      "--command-port", "2003", "--peer", "10.0.0.2"],
+     RobotConfig(peer_host="10.0.0.2", image_port=2001, motion_port=2002, command_port=2003,
+                 fps=15.0, motion_rate=50.0, width=64, height=48, frag_payload=512)),
+    (["bridge", "--image-port", "2001", "--motion-port", "2002", "--robot", "10.0.0.3:2004",
+      "--stats-period", "0.5"],
+     BridgeConfig(image_port=2001, motion_port=2002, robot_host="10.0.0.3",
+                  robot_command_port=2004, stats_period_s=0.5)),
+    (["bridge", "--robot", "robot.local"], BridgeConfig(robot_host="robot.local")),
+    (["record", "x.nbl", "--image-port", "2001", "--stats-period", "2"],
+     BridgeConfig(image_port=2001, stats_period_s=2.0)),
+    (["bench", "--duration", "2", "--fps", "15", "--loss", "0.1", "--dup", "0.2",
+      "--reorder", "0.3", "--seed", "7"],
+     Scenario(duration_s=2.0, fps=15.0, seed=7,
+              impairment=ImpairmentConfig(loss_p=0.1, dup_p=0.2, reorder_p=0.3, seed=7))),
+], ids=["robot", "bridge", "bench", "robot-flags", "bridge-flags", "bridge-host-only",
+        "record-flags", "bench-flags"])
+def test_flags_fill_the_config_fields_they_name(monkeypatch, tmp_path, argv, config):
+    def capture(cfg, *args, **kwargs):
+        raise _Built(cfg)
+
+    monkeypatch.chdir(tmp_path)  # record's log, were it opened
+    monkeypatch.setattr(cli, "RobotSim", capture)
+    monkeypatch.setattr(cli, "Bridge", capture)
+    monkeypatch.setattr(cli.bench_mod, "run_scenario", capture)
+    with pytest.raises(_Built) as built:
+        main(argv)
+    assert built.value.args[0] == config
+
+
 class TestBenchCommand:
     def test_simulated_run_prints_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -287,7 +366,8 @@ class TestLogCommands:
     def test_replay_bad_speed(self, capsys, tmp_path):
         p = tmp_path / "log.nbl"
         self.make_log(p)
-        assert main(["replay", str(p), "--speed", "fast"]) == 1
+        for speed in ("fast", "0", "-1", "nan", "inf"):
+            assert main(["replay", str(p), "--speed", speed]) == 1
 
     def test_export_writes_ppm_files(self, capsys, tmp_path):
         p = tmp_path / "log.nbl"

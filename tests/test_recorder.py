@@ -537,6 +537,13 @@ class TestLiveRecord:
         assert record(TopicBus(), p, duration_s=0.05) == 0
         assert read_log_epoch_us(p) > 0
 
+    @pytest.mark.parametrize("duration_s", [0, -1, math.nan, math.inf])
+    def test_record_refuses_a_duration_that_never_ends_or_never_starts(self, tmp_path, duration_s):
+        p = tmp_path / "a.nbl"
+        with pytest.raises(ValueError, match="duration_s"):
+            record(TopicBus(), p, duration_s, stopped=lambda: True)  # ends at once if accepted
+        assert not p.exists()
+
 
 def make_yuyv(width, height, quads):
     """Tile (y0, u, y1, v) quads across a frame."""

@@ -236,8 +236,9 @@ class TestRobotConfig:
         RobotConfig(fps=60.0)
 
     def test_positive_rates(self):
-        with pytest.raises(ValueError):
-            RobotConfig(motion_rate=0)
+        for rate in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="motion_rate"):
+                RobotConfig(motion_rate=rate)
 
     def test_image_size_bound(self):
         RobotConfig(width=1280, height=960)
