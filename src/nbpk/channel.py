@@ -170,8 +170,10 @@ class Service:
             raise self._errors[0]
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Whether the service stopped (a failed loop stops it) within ``timeout`` s (None: no limit)."""
-        return self._stop.wait(timeout)
+        """Whether the service stopped (a failed loop stops it) within ``timeout`` s (None or inf: no limit)."""
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout must be a number of seconds or None, got nan")
+        return self._stop.wait(None if timeout is None or timeout >= threading.TIMEOUT_MAX else timeout)
 
     def _run(self, loop: Callable[[], None]) -> None:
         try:

@@ -13,6 +13,10 @@ Flag bit 0 (``RESTART``) marks a stream's first record after its sender
 restarted: the sender's seq and clock started over there. The writer sets
 it from the message's seq, and replay steps the seq back there so that a
 re-recording sets it again.
+
+Each pixel byte is copied once per side: the writer hands a frame's pixels
+to the file as they are, and replay reads them apart from their metadata,
+so the ``bytes`` read are the replayed frame's pixels. Only export loads numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 from .bridge import (
     TOPIC_COMMAND,
@@ -55,13 +57,16 @@ from .wire import (
     encode_start_meta,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 LOG_MAGIC = b"NBLG"
 LOG_VERSION = 1
 LOG_HEADER_SIZE = 16
 RECORD_HEADER_SIZE = 14
 RECORDED_TOPICS = (TOPIC_IMAGE, TOPIC_MOTION)  # what ``record`` logs
 RESTART = 0x01  # record flag: the stream's sender restarted at this record
-_STREAM_IDS = frozenset(StreamId)
+_STREAMS = {int(s): s for s in StreamId}  # by stream byte; any other byte ends a log
 
 _LOG_HEADER = struct.Struct("<4sB3sQ")
 _RECORD_HEADER = struct.Struct("<BBIQ")
@@ -85,34 +90,19 @@ class Truncated:
     offset: int
 
 
-def image_to_record_payload(img: Image) -> bytes:
-    meta = ImageStartMeta(total_len=len(img.pixels), width=img.width, height=img.height)
-    return encode_start_meta(meta) + img.pixels
+def _image(meta: bytes, pixels: bytes, seq: int, timestamp_us: int) -> Image:
+    """The frame an image record holds, from its START metadata and pixel bytes."""
+    m = decode_start_meta(meta)
+    if len(pixels) != m.total_len:
+        raise TooShortError(
+            f"image record carries {len(pixels)} pixel bytes, metadata announces {m.total_len}"
+        )
+    return Image(m.width, m.height, pixels, seq, timestamp_us)
 
 
 def image_from_record_payload(payload: bytes, *, seq: int = 0,
                               timestamp_us: int = 0) -> Image:
-    meta = decode_start_meta(payload)
-    pixels = payload[START_META_SIZE:]
-    if len(pixels) != meta.total_len:
-        raise TooShortError(
-            f"image record carries {len(pixels)} pixel bytes, metadata announces {meta.total_len}"
-        )
-    return Image(meta.width, meta.height, pixels, seq, timestamp_us)
-
-
-def message_to_record(message) -> LogRecord:
-    """Map a bus message to its log representation."""
-    if isinstance(message, CameraFrame):
-        message = message.image
-    if isinstance(message, Image):
-        return LogRecord(StreamId.IMAGE, message.timestamp_us,
-                         image_to_record_payload(message))
-    if isinstance(message, MotionReading):
-        return LogRecord(StreamId.MOTION, message.timestamp_us, encode_motion(message))
-    if isinstance(message, MotionRequest):
-        return LogRecord(StreamId.COMMAND, 0, encode_request(message))
-    raise TypeError(f"no log representation for {type(message).__name__}")
+    return _image(payload, payload[START_META_SIZE:], seq, timestamp_us)
 
 
 class LogWriter:
@@ -129,14 +119,20 @@ class LogWriter:
         self.epoch_us = int(time.time() * 1e6) if epoch_us is None else epoch_us
         self._f = open(path, "wb")
         self._f.write(_LOG_HEADER.pack(LOG_MAGIC, LOG_VERSION, b"\x00\x00\x00", self.epoch_us))
+        self._end = LOG_HEADER_SIZE  # where the last complete record ends
         self._last_ts: dict[int, int] = {}
         self._orders = {StreamId.IMAGE: SeqOrder(), StreamId.MOTION: SeqOrder()}
         self.records_written = 0
 
     def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes,
               restart: bool = False) -> None:
-        if stream_id not in _STREAM_IDS:  # a reader would take the record for a tear
+        if stream_id not in _STREAMS:  # a reader would take the record for a tear
             raise ValueError(f"unknown stream id {stream_id!r}")
+        self._append(stream_id, timestamp_us, restart, b"", payload)
+
+    def _append(self, stream_id, timestamp_us, restart, head: bytes, body: bytes) -> None:
+        """Check and write one record whose payload is ``head + body``: the
+        record header and ``head`` in one write, then ``body`` as it is."""
         if restart and stream_id not in self._last_ts:
             raise ValueError(f"restart on the first record of stream {stream_id!r}")
         floor = self._last_ts.get(stream_id, 0)
@@ -144,21 +140,23 @@ class LogWriter:
             raise ValueError(f"timestamps must be non-decreasing per stream: {timestamp_us} after {floor}")
         if not (isinstance(timestamp_us, int) and 0 <= timestamp_us < 1 << 64):
             raise ValueError(f"timestamp_us must be an int in [0, 2**64), got {timestamp_us!r}")
-        if len(payload) >= 1 << 32:
-            raise ValueError(f"a payload of {len(payload)} bytes overflows the u32 length field")
-        start = self._f.tell()
+        size = len(head) + len(body)
+        if size >= 1 << 32:
+            raise ValueError(f"a payload of {size} bytes overflows the u32 length field")
         try:
             self._f.write(_RECORD_HEADER.pack(stream_id, RESTART if restart else 0,
-                                              len(payload), timestamp_us))
-            self._f.write(payload)
+                                              size, timestamp_us) + head)
+            if body:
+                self._f.write(body)
         except OSError:
             # disk full or similar: drop the partial record, keep the prefix valid
             try:
-                self._f.truncate(start)
-                self._f.seek(start)  # the next record starts where this one did
+                self._f.truncate(self._end)
+                self._f.seek(self._end)  # the next record starts where this one did
             except OSError:
                 pass
             raise
+        self._end += RECORD_HEADER_SIZE + size
         self._last_ts[stream_id] = timestamp_us
         self.records_written += 1
 
@@ -166,14 +164,22 @@ class LogWriter:
         """Log a bus message. Its seq (a command has none) goes to its
         stream's order; where that order counts a sender restart, the
         record is written as ``restart``."""
-        rec = message_to_record(message)
-        restart = False
-        if rec.stream_id != StreamId.COMMAND:
-            order = self._orders[rec.stream_id]
-            restarts = order.restarts
-            order.advance((message.image if isinstance(message, CameraFrame) else message).seq)
-            restart = order.restarts > restarts
-        self.write(rec.stream_id, rec.timestamp_us, rec.payload, restart)
+        if isinstance(message, CameraFrame):
+            message = message.image
+        if isinstance(message, Image):
+            head = encode_start_meta(ImageStartMeta(len(message.pixels), message.width, message.height))
+            stream_id, body = StreamId.IMAGE, message.pixels
+        elif isinstance(message, MotionReading):
+            stream_id, head, body = StreamId.MOTION, encode_motion(message), b""
+        elif isinstance(message, MotionRequest):
+            self._append(StreamId.COMMAND, 0, False, encode_request(message), b"")
+            return
+        else:
+            raise TypeError(f"no log representation for {type(message).__name__}")
+        order = self._orders[stream_id]
+        restarts = order.restarts
+        order.advance(message.seq)
+        self._append(stream_id, message.timestamp_us, order.restarts > restarts, head, body)
 
     def close(self) -> None:
         if not self._f.closed:
@@ -206,6 +212,29 @@ def read_log_epoch_us(path) -> int:
         return _check_header(f)
 
 
+def _frames(f) -> Iterator[Union[tuple, Truncated]]:
+    """Each complete record after the file header of ``f``, as (stream_id,
+    timestamp_us, restart, meta, body). An image's payload is read as its
+    START metadata and then its pixels, each into bytes of its own; any other
+    payload is ``body`` alone, after an empty ``meta``. A short header, a short
+    payload or an unknown stream ends the valid prefix: then the last item
+    is a ``Truncated`` at that record's offset."""
+    read, unpack, offset = f.read, _RECORD_HEADER.unpack, LOG_HEADER_SIZE
+    while header := read(RECORD_HEADER_SIZE):
+        if len(header) < RECORD_HEADER_SIZE or (stream_id := _STREAMS.get(header[0])) is None:
+            break
+        _, flags, payload_len, timestamp_us = unpack(header)
+        meta = read(min(payload_len, START_META_SIZE)) if stream_id is StreamId.IMAGE else b""
+        body = read(payload_len - len(meta))
+        if len(meta) + len(body) < payload_len:
+            break
+        yield stream_id, timestamp_us, bool(flags & RESTART), meta, body
+        offset += RECORD_HEADER_SIZE + payload_len
+    else:
+        return
+    yield Truncated(offset)
+
+
 def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
     """Yield records in file order; a final ``Truncated`` marks a cut file.
 
@@ -215,25 +244,8 @@ def read_log(path) -> Iterator[Union[LogRecord, Truncated]]:
     """
     with open(path, "rb") as f:
         _check_header(f)
-        while True:
-            start = f.tell()
-            head = f.read(RECORD_HEADER_SIZE)
-            if not head:
-                return
-            if len(head) < RECORD_HEADER_SIZE:
-                yield Truncated(offset=start)
-                return
-            stream_raw, flags, payload_len, timestamp_us = _RECORD_HEADER.unpack(head)
-            payload = f.read(payload_len)
-            if len(payload) < payload_len:
-                yield Truncated(offset=start)
-                return
-            try:
-                stream_id = StreamId(stream_raw)
-            except ValueError:
-                yield Truncated(offset=start)  # unknown stream: cannot trust the rest
-                return
-            yield LogRecord(stream_id, timestamp_us, payload, bool(flags & RESTART))
+        for rec in _frames(f):
+            yield rec if rec.__class__ is Truncated else LogRecord(rec[0], rec[1], rec[3] + rec[4], rec[2])
 
 
 def record(bus: TopicBus, path, duration_s: float, stopped: Callable[[], bool] = lambda: False) -> int:
@@ -301,27 +313,28 @@ def replay(path, bus: TopicBus, speed: float = 1.0) -> int:
     latest_ts: Optional[int] = None
     newest = dict.fromkeys(StreamId, 0xFFFFFFFF)  # so each stream starts at 0
     published = 0
-    for rec in read_log(path):
-        if isinstance(rec, Truncated):
-            break
-        if rec.restart:
-            latest_ts = rec.timestamp_us
-        elif latest_ts is None or rec.timestamp_us > latest_ts:
-            if paced and latest_ts is not None:
-                time.sleep((rec.timestamp_us - latest_ts) / 1e6 / speed)
-            latest_ts = rec.timestamp_us
-        n = newest[rec.stream_id] = (
-            newest[rec.stream_id] + (-RESTART_WINDOW if rec.restart else 1)) & 0xFFFFFFFF
-        if rec.stream_id == StreamId.IMAGE:
-            img = image_from_record_payload(rec.payload, seq=n,
-                                            timestamp_us=rec.timestamp_us)
-            bus.publish(TOPIC_IMAGE, CameraFrame(image=img, recv_timestamp_us=rec.timestamp_us))
-        elif rec.stream_id == StreamId.MOTION:
-            bus.publish(TOPIC_MOTION, decode_motion(rec.payload, seq=n,
-                                                    timestamp_us=rec.timestamp_us))
-        else:
-            bus.publish(TOPIC_COMMAND, decode_request(rec.payload))
-        published += 1
+    with open(path, "rb") as f:
+        _check_header(f)
+        for rec in _frames(f):
+            if rec.__class__ is Truncated:
+                break
+            stream_id, timestamp_us, restart, meta, body = rec
+            if restart:
+                latest_ts = timestamp_us
+            elif latest_ts is None or timestamp_us > latest_ts:
+                if paced and latest_ts is not None:
+                    time.sleep((timestamp_us - latest_ts) / 1e6 / speed)
+                latest_ts = timestamp_us
+            n = newest[stream_id] = (
+                newest[stream_id] + (-RESTART_WINDOW if restart else 1)) & 0xFFFFFFFF
+            if stream_id is StreamId.IMAGE:
+                bus.publish(TOPIC_IMAGE, CameraFrame(image=_image(meta, body, n, timestamp_us),
+                                                     recv_timestamp_us=timestamp_us))
+            elif stream_id is StreamId.MOTION:
+                bus.publish(TOPIC_MOTION, decode_motion(body, seq=n, timestamp_us=timestamp_us))
+            else:
+                bus.publish(TOPIC_COMMAND, decode_request(body))
+            published += 1
     return published
 
 
@@ -339,6 +352,8 @@ def _chroma_tables():
     (344136 u + 714136 v ≡ 500000 mod 10⁶, exact on float64's integers) may
     round differently for different Y; each pair that does gets the
     formula's row of 256 G values."""
+    import numpy as np
+
     c, y = np.arange(256) - 128.0, np.arange(256)
     r, g, b = (np.floor(x + 0.5).astype(np.int16).ravel() for x in _bt601(0.0, c[:, None], c))
     ties = np.flatnonzero((344136 * c[:, None] + 714136 * c) % 1e6 == 5e5)
@@ -354,6 +369,8 @@ def yuv422_to_rgb(img: Image) -> np.ndarray:
     by chroma (R's by V, B's by U, G's by the (U, V) pair), in 1-D passes
     over the pixel pairs; a G tie pair whose rounding depends on Y takes the
     formula's row."""
+    import numpy as np
+
     if img.width % 2 != 0:
         raise ValueError(f"YUV422 requires even width, got {img.width}")
     r_offset, g_offset, b_offset, g_ties = _chroma_tables()

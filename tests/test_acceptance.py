@@ -35,7 +35,7 @@ from nbpk.inertial import RigidBody, bundled_backpack_body, compose, parallel_ax
 from nbpk.recorder import (
     LogRecord,
     Truncated,
-    message_to_record,
+    image_from_record_payload,
     read_log,
     read_log_epoch_us,
     record,
@@ -275,7 +275,8 @@ def test_5_record_replay_byte_identity_and_truncation(tmp_path):
     recs = [r for r in read_log(original) if isinstance(r, LogRecord)]
     payload_ok = (
         len(recs) == n_frames
-        and all(r.payload == message_to_record(f).payload for r, f in zip(recs, frames))
+        and all(image_from_record_payload(r.payload, seq=f.image.seq, timestamp_us=r.timestamp_us)
+                == f.image for r, f in zip(recs, frames))
     )
 
     bus2 = TopicBus()

@@ -304,3 +304,25 @@ class TestService:
             assert time.monotonic() - t0 < 1.0
             with pytest.raises(RuntimeError, match="loop failed"):
                 svc.stop()
+
+    @pytest.mark.parametrize("timeout", [None, math.inf])
+    def test_wait_without_limit_returns_when_a_loop_dies(self, caplog, timeout):
+        # inf waits as None does; threading.Event.wait alone raises OverflowError for it
+        def fail():
+            time.sleep(0.05)
+            raise RuntimeError("loop failed")
+
+        svc = Service({"nbpk-test-fail": fail}, ())
+        with caplog.at_level(logging.ERROR, logger="nbpk"):
+            svc.start()
+            assert svc.wait(timeout) is True
+            with pytest.raises(RuntimeError, match="loop failed"):
+                svc.stop()
+
+    def test_wait_refuses_nan(self):
+        # NaN is no time at all; threading.Event.wait alone returns False at once
+        svc = Service({"nbpk-test-wait": lambda: svc._stop.wait()}, ())
+        with svc:
+            with pytest.raises(ValueError, match="timeout"):
+                svc.wait(math.nan)
+            assert svc.wait(0) is False

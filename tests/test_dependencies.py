@@ -27,6 +27,7 @@ NUMPY_FREE_CLOSURES = {
     "bridge": {"bridge", "channel", "fragment", "wire"},
     "bench": {"bench", "bridge", "channel", "fragment", "robotsim", "wire"},
     "cli": {"cli", "bench", "bridge", "channel", "fragment", "robotsim", "wire"},
+    "recorder": {"recorder", "bridge", "channel", "fragment", "wire"},
 }
 
 

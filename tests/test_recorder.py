@@ -25,8 +25,6 @@ from nbpk.recorder import (
     Truncated,
     export_ppm,
     image_from_record_payload,
-    image_to_record_payload,
-    message_to_record,
     read_log,
     read_log_epoch_us,
     record,
@@ -40,12 +38,21 @@ from nbpk.wire import (
     BadVersionError,
     Image,
     MotionRequest,
+    START_META_SIZE,
     StreamId,
     TooShortError,
+    encode_motion,
+    encode_request,
 )
 
 from conftest import peak_allocation
 from oracles import yuv422_to_rgb_reference, yuv_to_rgb_scalar
+
+
+def image_payload(img: Image) -> bytes:
+    """An image record's payload as FORMAT.md lays it out: the 12-byte START
+    metadata (encoding 1 = YUV422, reserved 0, frag_payload 1400), then the pixels."""
+    return struct.pack("<IHHBBH", len(img.pixels), img.width, img.height, 1, 0, 1400) + img.pixels
 
 
 def restarted_images(before: int, after: int, width=32, height=24) -> list:
@@ -178,37 +185,48 @@ class TestLogFile:
         p = tmp_path / "a.nbl"
         msgs = sample_messages()
         record_messages(msgs, p)
-        recs = list(read_log(p))
-        assert len(recs) == len(msgs)
-        for rec, msg in zip(recs, msgs):
-            want = message_to_record(msg)
-            assert rec.stream_id == want.stream_id
-            assert rec.timestamp_us == want.timestamp_us
-            assert rec.payload == want.payload
+        assert list(read_log(p)) == [
+            LogRecord(StreamId.IMAGE, m.timestamp_us, image_payload(m)) if isinstance(m, Image)
+            else LogRecord(StreamId.MOTION, m.timestamp_us, encode_motion(m)) for m in msgs]
 
     def test_camera_frame_unwraps_to_image_record(self, tmp_path):
-        img = gen_test_image(3, 32, 24)
-        rec = message_to_record(CameraFrame(image=img, recv_timestamp_us=999))
-        assert rec.stream_id == StreamId.IMAGE
-        assert rec.payload == image_to_record_payload(img)
+        p = tmp_path / "a.nbl"
+        img = replace(gen_test_image(3, 32, 24), timestamp_us=77)
+        record_messages([CameraFrame(image=img, recv_timestamp_us=999)], p)
+        [rec] = read_log(p)
+        assert rec == LogRecord(StreamId.IMAGE, 77, image_payload(img))
         back = image_from_record_payload(rec.payload, seq=img.seq,
                                          timestamp_us=img.timestamp_us)
         assert back == img
 
-    def test_request_record(self):
-        rec = message_to_record(MotionRequest.walk(0.25, -0.1, 0.5))
-        assert rec.stream_id == StreamId.COMMAND
+    def test_request_record(self, tmp_path):
+        # a command carries no timestamp: it is logged at 0
+        p = tmp_path / "a.nbl"
+        request = MotionRequest.walk(0.25, -0.1, 0.5)
+        record_messages([request], p)
+        [rec] = read_log(p)
+        assert rec == LogRecord(StreamId.COMMAND, 0, encode_request(request))
         assert len(rec.payload) == 14
 
-    def test_unsupported_message_type(self):
-        with pytest.raises(TypeError):
-            message_to_record("not a bus message")
+    def test_unsupported_message_type(self, tmp_path):
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            with pytest.raises(TypeError):
+                w.write_message("not a bus message")
+            assert w.records_written == 0
+        assert p.stat().st_size == LOG_HEADER_SIZE
 
     def test_image_payload_length_mismatch(self):
         img = gen_test_image(0, 32, 24)
-        payload = image_to_record_payload(img)
         with pytest.raises(TooShortError):
-            image_from_record_payload(payload[:-1])
+            image_from_record_payload(image_payload(img)[:-1])
+
+    def test_write_message_does_not_copy_the_pixels(self, tmp_path):
+        # the record header and START metadata go out first, then the pixels as they are
+        img = gen_test_image(3)  # 320x240: 153,600 pixel bytes
+        with LogWriter(tmp_path / "a.nbl", epoch_us=0) as w:
+            peak = peak_allocation(lambda: w.write_message(img))
+        assert peak < 0.5 * len(img.pixels)
 
     def test_monotonic_timestamps_enforced_per_stream(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -341,22 +359,26 @@ class TestTruncation:
             def __getattr__(self, name):
                 return getattr(self._f, name)
 
-        p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 10, b"A" * 10)
-            monkeypatch.setattr(w, "_f", FailingPayload(w._f, b"B" * 10))
-            with pytest.raises(OSError):
-                w.write(StreamId.MOTION, 20, b"B" * 10)
-            w.write(StreamId.MOTION, 30, b"C" * 10)
-        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 10, b"A" * 10),
-                                     LogRecord(StreamId.MOTION, 30, b"C" * 10)]
-        assert p.stat().st_size == LOG_HEADER_SIZE + 2 * (RECORD_HEADER_SIZE + 10)
+        img = replace(gen_test_image(1, 32, 24), timestamp_us=20)
+        failing_writes = {  # the bytes whose write fails, and the record they belong to
+            b"B" * 10: lambda w: w.write(StreamId.MOTION, 20, b"B" * 10),
+            img.pixels: lambda w: w.write_message(img),  # after its header and metadata went out
+        }
+        for i, (bad, write_bad) in enumerate(failing_writes.items()):
+            p = tmp_path / f"{i}.nbl"
+            with LogWriter(p, epoch_us=0) as w:
+                w.write(StreamId.MOTION, 10, b"A" * 10)
+                monkeypatch.setattr(w, "_f", FailingPayload(w._f, bad))
+                with pytest.raises(OSError):
+                    write_bad(w)
+                w.write(StreamId.MOTION, 30, b"C" * 10)
+            assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 10, b"A" * 10),
+                                         LogRecord(StreamId.MOTION, 30, b"C" * 10)]
+            assert p.stat().st_size == LOG_HEADER_SIZE + 2 * (RECORD_HEADER_SIZE + 10)
 
 
 class TestReplay:
     def test_replay_restores_messages(self, tmp_path):
-        from nbpk.wire import encode_motion
-
         p = tmp_path / "a.nbl"
         msgs = sample_messages()
         record_messages(msgs, p)
@@ -459,16 +481,42 @@ class TestReplay:
 
     def test_replay_truncated_prefix(self, tmp_path):
         p = tmp_path / "a.nbl"
-        record_messages(sample_messages(n_frames=3), p)
+        msgs = sample_messages(n_frames=3)
+        record_messages(msgs[:4], p)
+        image_at = p.stat().st_size  # where the third image's record starts
+        record_messages(msgs, p)
         raw = p.read_bytes()
-        p.write_bytes(raw[:-3])
+        last_at = len(raw) - RECORD_HEADER_SIZE - len(encode_motion(msgs[5]))
+        cuts = [  # (cut, where the valid prefix ends, records, images, readings replayed)
+            (len(raw) - 3, last_at, 5, 3, 2),  # the sixth record lost its tail
+            (image_at + RECORD_HEADER_SIZE + 5, image_at, 4, 2, 2),  # inside the image's metadata
+            (image_at + RECORD_HEADER_SIZE + START_META_SIZE + 100, image_at, 4, 2, 2),  # its pixels
+        ]
+        for cut, torn_at, records, images, readings in cuts:
+            p.write_bytes(raw[:cut])
+            assert list(read_log(p))[-1] == Truncated(offset=torn_at), cut
+            bus = TopicBus()
+            imgs = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
+            mots = bus.subscribe(TOPIC_MOTION, BoundedFifo(8))
+            assert replay(p, bus, speed=math.inf) == records, cut
+            assert (len(imgs.drain()), len(mots.drain())) == (images, readings), cut
+        # a whole record whose pixels fall one byte short of its metadata's total_len
+        with LogWriter(p, epoch_us=0) as w:
+            w.write(StreamId.IMAGE, 0, image_payload(gen_test_image(0, 32, 24))[:-1])
+        with pytest.raises(TooShortError):
+            replay(p, TopicBus(), speed=math.inf)
+
+    def test_replay_reads_each_pixel_byte_once(self, tmp_path):
+        # the bytes read from the file are the frame's pixels: no slice in between
+        p = tmp_path / "a.nbl"
+        img = gen_test_image(3)  # 320x240: 153,600 pixel bytes
+        record_messages([img], p)
         bus = TopicBus()
-        imgs = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
-        mots = bus.subscribe(TOPIC_MOTION, BoundedFifo(8))
-        n = replay(p, bus, speed=math.inf)
-        assert n == 5  # sixth record lost its tail
-        assert len(imgs.drain()) == 3
-        assert len(mots.drain()) == 2
+        sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(2))
+        peak = peak_allocation(lambda: replay(p, bus, speed=math.inf))
+        [frame] = sub.drain()
+        assert frame.image == replace(img, seq=0) and type(frame.image.pixels) is bytes
+        assert peak < 1.5 * len(img.pixels)
 
 
 class TestLiveRecord:
@@ -500,7 +548,7 @@ class TestLiveRecord:
         assert len(by_stream[StreamId.IMAGE]) == 10
         assert len(by_stream[StreamId.MOTION]) == 10
         for r, img in zip(by_stream[StreamId.IMAGE], (m for m in msgs if isinstance(m, Image))):
-            assert r.payload == image_to_record_payload(img)
+            assert r.payload == image_payload(img)
 
     def test_record_keeps_writing_across_a_sender_restart(self, tmp_path):
         # the image sender restarted: its seq and clock start over; motion runs on
