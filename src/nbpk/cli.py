@@ -16,6 +16,7 @@ robot, bridge and record, with exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -23,8 +24,8 @@ import os
 import select
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable
+from dataclasses import asdict, fields
+from typing import Callable, Optional
 
 from . import bench as bench_mod
 from .bridge import (
@@ -52,71 +53,47 @@ class UsageError(Exception):
 
 # --- teleop ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TeleopState:
-    """Commanded velocity built up from keypresses."""
-
-    vx: float = 0.0
-    vy: float = 0.0
-    omega: float = 0.0
-    step: float = DEFAULT_TELEOP_STEP
-    exit_requested: bool = False
+_DELTAS = {"w": (1, 0, 0), "s": (-1, 0, 0), "a": (0, 1, 0), "d": (0, -1, 0),
+           "q": (0, 0, 1), "e": (0, 0, -1)}
 
 
-def _clamp(v: float) -> float:
-    return min(1.0, max(-1.0, v))
+def map_key(velocity: tuple, key: str, step: float) -> Optional[tuple]:
+    """The commanded ``(vx, vy, omega)`` after one keypress, or None for x.
 
-
-def map_key(state: TeleopState, key: str) -> TeleopState:
-    """Apply one keypress; unbound keys leave the state unchanged."""
-    s = state.step
-    deltas = {"w": (s, 0.0, 0.0), "s": (-s, 0.0, 0.0),
-              "a": (0.0, s, 0.0), "d": (0.0, -s, 0.0),
-              "q": (0.0, 0.0, s), "e": (0.0, 0.0, -s)}
-    if key in deltas:
-        dvx, dvy, dom = deltas[key]
-        return replace(state, vx=_clamp(state.vx + dvx),
-                       vy=_clamp(state.vy + dvy),
-                       omega=_clamp(state.omega + dom))
-    if key == " ":
-        return replace(state, vx=0.0, vy=0.0, omega=0.0)
+    A bound key moves one component by ``step``, every component kept in
+    [-1, 1]; space stands; an unbound key leaves the velocity unchanged."""
     if key == "x":
-        return replace(state, vx=0.0, vy=0.0, omega=0.0, exit_requested=True)
-    return state
+        return None
+    if key == " ":
+        return 0.0, 0.0, 0.0
+    if key not in _DELTAS:
+        return velocity
+    return tuple(min(1.0, max(-1.0, v + d * step)) for v, d in zip(velocity, _DELTAS[key]))
 
 
-def to_request(state: TeleopState) -> MotionRequest:
-    if state.vx == 0.0 and state.vy == 0.0 and state.omega == 0.0:
-        return MotionRequest.stand()
-    return MotionRequest.walk(state.vx, state.vy, state.omega)
+def to_request(velocity: tuple) -> MotionRequest:
+    return MotionRequest.walk(*velocity) if any(velocity) else MotionRequest.stand()
 
 
-class _TerminalKeys:
-    """Raw single-key reads from a tty, restored on exit."""
+@contextlib.contextmanager
+def _terminal_keys():
+    """Raw single-key reads from the tty on stdin, as ``get_key(timeout)``; restored on exit."""
+    import termios  # POSIX only; imported here so tests never need them
+    import tty
 
-    def __init__(self):
-        import termios  # POSIX only; imported here so tests never need it
+    fd = sys.stdin.fileno()
+    saved = termios.tcgetattr(fd)
 
-        self._termios = termios
-        self._fd = sys.stdin.fileno()
-        self._saved = None
-
-    def __enter__(self) -> "_TerminalKeys":
-        import tty
-
-        self._saved = self._termios.tcgetattr(self._fd)
-        tty.setcbreak(self._fd)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._saved is not None:
-            self._termios.tcsetattr(self._fd, self._termios.TCSADRAIN, self._saved)
-
-    def __call__(self, timeout: float):
-        r, _, _ = select.select([self._fd], [], [], timeout)
-        if not r:
+    def get_key(timeout: float):
+        if not select.select([fd], [], [], timeout)[0]:
             return None
-        return os.read(self._fd, 1).decode("ascii", errors="replace")
+        return os.read(fd, 1).decode("ascii", errors="replace")
+
+    try:
+        tty.setcbreak(fd)
+        yield get_key
+    finally:
+        termios.tcsetattr(fd, termios.TCSADRAIN, saved)
 
 
 def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ, get_key=None, out=None,
@@ -126,41 +103,38 @@ def teleop_loop(bus: TopicBus, rate: float = DEFAULT_TELEOP_RATE_HZ, get_key=Non
     ``get_key(timeout)`` supplies keypresses (defaults to the terminal);
     the latest echoed robot velocity from ``motion/state`` is printed
     beside the command once per second. The final publish before
-    returning is always STAND.
+    returning is always STAND, also when the terminal cannot be opened.
     """
     check_positive("rate", rate)
     out = sys.stdout if out is None else out
     sub = bus.subscribe(TOPIC_MOTION, BoundedFifo(1))
-    state = TeleopState(step=step)
+    velocity = (0.0, 0.0, 0.0)
     period = 1.0 / rate
     next_pub = time.monotonic()
     next_echo = next_pub + 1.0
-    own_keys = None
-    if get_key is None:
-        own_keys = _TerminalKeys().__enter__()
-        get_key = own_keys
+    keys = contextlib.ExitStack()
     try:
-        while not state.exit_requested and not stopped():
+        if get_key is None:
+            get_key = keys.enter_context(_terminal_keys())
+        while not stopped():
             key = get_key(max(0.0, min(next_pub, next_echo) - time.monotonic()))
             if key is not None:
-                state = map_key(state, key)
-                if state.exit_requested:
+                velocity = map_key(velocity, key, step)
+                if velocity is None:
                     break
             now = time.monotonic()
             if now >= next_pub:
-                bus.publish(TOPIC_COMMAND, to_request(state))
+                bus.publish(TOPIC_COMMAND, to_request(velocity))
                 next_pub += period
             if now >= next_echo:
                 reading = sub.get(timeout=0)
                 echo = "-" if reading is None else "(%.2f, %.2f, %.2f)" % reading.velocity
-                print(f"cmd=({state.vx:.2f}, {state.vy:.2f}, {state.omega:.2f})"
-                      f"  robot={echo}", file=out, flush=True)
+                print("cmd=(%.2f, %.2f, %.2f)  robot=%s" % (*velocity, echo), file=out, flush=True)
                 next_echo += 1.0
     finally:
+        keys.close()
         bus.publish(TOPIC_COMMAND, MotionRequest.stand())
         sub.close()
-        if own_keys is not None:
-            own_keys.__exit__()
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -193,10 +167,12 @@ def build_parser() -> _Parser:
     p = _Parser(prog="nbpk", description="Sensor-streaming bridge toolkit")
     sub = p.add_subparsers(dest="command")
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    def command(name: str, summary: str, run: Callable[..., int]) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        parser.set_defaults(run=run)  # main calls args.run(args)
+        return parser
 
-    robot = command("robot", "run the robot-side emulator")
+    robot = command("robot", "run the robot-side emulator", _cmd_robot)
     robot.add_argument("--fps", type=float)
     robot.add_argument("--width", type=int)
     robot.add_argument("--height", type=int)
@@ -208,11 +184,11 @@ def build_parser() -> _Parser:
     robot.add_argument("--peer", dest="peer_host", help="bridge host")
     robot.add_argument("--duration", type=_positive, default=None, help="stop after this many seconds")
 
-    bridge = command("bridge", "run the backpack-side bridge")
+    bridge = command("bridge", "run the backpack-side bridge", _cmd_bridge)
     _add_bridge_flags(bridge)
     bridge.add_argument("--duration", type=_positive, default=None)
 
-    bench = command("bench", "benchmark against the loss model")
+    bench = command("bench", "benchmark against the loss model", _cmd_bench)
     bench.add_argument("--duration", dest="duration_s", type=float)
     bench.add_argument("--fps", type=float)
     bench.add_argument("--loss", dest="loss_p", type=float)
@@ -223,27 +199,27 @@ def build_parser() -> _Parser:
     bench.add_argument("--loopback", action="store_true", default=False,
                        help="real UDP loopback run (refuses --loss, --dup and --reorder)")
 
-    rec = command("record", "receive streams and log them")
+    rec = command("record", "receive streams and log them", _cmd_record)
     rec.add_argument("out", help="log file to write")
     rec.add_argument("--duration", type=_positive, default=10.0)
     _add_bridge_flags(rec)
 
-    rep = command("replay", "republish a log")
+    rep = command("replay", "republish a log", _cmd_replay)
     rep.add_argument("log")
     rep.add_argument("--speed", type=lambda text: math.inf if text == "max" else _positive(text),
                      help="time multiplier, or 'max' for no pacing")
 
-    exp = sub.add_parser("export", help="write logged images as PPM files")
+    exp = command("export", "write logged images as PPM files", _cmd_export)
     exp.add_argument("log")
     exp.add_argument("outdir")
     exp.add_argument("--limit", type=int, default=None, help="stop after this many images")
 
-    tel = command("teleop", "drive the robot from the keyboard")
+    tel = command("teleop", "drive the robot from the keyboard", _cmd_teleop)
     _add_bridge_flags(tel)
     tel.add_argument("--rate", type=_positive)
     tel.add_argument("--step", type=_positive)
 
-    ine = sub.add_parser("inertia", help="compose and validate rigid bodies")
+    ine = command("inertia", "compose and validate rigid bodies", _cmd_inertia)
     ine.add_argument("bodies", nargs="?", default=None,
                      help="JSON file of bodies (default: bundled backpack)")
     ine.add_argument("--base", default=None,
@@ -410,18 +386,6 @@ def _cmd_inertia(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "robot": _cmd_robot,
-    "bridge": _cmd_bridge,
-    "bench": _cmd_bench,
-    "record": _cmd_record,
-    "replay": _cmd_replay,
-    "export": _cmd_export,
-    "teleop": _cmd_teleop,
-    "inertia": _cmd_inertia,
-}
-
-
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("NBPK_LOG", "error").lower(), logging.ERROR)
@@ -436,7 +400,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,9 @@ File header:  magic "NBLG" | version u8 | 3 reserved bytes | epoch wall-clock µ
 Record:       stream_id u8 | flags u8 | payload_len u32 | timestamp_us u64 | payload
 Image record payload: 12-byte start metadata (geometry, YUV422) + pixel bytes.
 Flag bit 0 (``RESTART``) marks a stream's first record after its sender
-restarted: the sender's seq and clock started over there. The writer sets
-it from the message's seq, and replay steps the seq back there so that a
-re-recording sets it again.
+restarted: the sender's seq and clock started over there. The one writer,
+``LogWriter.write_message``, sets it from the message's seq, and replay
+steps the seq back there so that a re-recording sets it again.
 
 Each pixel byte is copied once per side: the writer hands a frame's pixels
 to the file as they are, and replay reads them apart from their metadata,
@@ -106,13 +106,13 @@ def image_from_record_payload(payload: bytes, *, seq: int = 0,
 
 
 class LogWriter:
-    """Sequential record writer. On write failure the file is cut back to
-    the last complete record, so readers always get a clean prefix.
+    """Sequential record writer; ``write_message`` is its one way in. On
+    write failure the file is cut back to the last complete record, so
+    readers always get a clean prefix.
 
-    Timestamps never decrease within one stream and one sender run; a
-    record written with ``restart`` starts a new run and a new floor, so
-    it cannot be a stream's first record. Each stream keeps one
-    ``wire.SeqOrder`` for ``write_message``.
+    Timestamps never decrease within one stream and one sender run. Each
+    stream keeps one ``wire.SeqOrder``; a record where it counts a sender
+    restart is flagged ``RESTART`` and starts a new run and a new floor.
     """
 
     def __init__(self, path, epoch_us: Optional[int] = None):
@@ -124,25 +124,15 @@ class LogWriter:
         self._orders = {StreamId.IMAGE: SeqOrder(), StreamId.MOTION: SeqOrder()}
         self.records_written = 0
 
-    def write(self, stream_id: StreamId, timestamp_us: int, payload: bytes,
-              restart: bool = False) -> None:
-        if stream_id not in _STREAMS:  # a reader would take the record for a tear
-            raise ValueError(f"unknown stream id {stream_id!r}")
-        self._append(stream_id, timestamp_us, restart, b"", payload)
-
     def _append(self, stream_id, timestamp_us, restart, head: bytes, body: bytes) -> None:
         """Check and write one record whose payload is ``head + body``: the
         record header and ``head`` in one write, then ``body`` as it is."""
-        if restart and stream_id not in self._last_ts:
-            raise ValueError(f"restart on the first record of stream {stream_id!r}")
         floor = self._last_ts.get(stream_id, 0)
         if not restart and isinstance(timestamp_us, int) and timestamp_us < floor:
             raise ValueError(f"timestamps must be non-decreasing per stream: {timestamp_us} after {floor}")
         if not (isinstance(timestamp_us, int) and 0 <= timestamp_us < 1 << 64):
             raise ValueError(f"timestamp_us must be an int in [0, 2**64), got {timestamp_us!r}")
-        size = len(head) + len(body)
-        if size >= 1 << 32:
-            raise ValueError(f"a payload of {size} bytes overflows the u32 length field")
+        size = len(head) + len(body)  # below 2**32: encode_start_meta bounds an image's pixels
         try:
             self._f.write(_RECORD_HEADER.pack(stream_id, RESTART if restart else 0,
                                               size, timestamp_us) + head)
@@ -252,39 +242,33 @@ def record(bus: TopicBus, path, duration_s: float, stopped: Callable[[], bool] =
     """Subscribe to ``RECORDED_TOPICS`` and log everything seen for ``duration_s``, or until ``stopped()``.
 
     Returns the number of records written. The file is valid even if the
-    run observes nothing (header-only). Each message goes through
-    ``LogWriter.write_message``, which marks a sender restart.
+    run observes nothing (header-only). The messages go to ``record_messages``.
     """
     check_positive("duration_s", duration_s)
     subs = [bus.subscribe(t, BoundedFifo(1024)) for t in RECORDED_TOPICS]
     deadline = time.monotonic() + duration_s
 
-    def write_queued(w: LogWriter) -> bool:
-        wrote = False
-        for sub in subs:
-            for message in sub.drain():
-                w.write_message(message)
-                wrote = True
-        return wrote
+    def messages() -> Iterator:
+        while True:
+            queued = [message for sub in subs for message in sub.drain()]
+            yield from queued
+            if time.monotonic() >= deadline or stopped():
+                break
+            if not queued:
+                time.sleep(0.002)
+        for sub in subs:  # final sweep so nothing queued is lost
+            yield from sub.drain()
 
     try:
-        with LogWriter(path) as w:
-            while True:
-                wrote = write_queued(w)
-                if time.monotonic() >= deadline or stopped():
-                    break
-                if not wrote:
-                    time.sleep(0.002)
-            write_queued(w)  # final sweep so nothing queued is lost
-            return w.records_written
+        return record_messages(messages(), path)
     finally:
         for sub in subs:
             sub.close()
 
 
 def record_messages(messages, path, epoch_us: Optional[int] = None) -> int:
-    """Log an already-collected message sequence (no bus, no clock) through
-    ``LogWriter.write_message``, as ``record`` does."""
+    """Log a message sequence through ``LogWriter.write_message``; returns
+    the number of records written."""
     with LogWriter(path, epoch_us=epoch_us) as w:
         for message in messages:
             w.write_message(message)

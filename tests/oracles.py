@@ -290,6 +290,20 @@ def yuv422_to_rgb_reference(img) -> np.ndarray:
     return np.floor(rgb + 0.5).astype(np.uint8)
 
 
+def log_file_bytes(records, epoch_us: int = 0) -> bytes:
+    """A ``.nbl`` file laid out byte by byte from FORMAT.md "Log files":
+    the 16-byte file header ("NBLG", version 1, 3 reserved zero bytes,
+    epoch_us u64 LE), then each ``(stream_id, flags, timestamp_us, payload)``
+    as a record (stream_id u8, flags u8, payload_len u32 LE, timestamp_us
+    u64 LE, payload). Nothing is checked, so a reader test can hold what the
+    writer never writes: any stream byte, any flags, any payload."""
+    out = bytearray(b"NBLG\x01\x00\x00\x00" + epoch_us.to_bytes(8, "little"))
+    for stream_id, flags, timestamp_us, payload in records:
+        out += bytes([stream_id, flags]) + len(payload).to_bytes(4, "little")
+        out += timestamp_us.to_bytes(8, "little") + payload
+    return bytes(out)
+
+
 # --- rigid-body point-cloud integrator -------------------------------------
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -14,10 +15,9 @@ import pytest
 import nbpk
 from nbpk import cli
 from nbpk.bench import Scenario
-from nbpk.bridge import TOPIC_COMMAND, BoundedFifo, Bridge, BridgeConfig, TopicBus
+from nbpk.bridge import TOPIC_COMMAND, TOPIC_MOTION, BoundedFifo, Bridge, BridgeConfig, TopicBus
 from nbpk.channel import EndpointConfig, ImpairmentConfig, UdpEndpoint
 from nbpk.cli import (
-    TeleopState,
     UsageError,
     _parse_host_port,
     build_parser,
@@ -31,52 +31,51 @@ from nbpk.robotsim import RobotConfig, RobotSim, gen_test_image
 from nbpk.wire import MotionMode
 
 
+STILL = (0.0, 0.0, 0.0)
+
+
 class TestKeymap:
     def test_forward_step(self):
-        s = map_key(TeleopState(), "w")
-        assert (s.vx, s.vy, s.omega) == (pytest.approx(0.1), 0.0, 0.0)
+        assert map_key(STILL, "w", 0.1) == (pytest.approx(0.1), 0.0, 0.0)
 
     def test_opposing_keys_cancel(self):
-        s = map_key(map_key(TeleopState(), "w"), "s")
-        assert s.vx == pytest.approx(0.0)
+        vx, _, _ = map_key(map_key(STILL, "w", 0.1), "s", 0.1)
+        assert vx == pytest.approx(0.0)
 
     def test_lateral_and_turn(self):
-        s = TeleopState()
+        v = STILL
         for key in "aaqq":
-            s = map_key(s, key)
-        assert s.vy == pytest.approx(0.2)
-        assert s.omega == pytest.approx(0.2)
-        s = map_key(map_key(s, "d"), "e")
-        assert s.vy == pytest.approx(0.1)
-        assert s.omega == pytest.approx(0.1)
+            v = map_key(v, key, 0.1)
+        _, vy, omega = v
+        assert vy == pytest.approx(0.2)
+        assert omega == pytest.approx(0.2)
+        _, vy, omega = map_key(map_key(v, "d", 0.1), "e", 0.1)
+        assert vy == pytest.approx(0.1)
+        assert omega == pytest.approx(0.1)
 
     def test_clamped_at_unit(self):
-        s = TeleopState()
+        v = STILL
         for _ in range(15):
-            s = map_key(s, "w")
-        assert s.vx == 1.0
+            v = map_key(v, "w", 0.1)
+        assert v[0] == 1.0
 
     def test_space_stops(self):
-        s = map_key(map_key(TeleopState(), "w"), " ")
-        assert (s.vx, s.vy, s.omega) == (0.0, 0.0, 0.0)
-        assert not s.exit_requested
+        v = map_key(map_key(STILL, "w", 0.1), " ", 0.1)
+        assert v == (0.0, 0.0, 0.0)  # a velocity, not the exit
 
     def test_x_stops_and_exits(self):
-        s = map_key(map_key(TeleopState(), "w"), "x")
-        assert (s.vx, s.vy, s.omega) == (0.0, 0.0, 0.0)
-        assert s.exit_requested
+        # the stop that follows is the loop's final STAND (TestTeleopLoop)
+        assert map_key(map_key(STILL, "w", 0.1), "x", 0.1) is None
 
     def test_unbound_key_ignored(self):
-        s = map_key(TeleopState(vx=0.3), "z")
-        assert s == TeleopState(vx=0.3)
+        assert map_key((0.3, 0.0, 0.0), "z", 0.1) == (0.3, 0.0, 0.0)
 
     def test_custom_step(self):
-        s = map_key(TeleopState(step=0.25), "w")
-        assert s.vx == pytest.approx(0.25)
+        assert map_key(STILL, "w", 0.25)[0] == pytest.approx(0.25)
 
     def test_to_request_modes(self):
-        assert to_request(TeleopState()).mode == MotionMode.STAND
-        req = to_request(TeleopState(vx=0.3, omega=-0.2))
+        assert to_request(STILL).mode == MotionMode.STAND
+        req = to_request((0.3, 0.0, -0.2))
         assert req.mode == MotionMode.WALK
         assert req.vx == pytest.approx(0.3)
         assert req.omega == pytest.approx(-0.2)
@@ -141,6 +140,18 @@ class TestTeleopLoop:
         assert "cmd=(0.00, 0.00, 0.00)" in out.getvalue()
         assert "robot=-" in out.getvalue()  # nothing echoed back
 
+    def test_a_terminal_that_cannot_be_opened_leaves_no_subscriber_and_stands(self, monkeypatch):
+        import termios
+
+        bus = TopicBus()
+        cmds = bus.subscribe(TOPIC_COMMAND, BoundedFifo(4))
+        with open(os.devnull) as not_a_tty:
+            monkeypatch.setattr(sys, "stdin", not_a_tty)
+            with pytest.raises(termios.error):
+                teleop_loop(bus, out=io.StringIO())
+        assert bus._topics[TOPIC_MOTION].subscribers == []
+        assert [c.mode for c in cmds.drain()] == [MotionMode.STAND]
+
     def test_rate_validation(self):
         for rate in (0, math.nan, math.inf):  # a loop that refused none of them would end at 0.3 s
             with pytest.raises(ValueError):
@@ -167,6 +178,7 @@ class TestParsing:
                     "export", "teleop", "inertia"):
             args = parser.parse_args([cmd] + positionals.get(cmd, []))
             assert args.command == cmd
+            assert args.run is getattr(cli, f"_cmd_{cmd}")  # what main calls
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -459,30 +471,25 @@ class TestRunCommands:
         assert not any(isinstance(r, Truncated) for r in read_log(path))  # the log is whole
 
     def test_a_dead_bridge_loop_ends_teleop_with_exit_2(self, monkeypatch, caplog):
-        class NoKeys:
+        @contextlib.contextmanager
+        def no_keys():
             """A terminal nobody types at; it presses x after 5 s, so a teleop
             that ignores the dead loop fails the test instead of hanging it."""
+            deadline = time.monotonic() + 5.0
 
-            def __init__(self):
-                self._deadline = time.monotonic() + 5.0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def __call__(self, timeout):
-                if time.monotonic() >= self._deadline:
+            def get_key(timeout):
+                if time.monotonic() >= deadline:
                     return "x"
                 time.sleep(timeout)
                 return None
+
+            yield get_key
 
         def fail(self):
             raise RuntimeError("image socket gone")
 
         monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
-        monkeypatch.setattr(cli, "_TerminalKeys", NoKeys)
+        monkeypatch.setattr(cli, "_terminal_keys", no_keys)
         monkeypatch.setattr(Bridge, "_image_loop", fail)
         with UdpEndpoint(EndpointConfig(bind_host="127.0.0.1")) as robot:
             t0 = time.monotonic()

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nbpk import recorder
 from nbpk.bridge import (
@@ -46,13 +46,22 @@ from nbpk.wire import (
 )
 
 from conftest import peak_allocation
-from oracles import yuv422_to_rgb_reference, yuv_to_rgb_scalar
+from oracles import log_file_bytes, yuv422_to_rgb_reference, yuv_to_rgb_scalar
 
 
 def image_payload(img: Image) -> bytes:
     """An image record's payload as FORMAT.md lays it out: the 12-byte START
     metadata (encoding 1 = YUV422, reserved 0, frag_payload 1400), then the pixels."""
     return struct.pack("<IHHBBH", len(img.pixels), img.width, img.height, 1, 0, 1400) + img.pixels
+
+
+def reading(seq: int, timestamp_us: int):
+    """A motion reading with ``seq`` at ``timestamp_us``; every one encodes alike."""
+    return replace(gen_motion(seq, 0.0, WalkState()), timestamp_us=timestamp_us)
+
+
+def image_at(seq: int, timestamp_us: int) -> Image:
+    return replace(gen_test_image(seq, 32, 24), timestamp_us=timestamp_us)
 
 
 def restarted_images(before: int, after: int, width=32, height=24) -> list:
@@ -85,11 +94,13 @@ class TestLogFile:
 
     def test_record_layout(self, tmp_path):
         p = tmp_path / "a.nbl"
+        m = reading(0, 7)
         with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 7, b"\xaa\xbb")
+            w.write_message(m)
         raw = p.read_bytes()[LOG_HEADER_SIZE:]
-        assert raw == struct.pack("<BBIQ", 2, 0, 2, 7) + b"\xaa\xbb"
-        assert len(raw) == RECORD_HEADER_SIZE + 2
+        payload = encode_motion(m)
+        assert raw == struct.pack("<BBIQ", 2, 0, len(payload), 7) + payload
+        assert len(raw) == RECORD_HEADER_SIZE + len(payload)
 
     def test_image_record_golden_bytes(self, tmp_path):
         # built by hand from FORMAT.md: the record header, then the 12-byte
@@ -104,40 +115,42 @@ class TestLogFile:
                                   + meta + img.pixels)
 
     def test_restart_flag_is_bit_0_of_the_reserved_byte(self, tmp_path):
+        # the sender restarted between the two readings: its seq and clock started over
         p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 9, b"\xbb")
-            w.write(StreamId.MOTION, 7, b"\xaa", restart=True)
-        assert p.read_bytes()[LOG_HEADER_SIZE:] == (struct.pack("<BBIQ", 2, 0, 1, 9) + b"\xbb"
-                                                    + struct.pack("<BBIQ", 2, 1, 1, 7) + b"\xaa")
-        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 9, b"\xbb"),
-                                     LogRecord(StreamId.MOTION, 7, b"\xaa", restart=True)]
+        before, after = reading(100, 9), reading(0, 7)
+        assert record_messages([before, after], p, epoch_us=0) == 2
+        payload = encode_motion(before)
+        assert encode_motion(after) == payload
+        assert p.read_bytes()[LOG_HEADER_SIZE:] == (struct.pack("<BBIQ", 2, 0, len(payload), 9) + payload
+                                                    + struct.pack("<BBIQ", 2, 1, len(payload), 7) + payload)
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 9, payload),
+                                     LogRecord(StreamId.MOTION, 7, payload, restart=True)]
+
+    def test_reader_takes_restart_from_bit_0_alone(self, tmp_path):
+        # the other flag bits are written as 0 and ignored on read
+        p = tmp_path / "a.nbl"
+        p.write_bytes(log_file_bytes([(2, 0x01, 9, b"\xbb"), (2, 0xFE, 7, b"\xaa"), (3, 0xFF, 0, b"")]))
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 9, b"\xbb", restart=True),
+                                     LogRecord(StreamId.MOTION, 7, b"\xaa"),
+                                     LogRecord(StreamId.COMMAND, 0, b"", restart=True)]
 
     @pytest.mark.parametrize("stream_id", [0, 4, 9, 255])
-    def test_write_rejects_an_unknown_stream_and_writes_nothing(self, tmp_path, stream_id):
-        # such a record would read back as Truncated and hide every later one
+    def test_an_unknown_stream_byte_reads_as_a_tear(self, tmp_path, stream_id):
+        # the writer has no way to write one: such a record would hide every later one
         p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 1, b"a")
-            with pytest.raises(ValueError):
-                w.write(stream_id, 2, b"b")
-            w.write(StreamId.MOTION, 3, b"c")
-            assert w.records_written == 2
+        p.write_bytes(log_file_bytes([(2, 0, 1, b"a"), (stream_id, 0, 2, b"b"), (2, 0, 3, b"c")]))
         assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, b"a"),
-                                     LogRecord(StreamId.MOTION, 3, b"c")]
+                                     Truncated(offset=LOG_HEADER_SIZE + RECORD_HEADER_SIZE + 1)]
 
-    def test_write_rejects_restart_on_a_streams_first_record(self, tmp_path):
-        # there is no earlier sender run for the flag to end, and replay could not keep it
+    def test_write_message_never_flags_a_streams_first_record(self, tmp_path):
+        # there is no earlier sender run for the flag to end, and replay could not keep it.
+        # Motion's first seq, 50 behind the image's, starts motion's own order.
         p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.IMAGE, 5, b"i")
-            with pytest.raises(ValueError):
-                w.write(StreamId.MOTION, 7, b"m", restart=True)
-            w.write(StreamId.MOTION, 8, b"n")
-            w.write(StreamId.MOTION, 2, b"o", restart=True)
-            assert w.records_written == 3
+        msgs = [image_at(100, 5), reading(50, 7), reading(51, 8), reading(0, 2)]
+        assert record_messages(msgs, p) == 4
         assert [(r.stream_id, r.restart) for r in read_log(p)] == [
-            (StreamId.IMAGE, False), (StreamId.MOTION, False), (StreamId.MOTION, True)]
+            (StreamId.IMAGE, False), (StreamId.MOTION, False), (StreamId.MOTION, False),
+            (StreamId.MOTION, True)]
 
     def test_empty_log_is_valid(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -231,22 +244,23 @@ class TestLogFile:
     def test_monotonic_timestamps_enforced_per_stream(self, tmp_path):
         p = tmp_path / "a.nbl"
         with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.IMAGE, 100, b"x")
-            w.write(StreamId.MOTION, 50, b"y")  # other stream: independent clock
-            w.write(StreamId.IMAGE, 100, b"z")  # equal is fine
+            w.write_message(image_at(100, 100))
+            w.write_message(reading(0, 50))  # other stream: independent clock
+            w.write_message(image_at(101, 100))  # equal is fine
             with pytest.raises(ValueError):
-                w.write(StreamId.IMAGE, 99, b"w")
-            w.write(StreamId.IMAGE, 5, b"r", restart=True)  # a new sender run: a new floor
+                w.write_message(image_at(102, 99))
+            w.write_message(image_at(0, 5))  # the sender restarted: a new run, a new floor
             with pytest.raises(ValueError):
-                w.write(StreamId.IMAGE, 4, b"w")
+                w.write_message(image_at(1, 4))
         # the rejected records left no partial bytes behind
-        assert len(list(read_log(p))) == 4
+        assert [(r.timestamp_us, r.restart) for r in read_log(p)] == [
+            (100, False), (50, False), (100, False), (5, True)]
 
     def test_negative_timestamp_on_a_streams_first_record_rejected(self, tmp_path):
         p = tmp_path / "a.nbl"
         with LogWriter(p, epoch_us=0) as w:
             with pytest.raises(ValueError, match="non-decreasing"):
-                w.write(StreamId.MOTION, -1, b"x")
+                w.write_message(reading(0, -1))
         assert list(read_log(p)) == []
 
     @pytest.mark.parametrize("timestamp_us, restart", [(2**64, False), (1.5, False),
@@ -255,11 +269,11 @@ class TestLogFile:
                                                                 restart):
         p = tmp_path / "a.nbl"
         with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 1, b"a")
-            with pytest.raises(ValueError):
-                w.write(StreamId.MOTION, timestamp_us, b"x", restart=restart)
+            w.write_message(reading(100, 1))
+            with pytest.raises(ValueError):  # a seq 100 behind is a sender restart
+                w.write_message(reading(0 if restart else 101, timestamp_us))
             assert w.records_written == 1
-        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, b"a")]
+        assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, encode_motion(reading(100, 1)))]
 
     def test_payload_of_4_gib_rejected_and_nothing_written(self, tmp_path):
         class Huge(bytes):  # claims the length of a payload u32 cannot hold
@@ -267,11 +281,12 @@ class TestLogFile:
                 return 2**32
 
         p = tmp_path / "a.nbl"
+        first = image_at(0, 1)
         with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.IMAGE, 1, b"a")
+            w.write_message(first)
             with pytest.raises(ValueError):
-                w.write(StreamId.IMAGE, 2, Huge(b"x"))
-        assert list(read_log(p)) == [LogRecord(StreamId.IMAGE, 1, b"a")]
+                w.write_message(Image(65536, 32768, Huge(b"x"), seq=1, timestamp_us=2))
+        assert list(read_log(p)) == [LogRecord(StreamId.IMAGE, 1, image_payload(first))]
 
     def test_record_messages_flags_a_sender_restart(self, tmp_path):
         # seq 100-119, then the sender restarts: seq 0-9 on a clock starting over
@@ -290,10 +305,9 @@ class TestLogFile:
 
 class TestTruncation:
     def write_two(self, p):
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 10, b"A" * 20)
-            w.write(StreamId.MOTION, 20, b"B" * 20)
-        return p.read_bytes()
+        raw = log_file_bytes([(2, 0, 10, b"A" * 20), (2, 0, 20, b"B" * 20)])
+        p.write_bytes(raw)
+        return raw
 
     def test_cut_mid_payload(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -325,13 +339,10 @@ class TestTruncation:
 
     def test_unknown_stream_id_stops_reader(self, tmp_path):
         p = tmp_path / "a.nbl"
-        self.write_two(p)
-        raw = bytearray(p.read_bytes())
-        raw[LOG_HEADER_SIZE + RECORD_HEADER_SIZE + 20] = 200  # second record's stream byte
-        p.write_bytes(bytes(raw))
+        p.write_bytes(log_file_bytes([(2, 0, 10, b"A" * 20), (200, 0, 20, b"B" * 20)]))
         recs = list(read_log(p))
         assert isinstance(recs[0], LogRecord)
-        assert isinstance(recs[1], Truncated)
+        assert recs[1] == Truncated(offset=LOG_HEADER_SIZE + RECORD_HEADER_SIZE + 20)
 
     def test_every_prefix_of_valid_log_reads_cleanly(self, tmp_path):
         p = tmp_path / "a.nbl"
@@ -342,6 +353,28 @@ class TestTruncation:
             recs = list(read_log(q))  # must never raise past the header
             complete = [r for r in recs if isinstance(r, LogRecord)]
             assert len(complete) <= 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.integers(0, 255),
+                                      st.integers(0, 2**64 - 1), st.binary(max_size=40)),
+                            max_size=4),
+           cut=st.integers(0, 250))
+    def test_any_records_read_back_up_to_any_cut(self, tmp_path_factory, records, cut):
+        # read against the file laid out by hand: every whole record, then a
+        # Truncated where the cut falls inside one
+        raw = log_file_bytes(records)
+        cut = min(LOG_HEADER_SIZE + cut, len(raw))
+        p = tmp_path_factory.mktemp("cut") / "a.nbl"
+        p.write_bytes(raw[:cut])
+        want, end = [], LOG_HEADER_SIZE
+        for stream_id, flags, timestamp_us, payload in records:
+            if end + RECORD_HEADER_SIZE + len(payload) > cut:
+                if end < cut:
+                    want.append(Truncated(offset=end))
+                break
+            want.append(LogRecord(StreamId(stream_id), timestamp_us, payload, bool(flags & 1)))
+            end += RECORD_HEADER_SIZE + len(payload)
+        assert list(read_log(p)) == want
 
     def test_failed_write_leaves_no_hole(self, tmp_path, monkeypatch):
         """A write that fails part-way is cut back, and the next record lands
@@ -359,22 +392,23 @@ class TestTruncation:
             def __getattr__(self, name):
                 return getattr(self._f, name)
 
-        img = replace(gen_test_image(1, 32, 24), timestamp_us=20)
+        img = image_at(1, 20)
+        payload = encode_motion(reading(0, 0))
         failing_writes = {  # the bytes whose write fails, and the record they belong to
-            b"B" * 10: lambda w: w.write(StreamId.MOTION, 20, b"B" * 10),
-            img.pixels: lambda w: w.write_message(img),  # after its header and metadata went out
+            struct.pack("<BBIQ", 2, 0, len(payload), 20) + payload: reading(1, 20),  # in one write
+            img.pixels: img,  # after its header and metadata went out
         }
-        for i, (bad, write_bad) in enumerate(failing_writes.items()):
+        for i, (bad, message) in enumerate(failing_writes.items()):
             p = tmp_path / f"{i}.nbl"
             with LogWriter(p, epoch_us=0) as w:
-                w.write(StreamId.MOTION, 10, b"A" * 10)
+                w.write_message(reading(0, 10))
                 monkeypatch.setattr(w, "_f", FailingPayload(w._f, bad))
                 with pytest.raises(OSError):
-                    write_bad(w)
-                w.write(StreamId.MOTION, 30, b"C" * 10)
-            assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 10, b"A" * 10),
-                                         LogRecord(StreamId.MOTION, 30, b"C" * 10)]
-            assert p.stat().st_size == LOG_HEADER_SIZE + 2 * (RECORD_HEADER_SIZE + 10)
+                    w.write_message(message)
+                w.write_message(reading(2, 30))
+            assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 10, payload),
+                                         LogRecord(StreamId.MOTION, 30, payload)]
+            assert p.stat().st_size == LOG_HEADER_SIZE + 2 * (RECORD_HEADER_SIZE + len(payload))
 
 
 class TestReplay:
@@ -440,9 +474,8 @@ class TestReplay:
 
     def test_replay_paces_by_timestamp_delta(self, tmp_path):
         p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.MOTION, 0, b"\x00" * 46)  # zero-joint reading
-            w.write(StreamId.MOTION, 400_000, b"\x00" * 46)
+        p.write_bytes(log_file_bytes([(2, 0, 0, b"\x00" * 46),  # zero-joint reading
+                                      (2, 0, 400_000, b"\x00" * 46)]))
         bus = TopicBus()
         bus.subscribe(TOPIC_MOTION, BoundedFifo(8))
         t0 = time.monotonic()
@@ -465,9 +498,8 @@ class TestReplay:
     def test_replay_paces_the_records_after_a_sender_restart(self, tmp_path, monkeypatch):
         # the sender's clock started over at the third record: pacing starts over there
         p = tmp_path / "a.nbl"
-        with LogWriter(p, epoch_us=0) as w:
-            for t, restart in ((5_000_000, False), (5_033_000, False), (1_000, True), (34_000, False)):
-                w.write(StreamId.MOTION, t, b"\x00" * 46, restart=restart)
+        p.write_bytes(log_file_bytes([(2, flags, t, b"\x00" * 46) for t, flags in (
+            (5_000_000, 0), (5_033_000, 0), (1_000, 1), (34_000, 0))]))
         sleeps = []
         monkeypatch.setattr(recorder.time, "sleep", sleeps.append)
         assert replay(p, TopicBus(), speed=1.0) == 4
@@ -501,8 +533,7 @@ class TestReplay:
             assert replay(p, bus, speed=math.inf) == records, cut
             assert (len(imgs.drain()), len(mots.drain())) == (images, readings), cut
         # a whole record whose pixels fall one byte short of its metadata's total_len
-        with LogWriter(p, epoch_us=0) as w:
-            w.write(StreamId.IMAGE, 0, image_payload(gen_test_image(0, 32, 24))[:-1])
+        p.write_bytes(log_file_bytes([(1, 0, 0, image_payload(gen_test_image(0, 32, 24))[:-1])]))
         with pytest.raises(TooShortError):
             replay(p, TopicBus(), speed=math.inf)
 
