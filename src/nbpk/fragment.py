@@ -18,8 +18,12 @@ from itertools import repeat
 from typing import Any, Optional, Union
 
 from .wire import (
+    _HEADER,
     HEADER_SIZE,
     DEFAULT_FRAG_PAYLOAD,
+    MAGIC,
+    UDP_MAX_DATAGRAM,
+    WIRE_VERSION,
     Image,
     ImageStartMeta,
     Packet,
@@ -37,7 +41,7 @@ from .wire import (
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
-_FRAGMENT = PacketKind.FRAGMENT.value
+_FRAGMENT, _IMAGE = PacketKind.FRAGMENT.value, StreamId.IMAGE.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
 
 
@@ -202,13 +206,30 @@ class Reassembler(Receiver):
     opened only by a START that advances the seq order, so frames complete
     in seq order. The one eviction is preemption by the next frame's START;
     the reassembler keeps no clock, so its output is a pure function of the
-    packets fed to it. :meth:`step` takes packets whose headers already
-    passed validation (every ``Packet`` has).
+    packets fed to it. :meth:`step` takes validated packets (every ``Packet``
+    is); :meth:`feed` stores an in-order fragment of the open frame itself.
     """
 
     def __init__(self):
         super().__init__(StreamId.IMAGE)
         self._slot: Optional[_Slot] = None
+
+    def feed(self, datagram: bytes) -> Optional[Image]:
+        """The image ``datagram`` completes, or None. A fragment that passes ``from_bytes``'s
+        FRAGMENT rule and ``step``'s slot rule costs one ``unpack_from``; every other datagram
+        (a START, orphan, duplicate, malformed one) goes through ``Receiver.feed`` to ``step``."""
+        slot, n = self._slot, len(datagram)
+        if slot is not None and HEADER_SIZE <= n <= UDP_MAX_DATAGRAM:
+            magic, version, stream, kind, flags, seq, index, count, size, _ = _HEADER.unpack_from(datagram)
+            if (seq == slot.seq and index < count and index < slot.frag_count and size == n - HEADER_SIZE
+                    and size == (slot.frag_payload if index < slot.frag_count - 1 else slot.last_len)
+                    and kind == _FRAGMENT and stream == _IMAGE and magic == MAGIC
+                    and version == WIRE_VERSION and flags == 0 and slot.chunks[index] is None):
+                slot.chunks[index] = memoryview(bytes(datagram))[HEADER_SIZE:]
+                self._stats.bytes_received += n
+                slot.remaining -= 1
+                return None if slot.remaining else self._complete(slot).image
+        return super().feed(datagram)
 
     def _take(self, pkt: Packet) -> Optional[Image]:
         event = self.step(pkt)

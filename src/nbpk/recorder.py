@@ -153,7 +153,7 @@ class LogWriter:
     def write_message(self, message) -> None:
         """Log a bus message. Its seq (a command has none) goes to its
         stream's order; where that order counts a sender restart, the
-        record is written as ``restart``."""
+        record is written as ``restart``. A refused record leaves the order as it was."""
         if isinstance(message, CameraFrame):
             message = message.image
         if isinstance(message, Image):
@@ -167,9 +167,13 @@ class LogWriter:
         else:
             raise TypeError(f"no log representation for {type(message).__name__}")
         order = self._orders[stream_id]
-        restarts = order.restarts
+        newest, stale, restarts = order.newest, order.stale, order.restarts
         order.advance(message.seq)
-        self._append(stream_id, message.timestamp_us, order.restarts > restarts, head, body)
+        try:
+            self._append(stream_id, message.timestamp_us, order.restarts > restarts, head, body)
+        except (ValueError, OSError):  # a refused record: its retry is judged as it was
+            order.newest, order.stale, order.restarts = newest, stale, restarts
+            raise
 
     def close(self) -> None:
         if not self._f.closed:

@@ -467,12 +467,17 @@ class TestBridgeLive:
         assert not any(t.is_alive() for t in bridge._threads)
 
     def test_receive_path_looks_up_its_calls_per_datagram(self, monkeypatch):
-        # a tracer wraps Packet.from_bytes and Reassembler.step on their
-        # classes while a bridge runs, and must then see every datagram
+        # a tracer wraps Reassembler.feed, Packet.from_bytes and Reassembler.step
+        # on their classes while a bridge runs: feed must see every datagram, and
+        # from_bytes and step each one that feed leaves to them, a frame's START
         bus = TopicBus()
         sub = bus.subscribe(TOPIC_IMAGE, BoundedFifo(8))
-        calls = {"from_bytes": 0, "step": 0}
-        from_bytes, step = Packet.from_bytes, Reassembler.step
+        calls = {"feed": 0, "from_bytes": 0, "step": 0}
+        feed, from_bytes, step = Reassembler.feed, Packet.from_bytes, Reassembler.step
+
+        def counting_feed(self, datagram):
+            calls["feed"] += 1
+            return feed(self, datagram)
 
         def counting_from_bytes(cls, b):
             calls["from_bytes"] += 1
@@ -492,10 +497,11 @@ class TestBridgeLive:
                 frame = sub.get(timeout=2.0)
                 assert frame is not None and frame.image.seq == seq
                 if seq == 2:  # the image loop is running: wrap its calls now
+                    monkeypatch.setattr(Reassembler, "feed", counting_feed)
                     monkeypatch.setattr(Packet, "from_bytes", classmethod(counting_from_bytes))
                     monkeypatch.setattr(Reassembler, "step", counting_step)
         assert len(frames[1]) == 7
-        assert calls == {"from_bytes": 7, "step": 7}
+        assert calls == {"feed": 7, "from_bytes": 1, "step": 1}
 
     def test_idle_stop_ends_the_command_loop(self):
         # the command loop waits on its subscription alone, so stop() must close it

@@ -31,6 +31,7 @@ from nbpk.wire import (
     PacketHeader,
     PacketKind,
     StreamId,
+    WireError,
     encode_motion,
     encode_request,
 )
@@ -431,6 +432,86 @@ class TestCopyPolicy:
         image, share = self.budget(lambda: map(Packet.from_bytes, datagrams))
         assert image == img and type(image.pixels) is bytes
         assert share < 1.5
+
+
+def step_feed(rx: Reassembler, datagram: bytes):
+    """``Receiver.feed``'s path alone: ``Packet.from_bytes``, then ``step``; a
+    datagram that fails to parse or is not the image stream's is malformed."""
+    try:
+        h, _ = pkt = Packet.from_bytes(datagram)
+    except WireError:
+        pkt = None
+    if pkt is None or h.stream_id != StreamId.IMAGE or h.kind == PacketKind.SINGLE:
+        rx._stats.malformed_packets += 1
+        return None
+    event = rx.step(pkt)
+    return event.image if isinstance(event, ImageComplete) else None
+
+
+@st.composite
+def impaired_datagrams(draw) -> list:
+    """1-4 frames of 2-6 fragments from a seq near 0 or 2**32 - 1, maybe with a
+    restart's jump back, then drops, duplicates, adjacent swaps, byte flips
+    (mostly in headers), a fragment index or count set to 0-7, truncations, and
+    payloads cut short under a header that announces their new length."""
+    seq = draw(st.one_of(st.integers(0, 20), st.integers(2**32 - 6, 2**32 - 1)))
+    n_frames = draw(st.integers(1, 4))
+    restart = draw(st.integers(1, 4))  # the frame the sender restarts at, if there is one
+    datagrams = []
+    for i in range(n_frames):
+        if i == restart:
+            seq = (seq - draw(st.integers(16, 2**31))) % 2**32
+        height = draw(st.integers(9, 48))  # 16 wide: 288-1536 bytes, 2-6 fragments of 256
+        img = random_image(16, height, seq, timestamp_us=draw(st.integers(0, 2**64 - 1)))
+        datagrams += [p.to_bytes() for p in packetize_image(img, 256)]
+        seq = (seq + 1) % 2**32
+    ops = st.tuples(st.sampled_from(["drop", "dup", "swap", "flip", "flip-header", "index", "count",
+                                     "cut", "shorten"]),
+                    st.integers(0, 2**16), st.integers(0, 2**16))
+    for op, at, arg in draw(st.lists(ops, max_size=8)):
+        if not datagrams:
+            break
+        i = at % len(datagrams)
+        d = datagrams[i]
+        if op == "drop":
+            del datagrams[i]
+        elif op == "dup":
+            datagrams.insert(arg % (len(datagrams) + 1), d)
+        elif op == "swap" and i + 1 < len(datagrams):
+            datagrams[i:i + 2] = datagrams[i + 1], d
+        elif op.startswith("flip") and d:
+            pos = arg % (min(len(d), HEADER_SIZE) if op == "flip-header" else len(d))
+            datagrams[i] = d[:pos] + bytes([d[pos] ^ (1 + at % 255)]) + d[pos + 1:]
+        elif op in ("index", "count") and len(d) >= HEADER_SIZE:
+            off = 12 if op == "index" else 14  # FORMAT.md: frag_index, then frag_count
+            datagrams[i] = d[:off] + struct.pack("<H", arg % 8) + d[off + 2:]
+        elif op == "cut" and d:
+            datagrams[i] = d[:arg % len(d)]
+        elif op == "shorten" and len(d) > HEADER_SIZE:
+            n = arg % (len(d) - HEADER_SIZE)  # payload_len sits at offset 16
+            datagrams[i] = d[:16] + struct.pack("<H", n) + d[18:HEADER_SIZE + n]
+    return datagrams
+
+
+class TestFeedAgainstStep:
+    """``Reassembler.feed`` stores an in-order fragment itself and leaves every
+    other datagram to ``Packet.from_bytes`` and ``step``: the same frames and counts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(impaired_datagrams())
+    def test_feed_gives_what_from_bytes_then_step_gives(self, datagrams):
+        fed, stepped = Reassembler(), Reassembler()
+        assert ([img for d in datagrams if (img := fed.feed(d)) is not None]
+                == [img for d in datagrams if (img := step_feed(stepped, d)) is not None])
+        assert fed.stats() == stepped.stats()
+
+    def test_fed_fragments_do_not_alias_mutable_datagrams(self):
+        img = gen_test_image(4, 32, 24)
+        rx, images = Reassembler(), []
+        for d in map(bytearray, (p.to_bytes() for p in packetize_image(img, 256))):
+            images.append(rx.feed(d))
+            d[:] = bytes(len(d))
+        assert images[-1] == img and rx.stats().frames_complete == 1
 
 
 class TestLossOutcomesAgainstOracle:

@@ -4,7 +4,7 @@ without numpy; only inertial and recorder's export need it.
 The checks run in a fresh interpreter whose import system refuses numpy, so
 they hold whether numpy is installed or not. They pin four digests: the
 delivered seqs of a lossy simulated run, the channel simulator's draws, the
-sender's wire bytes and a log's bytes.
+sender's wire bytes, which a receiver then reassembles, and a log's bytes.
 """
 
 import os
@@ -82,10 +82,18 @@ got = [rx.feed(p.to_bytes()) for p in packetize_image(gen_test_image(9, 320, 240
 assert got[:-1] == [None] * 110 and image_ok(got[-1]) and got[-1].seq == 9, rx.stats()
 # the sender's wire bytes: three QVGA frames, a full last fragment among them
 from dataclasses import replace
-wire = b''.join(p.to_bytes() for seq, fp in ((0, 1400), (255, 1446), (2**32 - 1, 256))
-                for p in packetize_image(replace(gen_test_image(seq, 320, 240), timestamp_us=seq * 33333), fp))
+datagrams = [p.to_bytes() for seq, fp in ((0, 1400), (255, 1446), (2**32 - 1, 256))
+             for p in packetize_image(replace(gen_test_image(seq, 320, 240), timestamp_us=seq * 33333), fp)]
+wire = b''.join(datagrams)
 digest = hashlib.sha256(wire).hexdigest()[:16]
 assert len(wire) == 482156 and digest == '7167e6690da2b201', (len(wire), digest)
+# fed back to one receiver, they are the three frames, the last one a sender restart
+rx = Reassembler()
+got = [image for d in datagrams if (image := rx.feed(d)) is not None]
+st = rx.stats()
+assert [img.seq for img in got] == [0, 255, 2**32 - 1] and all(map(image_ok, got)), st
+assert (st.frames_complete, st.sender_restarts, st.orphan_fragments, st.duplicate_fragments,
+        st.malformed_packets) == (3, 1, 0, 0, 0), st
 # the log's bytes: frames and readings, a command, then a restarted camera; replayed in full
 import math, os, tempfile
 from nbpk.bridge import TopicBus

@@ -275,6 +275,36 @@ class TestLogFile:
             assert w.records_written == 1
         assert list(read_log(p)) == [LogRecord(StreamId.MOTION, 1, encode_motion(reading(100, 1)))]
 
+    @pytest.mark.parametrize("refusal", ["timestamp", "write"])
+    def test_a_refused_record_leaves_its_streams_restart_to_the_retry(self, tmp_path, monkeypatch,
+                                                                       refusal):
+        # the restarted sender's first frame is refused, by its stamp or by a
+        # failed write; its retry is still that restart and is written as one
+        class FailingFile:
+            def __init__(self, f):
+                self._f = f
+
+            def write(self, b):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+        p = tmp_path / "a.nbl"
+        with LogWriter(p, epoch_us=0) as w:
+            w.write_message(image_at(100, 5_000_000))
+            if refusal == "timestamp":
+                with pytest.raises(ValueError, match="timestamp_us"):
+                    w.write_message(image_at(0, -1))
+            else:
+                with monkeypatch.context() as m, pytest.raises(OSError):
+                    m.setattr(w, "_f", FailingFile(w._f))
+                    w.write_message(image_at(0, 1_000))
+            w.write_message(image_at(0, 1_000))
+            assert w.records_written == 2
+        assert [(r.timestamp_us, r.restart) for r in read_log(p)] == [(5_000_000, False),
+                                                                      (1_000, True)]
+
     def test_payload_of_4_gib_rejected_and_nothing_written(self, tmp_path):
         class Huge(bytes):  # claims the length of a payload u32 cannot hold
             def __len__(self):
