@@ -1,11 +1,11 @@
 """Benchmark harness: measured delivery vs the analytic loss model.
 
 Two modes. The default composes the sender, the impaired channel, and the
-reassembler in-process on a virtual clock, so runs are deterministic given
-a seed and can be far faster than real time. The loopback mode runs a real
-emulator and bridge over UDP sockets and reports receive-side rates; it
-applies no impairment, so ``nbpk bench --loopback`` refuses the impairment
-flags. Both modes keep their books in one ``Report``.
+reassembler in-process on a virtual clock, a frame's packets crossing both as
+one run, so runs are deterministic given a seed and far faster than real time.
+The loopback mode runs a real emulator and bridge over UDP sockets and reports
+receive-side rates; it applies no impairment, so ``nbpk bench --loopback``
+refuses the impairment flags. Both modes keep their books in one ``Report``.
 
 Under independent per-packet loss ``p``, a frame of ``n`` packets survives
 only if all of them do, so the expected delivery ratio is ``(1-p)**n``.
@@ -26,7 +26,7 @@ from .bridge import (
     TopicBus,
 )
 from .channel import ImpairmentConfig, StreamImpairer, check_positive
-from .fragment import ImageComplete, Reassembler, StreamStats, packetize_image
+from .fragment import Reassembler, StreamStats, packetize_image
 from .robotsim import RobotConfig, RobotSim, gen_test_image, image_ok
 from .wire import DEFAULT_FRAG_PAYLOAD, ImageStartMeta
 
@@ -121,39 +121,31 @@ def _report(frames_sent: int, latencies_us: list[int], verify_failures: int,
 def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     """Simulate a run on a virtual clock; deterministic given the seed.
 
-    Each frame's packets go through the channel in one ``push_all``, and a
-    packet arrives at the virtual time of the frame whose run releases it,
-    so latency comes only from reordering. If ``trace_out`` is given, the seq
-    of every delivered frame is appended to it in completion order.
+    Each frame's packets cross the channel (``push_all``) and the reassembler
+    (``step_all``) as one run; a packet arrives at the virtual time of the frame
+    whose run releases it, so latency comes only from reordering. ``trace_out``,
+    if given, gets the seq of every delivered frame in completion order.
     """
     cfg = s.effective_impairment()
-    imp = StreamImpairer(cfg)
-    rx = Reassembler()
-    push_all, step = imp.push_all, rx.step
+    imp, rx = StreamImpairer(cfg), Reassembler()
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
     verify_failures = 0
 
-    def complete(image, t_us):
+    def complete(images, t_us):
         nonlocal verify_failures
-        latencies.append(t_us - image.timestamp_us)
-        if trace_out is not None:
-            trace_out.append(image.seq)
-        if not image_ok(image):
-            verify_failures += 1
+        for image in images:
+            latencies.append(t_us - image.timestamp_us)
+            if trace_out is not None:
+                trace_out.append(image.seq)
+            verify_failures += not image_ok(image)
 
     t_us = 0
     for i in range(frames_sent):
         t_us = round(i * 1e6 / s.fps)
         img = replace(gen_test_image(i, s.width, s.height), timestamp_us=t_us)
-        for released in push_all(packetize_image(img, s.frag_payload)):
-            event = step(released)
-            if event.__class__ is ImageComplete:
-                complete(event.image, t_us)
-    for released in imp.flush():
-        event = step(released)
-        if event.__class__ is ImageComplete:
-            complete(event.image, t_us)
+        complete(rx.step_all(imp.push_all(packetize_image(img, s.frag_payload))), t_us)
+    complete(rx.step_all(imp.flush()), t_us)
 
     return _report(frames_sent, latencies, verify_failures, rx.stats(),
                    analytic_delivery(cfg.loss_p, s.packets_per_frame), s.duration_s)

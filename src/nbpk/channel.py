@@ -4,10 +4,10 @@ The simulator's randomness is pinned to splitmix64 with the standard
 published constants, so a given seed produces the same loss/duplication/
 reorder trace on any platform. The state moves forward three draws per
 input packet, always (loss, duplication, reorder). Draw ``k`` depends on
-``seed + k * gamma`` alone, so 128 packets' draws are mixed in one block,
-a lost packet's included, and a probability of 0 or 1 mixes none: the
-trace is the one that mixing every draw gives. A run of packets fed in
-one call is released exactly as the same packets fed one at a time.
+``seed + k * gamma`` alone, so 128 packets' draws are mixed in one block
+(a probability of 0 or 1 mixes none, and gives the same trace). A run fed in
+one call is released as its packets fed one at a time would be; only a packet
+with an outcome or a release due takes a step of its own, the rest go as slices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .wire import UDP_MAX_DATAGRAM
 
@@ -45,13 +45,18 @@ _LANE_STEPS = int.from_bytes(_LANE_U64.pack(*range(_LANES)), "little") * 3 * SPL
 T = TypeVar("T")
 
 
-def splitmix64_block(state: int) -> tuple[int, ...]:
-    """splitmix64's outputs for the 128 Weyl states ``state + 3 * k * SPLITMIX64_GAMMA``
-    (mod 2**64), ``k = 0 .. 127``: every third draw, from the one at ``state``."""
+def _mixed_block(state: int, addend: int = 0) -> int:
+    """The 128 draws of ``splitmix64_block(state)``, one in the low 64 bits of each lane, plus ``addend``."""
     z = ((state & _MASK64) * _LANE_ONES + _LANE_STEPS) & _LANE_LOW
     z = ((z ^ (z >> 30)) & _LANE_LOW) * _MIX1 & _LANE_LOW
     z = ((z ^ (z >> 27)) & _LANE_LOW) * _MIX2 & _LANE_LOW
-    return _LANE_U64.unpack((z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
+    return ((z ^ (z >> 31)) & _LANE_LOW) + addend
+
+
+def splitmix64_block(state: int) -> tuple[int, ...]:
+    """splitmix64's outputs for the 128 Weyl states ``state + 3 * k * SPLITMIX64_GAMMA``
+    (mod 2**64), ``k = 0 .. 127``: every third draw, from the one at ``state``."""
+    return _LANE_U64.unpack(_mixed_block(state).to_bytes(16 * _LANES, "little"))
 
 
 def check_positive(name: str, v: float) -> float:
@@ -240,11 +245,12 @@ class StreamImpairer:
 
     def __init__(self, cfg: ImpairmentConfig):
         self.cfg = cfg
-        # A draw's u < p is draw < ceil(p * 2**53) << 11, exactly. At p = 0 or 1 the
-        # outcome is fixed, and the limit is that outcome instead.
-        self._limits = tuple(p == 1.0 if p in (0.0, 1.0) else math.ceil(p * (1 << 53)) << 11
-                             for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
-        self._fates = ((), (), ())  # this block's loss, duplication and reorder outcomes
+        # A draw's u < p is draw < limit = ceil(p * 2**53) << 11, exactly; a lane's draws
+        # are tested by adding 2**64 - limit. At p = 0 or 1 the outcome is fixed, and stands in.
+        self._addends = tuple(p == 1.0 if p in (0.0, 1.0) else
+                              _LANE_ONES * ((1 << 64) - (math.ceil(p * (1 << 53)) << 11))
+                              for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
+        self._fates = (b"",) * 4  # this block's lanes with any outcome, then its loss, dup and reorder
         self._pending: list[tuple[int, int, int, T]] = []  # a heap of reordered entries
         self._index = 0
 
@@ -252,22 +258,32 @@ class StreamImpairer:
         """Feed one item; returns whatever the channel releases now."""
         return self.push_all((item,))
 
-    def push_all(self, items: Iterable[T]) -> list[T]:
-        """Feed items in turn; returns what pushing each one would, concatenated."""
-        i = self._index
+    def push_all(self, items: Sequence[T]) -> list[T]:
+        """Feed items in turn; returns what pushing each one would, concatenated. Items up to the
+        next lane with an outcome or the next pending release go out as one slice."""
+        i = first = self._index
+        end = i + len(items)
         pending, depth = self._pending, self.cfg.reorder_depth
-        lost, dup, reorder = self._fates
+        marks, lost, dup, reorder = self._fates
         out = []
-        for item in items:
+        while i < end:
             k = i % _LANES
             if not k:  # item i's draws are 3i + 1, 3i + 2 and 3i + 3
                 x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
-                self._fates = lost, dup, reorder = [
-                    (limit,) * _LANES if limit.__class__ is bool else
-                    [draw < limit for draw in splitmix64_block(x + j * SPLITMIX64_GAMMA)]
-                    for j, limit in enumerate(self._limits, 1)]
+                # byte k: 1 if lane k's draw is below the limit (bit 64 stays clear); a 1 ends the block
+                masks = [(_LANE_ONES if addend else 0) if addend.__class__ is bool else
+                         ~_mixed_block(x + j * SPLITMIX64_GAMMA, addend) >> 64 & _LANE_ONES
+                         for j, addend in enumerate(self._addends, 1)]
+                self._fates = marks, lost, dup, reorder = [m.to_bytes(16 * _LANES, "little")[::16] + b"\1"
+                                                           for m in (masks[0] | masks[1] | masks[2], *masks)]
+            stop = min(end, i - k + marks.find(1, k), pending[0][0] if pending else end)
+            if stop > i:
+                out += items[i - first:stop - first]
+                i = stop
+                continue
             while pending and pending[0][0] <= i:
                 out.append(heappop(pending)[3])
+            item = items[i - first]
             if not lost[k]:
                 if reorder[k]:
                     heappush(pending, (i + depth, i, 0, item))

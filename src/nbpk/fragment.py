@@ -1,13 +1,14 @@
 """Image fragmentation, and the socket-free receive port of each stream.
 
-Large frames travel as one START packet announcing the frame geometry
-followed by FRAGMENT packets carrying pixel slices. A reassembler serves
-one image stream and keeps at most one frame buffer. A START that advances
-the stream's seq order (``wire.SeqOrder``) drops an incomplete older frame
-on the spot; one that does not is a stale orphan. Packets that can't be
-matched to the in-flight frame are orphans; repeats of an already-stored
-fragment are duplicates. Readings and commands fit one SINGLE datagram
-each, which a ``Receiver`` orders and decodes; a reassembler is the image's.
+Large frames travel as one START packet announcing the frame geometry followed
+by FRAGMENT packets carrying pixel slices. A reassembler serves one image stream
+and keeps at most one frame buffer. A START that advances the stream's seq order
+(``wire.SeqOrder``) drops an incomplete older frame on the spot; one that does
+not is a stale orphan. Packets that can't be matched to the in-flight frame are
+orphans; repeats of an already-stored fragment are duplicates. An in-order
+fragment of the open frame is stored in the loop over its datagram (``feed``) or
+its run of packets (``step_all``); every other packet is ``step``'s. Readings and
+commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
-from typing import Any, Optional, Union
+from operator import attrgetter
+from typing import Any, Iterable, Optional, Union
 
 from .wire import (
     _HEADER,
@@ -43,6 +45,8 @@ MAX_FRAG_PAYLOAD = 65000
 
 _FRAGMENT, _IMAGE = PacketKind.FRAGMENT.value, StreamId.IMAGE.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
+_slot_terms = attrgetter("seq", "frag_count", "frag_payload", "last_len", "chunks", "remaining")
+_NO_SLOT = (-1, 0, 0, 0, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -207,7 +211,7 @@ class Reassembler(Receiver):
     in seq order. The one eviction is preemption by the next frame's START;
     the reassembler keeps no clock, so its output is a pure function of the
     packets fed to it. :meth:`step` takes validated packets (every ``Packet``
-    is); :meth:`feed` stores an in-order fragment of the open frame itself.
+    is); :meth:`feed` and :meth:`step_all` store an in-order fragment themselves.
     """
 
     def __init__(self):
@@ -230,6 +234,33 @@ class Reassembler(Receiver):
                 slot.remaining -= 1
                 return None if slot.remaining else self._complete(slot).image
         return super().feed(datagram)
+
+    def step_all(self, packets: Iterable[Packet]) -> list[Image]:
+        """What stepping each packet in turn completes, and counts; an in-order fragment is stored here."""
+        images, slot, stored = [], self._slot, 0
+        seq, count, full, last_len, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+        for pkt in packets:
+            h, payload = pkt
+            index, n = h[3], len(payload)
+            if (h[2] == seq and h[1] == _FRAGMENT and index < count
+                    and n == (full if index < count - 1 else last_len) and chunks[index] is None):
+                chunks[index] = payload
+                stored += HEADER_SIZE + n
+                left -= 1
+                if not left:
+                    images.append(self._complete(slot).image)
+                    slot, seq = None, -1
+                continue
+            event = self.step(pkt)  # looked up per call, for a tracer; by the rule above it stores nothing
+            if event.__class__ is ImageComplete:
+                images.append(event.image)
+            if self._slot is not slot:
+                slot = self._slot
+                seq, count, full, last_len, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+        if slot:
+            slot.remaining = left
+        self._stats.bytes_received += stored
+        return images
 
     def _take(self, pkt: Packet) -> Optional[Image]:
         event = self.step(pkt)

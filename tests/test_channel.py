@@ -207,6 +207,29 @@ class TestStreamImpairer:
         assert runs.flush() == one_at_a_time.flush()
 
 
+    # a run ends at an outcome, a pending release or a block edge: cut the stream at each
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, 1e-3, 0.3, 1.0]), st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+           st.sampled_from([0.0, 1e-3, 0.3, 1.0]), st.integers(1, 8), SEEDS,
+           st.integers(0, 3 * LANES + 16), st.data())
+    def test_runs_cut_at_block_edges_and_release_slots(self, loss, dup, reorder, depth, seed, n, data):
+        cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder, reorder_depth=depth, seed=seed)
+        one_at_a_time = StreamImpairer(cfg)
+        released = [one_at_a_time.push(i) for i in range(n)]
+        # slot j released an earlier item: a pending release fell due as item j was pushed
+        slots = {j for j, out in enumerate(released) if any(item < j for item in out)}
+        edges = sorted({*range(0, n + 1, LANES), *slots, *(j + 1 for j in slots if j < n)})
+        cuts = sorted(data.draw(st.lists(st.sampled_from(edges), max_size=8)))
+        runs, items, bounds, out = StreamImpairer(cfg), list(range(n)), [0, *cuts, n], []
+        for a, b in zip(bounds, bounds[1:]):
+            run = runs.push_all(items[a:b])
+            assert run == [x for each in released[a:b] for x in each], (a, b)
+            out += run
+        tail = runs.flush()
+        assert tail == one_at_a_time.flush()
+        assert out + tail == impair_reference(cfg, items)
+
+
 class TestEndpointConfig:
     def test_port_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from conftest import peak_allocation
 from oracles import frame_outcomes, packetize_reference
 
 from nbpk import fragment
+from nbpk.channel import ImpairmentConfig, StreamImpairer
 from nbpk.fragment import (
     Dropped,
     Duplicate,
@@ -449,22 +450,29 @@ def step_feed(rx: Reassembler, datagram: bytes):
 
 
 @st.composite
-def impaired_datagrams(draw) -> list:
-    """1-4 frames of 2-6 fragments from a seq near 0 or 2**32 - 1, maybe with a
-    restart's jump back, then drops, duplicates, adjacent swaps, byte flips
-    (mostly in headers), a fragment index or count set to 0-7, truncations, and
-    payloads cut short under a header that announces their new length."""
+def sent_frames(draw) -> list:
+    """Each frame's packets: 1-4 frames of 2-6 fragments from a seq near 0 or
+    2**32 - 1, maybe with a restart's jump back."""
     seq = draw(st.one_of(st.integers(0, 20), st.integers(2**32 - 6, 2**32 - 1)))
     n_frames = draw(st.integers(1, 4))
     restart = draw(st.integers(1, 4))  # the frame the sender restarts at, if there is one
-    datagrams = []
+    frames = []
     for i in range(n_frames):
         if i == restart:
             seq = (seq - draw(st.integers(16, 2**31))) % 2**32
         height = draw(st.integers(9, 48))  # 16 wide: 288-1536 bytes, 2-6 fragments of 256
         img = random_image(16, height, seq, timestamp_us=draw(st.integers(0, 2**64 - 1)))
-        datagrams += [p.to_bytes() for p in packetize_image(img, 256)]
+        frames.append(packetize_image(img, 256))
         seq = (seq + 1) % 2**32
+    return frames
+
+
+@st.composite
+def impaired_datagrams(draw) -> list:
+    """``sent_frames``' datagrams, then drops, duplicates, adjacent swaps, byte
+    flips (mostly in headers), a fragment index or count set to 0-7, truncations,
+    and payloads cut short under a header that announces their new length."""
+    datagrams = [p.to_bytes() for frame in draw(sent_frames()) for p in frame]
     ops = st.tuples(st.sampled_from(["drop", "dup", "swap", "flip", "flip-header", "index", "count",
                                      "cut", "shorten"]),
                     st.integers(0, 2**16), st.integers(0, 2**16))
@@ -512,6 +520,61 @@ class TestFeedAgainstStep:
             images.append(rx.feed(d))
             d[:] = bytes(len(d))
         assert images[-1] == img and rx.stats().frames_complete == 1
+
+
+PROBABILITIES = st.sampled_from([0.0, 0.05, 0.3, 1.0])
+
+
+@st.composite
+def impaired_packets(draw) -> list:
+    """``sent_frames``' packets, some STARTs lost, through an impairer with loss,
+    duplication and reordering at a depth of 1 up to the packet count."""
+    # a START lost one time in five
+    packets = [p for frame in draw(sent_frames()) for p in frame[draw(st.integers(0, 4)) == 0:]]
+    cfg = ImpairmentConfig(loss_p=draw(PROBABILITIES), dup_p=draw(PROBABILITIES),
+                           reorder_p=draw(PROBABILITIES), reorder_depth=draw(st.integers(1, len(packets))),
+                           seed=draw(st.integers(0, 2**64 - 1)))
+    imp = StreamImpairer(cfg)
+    return imp.push_all(packets) + imp.flush()
+
+
+def step_all_in_runs(rx: Reassembler, packets: list, cuts) -> list:
+    """The images ``step_all`` gives over ``packets`` split at ``cuts``."""
+    bounds = [0, *sorted(cuts), len(packets)]
+    return [image for a, b in zip(bounds, bounds[1:]) for image in rx.step_all(packets[a:b])]
+
+
+class TestStepAllAgainstStep:
+    """``Reassembler.step_all`` stores an in-order fragment itself and leaves every
+    other packet to ``step``: the same images in the same order, and the same counts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_step_all_gives_what_stepping_each_packet_gives(self, data):
+        packets = data.draw(impaired_packets())
+        cuts = data.draw(st.lists(st.integers(0, len(packets)), max_size=6))  # mid-frame too
+        stepped, run = Reassembler(), Reassembler()
+        expected = [event.image for p in packets if (event := stepped.step(p)).__class__ is ImageComplete]
+        assert step_all_in_runs(run, packets, cuts) == expected
+        assert run.stats() == stepped.stats()
+
+    def test_a_frame_split_across_calls_completes_once(self):
+        img = random_image(16, 48, seq=7)  # 6 fragments
+        packets = packetize_image(img, 256)
+        for cuts in ([1], [3], [3, 5], [6], list(range(1, 7))):
+            rx = Reassembler()  # the frame sent twice: the second START is stale, its fragments orphans
+            assert step_all_in_runs(rx, packets + packets, cuts) == [img], cuts
+            stats = rx.stats()
+            assert (stats.frames_complete, stats.frames_stale, stats.orphan_fragments) == (1, 1, 6), cuts
+
+    def test_step_sees_every_packet_but_the_in_order_fragments(self, monkeypatch):
+        seen = []
+        step = Reassembler.step
+        monkeypatch.setattr(Reassembler, "step", lambda self, pkt: seen.append(pkt) or step(self, pkt))
+        packets = image_packets(seq=3)  # a START and 6 fragments
+        out = Reassembler().step_all([packets[0], packets[2], packets[2], *packets[1:]])
+        assert out == [make_image(3)]
+        assert seen == [packets[0], packets[2], packets[2]]  # the START and the two duplicates
 
 
 class TestLossOutcomesAgainstOracle:

@@ -2,9 +2,9 @@
 without numpy; only inertial and recorder's export need it.
 
 The checks run in a fresh interpreter whose import system refuses numpy, so
-they hold whether numpy is installed or not. They pin four digests: the
-delivered seqs of a lossy simulated run, the channel simulator's draws, the
-sender's wire bytes, which a receiver then reassembles, and a log's bytes.
+they hold whether numpy is installed or not. They pin five digests: the
+delivered seqs of a lossy simulated run, the channel simulator's draws for two
+mixes, the sender's wire bytes, which a receiver then reassembles, and a log's bytes.
 """
 
 import os
@@ -54,22 +54,26 @@ digest = hashlib.sha256(','.join(map(str, seqs)).encode()).hexdigest()[:16]
 assert r.frames_delivered == 15 and digest == 'a2c02fe93da12b7f', (r, seqs)
 print(r)
 # all three draw streams across eight 128-packet blocks, seed wrapping 2**64
-# one item per push, then the same stream through push_all in runs straddling the blocks
+# one item per push, then the same stream through push_all in runs straddling the blocks;
+# the second mix duplicates every packet, so each lane has an outcome
 import itertools
 from nbpk.channel import StreamImpairer
-cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3, seed=2**64 - 5)
-imp = StreamImpairer(cfg)
-per_item = [x for i in range(1000) for x in imp.push(i)] + imp.flush()
-imp, chunked, start = StreamImpairer(cfg), [], 0
-for size in itertools.cycle((1, 111, 127, 300)):
-    if start >= 1000:
-        break
-    chunked += imp.push_all(range(start, min(1000, start + size)))
-    start += size
-chunked += imp.flush()
-for out in (per_item, chunked):
-    digest = hashlib.sha256(','.join(map(str, out)).encode()).hexdigest()[:16]
-    assert len(out) == 843 and digest == '963fe316a45f17db', (len(out), digest)
+for cfg, pinned in ((ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3, seed=2**64 - 5),
+                     (843, '963fe316a45f17db')),
+                    (ImpairmentConfig(loss_p=0.05, dup_p=1.0, reorder_p=0.3, reorder_depth=3, seed=2**64 - 5),
+                     (1916, '23f930d987ffc7c7'))):
+    imp = StreamImpairer(cfg)
+    per_item = [x for i in range(1000) for x in imp.push(i)] + imp.flush()
+    imp, chunked, start = StreamImpairer(cfg), [], 0
+    for size in itertools.cycle((1, 111, 127, 300)):
+        if start >= 1000:
+            break
+        chunked += imp.push_all(range(start, min(1000, start + size)))
+        start += size
+    chunked += imp.flush()
+    for out in (per_item, chunked):
+        digest = hashlib.sha256(','.join(map(str, out)).encode()).hexdigest()[:16]
+        assert (len(out), digest) == pinned, (cfg, len(out), digest)
 # the camera's cached CRC terms, checked without the numpy oracle
 from nbpk.robotsim import gen_test_image, image_ok
 for low in range(256):
