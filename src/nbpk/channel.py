@@ -1,13 +1,13 @@
 """UDP endpoints, the receive-loop skeleton (``Service``), and a deterministic lossy-channel simulator.
 
-The simulator's randomness is pinned to splitmix64 with the standard
-published constants, so a given seed produces the same loss/duplication/
-reorder trace on any platform. The state moves forward three draws per
-input packet, always (loss, duplication, reorder). Draw ``k`` depends on
-``seed + k * gamma`` alone, so 128 packets' draws are mixed in one block
-(a probability of 0 or 1 mixes none, and gives the same trace). A run fed in
-one call is released as its packets fed one at a time would be; only a packet
-with an outcome or a release due takes a step of its own, the rest go as slices.
+The simulator's randomness is pinned to splitmix64 with the standard published constants,
+so a given seed produces the same loss/duplication/reorder trace on any platform. The
+state moves forward three draws per input packet, always (loss, duplication, reorder).
+Draw ``k`` depends on ``seed + k * gamma`` alone, so 128 packets' draws are mixed in one
+block (a probability of 0 or 1 mixes none, and gives the same trace). A run fed in one
+call is released as its packets fed one at a time would be. In a block with few outcomes
+only a packet with an outcome or a release due takes a step of its own, the rest go as
+slices; a denser block goes one packet at a time.
 """
 
 from __future__ import annotations
@@ -41,22 +41,20 @@ _LANE_U64 = struct.Struct("<" + "Q8x" * _LANES)  # the low 64 bits of every lane
 _LANE_ONES = int.from_bytes(_LANE_U64.pack(*[1] * _LANES), "little")
 _LANE_LOW = _LANE_ONES * _MASK64
 _LANE_STEPS = int.from_bytes(_LANE_U64.pack(*range(_LANES)), "little") * 3 * SPLITMIX64_GAMMA & _LANE_LOW
+_SPARSE = 8  # lanes with an outcome past which a block goes one at a time: slices stop paying at 5-10 %
+_MARK_ANY, _MARK_ALL = bytes([0] + [1] * 255), b"\1" * 256  # byte tables: a lane's outcome bits to its mark
+_LOST, _REORDERED, _DUPLICATED = 4, 2, 1  # a lane's outcome bits, so that fate < _REORDERED goes out now
 
 T = TypeVar("T")
 
 
 def _mixed_block(state: int, addend: int = 0) -> int:
-    """The 128 draws of ``splitmix64_block(state)``, one in the low 64 bits of each lane, plus ``addend``."""
+    """splitmix64's outputs for the Weyl states ``state + 3 * k * SPLITMIX64_GAMMA`` (mod 2**64), every
+    third draw from the one at ``state``: draw k = 0 .. 127 in the low 64 bits of lane k, plus ``addend``."""
     z = ((state & _MASK64) * _LANE_ONES + _LANE_STEPS) & _LANE_LOW
     z = ((z ^ (z >> 30)) & _LANE_LOW) * _MIX1 & _LANE_LOW
     z = ((z ^ (z >> 27)) & _LANE_LOW) * _MIX2 & _LANE_LOW
     return ((z ^ (z >> 31)) & _LANE_LOW) + addend
-
-
-def splitmix64_block(state: int) -> tuple[int, ...]:
-    """splitmix64's outputs for the 128 Weyl states ``state + 3 * k * SPLITMIX64_GAMMA``
-    (mod 2**64), ``k = 0 .. 127``: every third draw, from the one at ``state``."""
-    return _LANE_U64.unpack(_mixed_block(state).to_bytes(16 * _LANES, "little"))
 
 
 def check_positive(name: str, v: float) -> float:
@@ -250,7 +248,8 @@ class StreamImpairer:
         self._addends = tuple(p == 1.0 if p in (0.0, 1.0) else
                               _LANE_ONES * ((1 << 64) - (math.ceil(p * (1 << 53)) << 11))
                               for p in (cfg.loss_p, cfg.dup_p, cfg.reorder_p))
-        self._fates = (b"",) * 4  # this block's lanes with any outcome, then its loss, dup and reorder
+        self._fates = b"", b""  # this block's marked lanes, then each lane's outcome bits
+        self._fixed_fates = None if any(a.__class__ is int for a in self._addends) else self._draw_block(0)
         self._pending: list[tuple[int, int, int, T]] = []  # a heap of reordered entries
         self._index = 0
 
@@ -258,42 +257,47 @@ class StreamImpairer:
         """Feed one item; returns whatever the channel releases now."""
         return self.push_all((item,))
 
+    def _draw_block(self, i: int) -> tuple[bytes, bytes]:
+        """The marks and outcome bits of items ``i .. i + 127``, whose draws are 3i + 1, 3i + 2, ..."""
+        x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
+        fates = 0  # lane k has draw j's bit if item i + k's draw j fell below its limit (bit 64 stayed clear)
+        for j, (addend, bit) in enumerate(zip(self._addends, (_LOST, _DUPLICATED, _REORDERED)), 1):
+            fates |= ((_LANE_ONES if addend else 0) if addend.__class__ is bool else
+                      ~_mixed_block(x + j * SPLITMIX64_GAMMA, addend) >> 64 & _LANE_ONES) * bit
+        fates = fates.to_bytes(16 * _LANES, "little")[::16]
+        # a lane with an outcome is marked, or every lane of a dense block; a 1 then a 0 end the block, for find
+        return fates.translate(_MARK_ANY if fates.count(0) >= _LANES - _SPARSE else _MARK_ALL) + b"\1\0", fates
+
     def push_all(self, items: Sequence[T]) -> list[T]:
-        """Feed items in turn; returns what pushing each one would, concatenated. Items up to the
-        next lane with an outcome or the next pending release go out as one slice."""
+        """Feed items in turn; returns what pushing each one would, concatenated. Items up to the next
+        marked lane or pending release go out as one slice; a run of marked lanes goes one at a time."""
         i = first = self._index
         end = i + len(items)
-        pending, depth = self._pending, self.cfg.reorder_depth
-        marks, lost, dup, reorder = self._fates
-        out = []
+        pending, depth, out = self._pending, self.cfg.reorder_depth, []
+        marks, fates = self._fates
         while i < end:
             k = i % _LANES
-            if not k:  # item i's draws are 3i + 1, 3i + 2 and 3i + 3
-                x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
-                # byte k: 1 if lane k's draw is below the limit (bit 64 stays clear); a 1 ends the block
-                masks = [(_LANE_ONES if addend else 0) if addend.__class__ is bool else
-                         ~_mixed_block(x + j * SPLITMIX64_GAMMA, addend) >> 64 & _LANE_ONES
-                         for j, addend in enumerate(self._addends, 1)]
-                self._fates = marks, lost, dup, reorder = [m.to_bytes(16 * _LANES, "little")[::16] + b"\1"
-                                                           for m in (masks[0] | masks[1] | masks[2], *masks)]
+            if not k:
+                self._fates = marks, fates = self._fixed_fates or self._draw_block(i)
             stop = min(end, i - k + marks.find(1, k), pending[0][0] if pending else end)
             if stop > i:
                 out += items[i - first:stop - first]
                 i = stop
                 continue
-            while pending and pending[0][0] <= i:
-                out.append(heappop(pending)[3])
-            item = items[i - first]
-            if not lost[k]:
-                if reorder[k]:
-                    heappush(pending, (i + depth, i, 0, item))
-                    if dup[k]:
-                        heappush(pending, (i + depth, i, 1, item))
-                else:  # released in slot i, after every pending entry due by then
+            # item i is marked or has a release due; it goes one at a time with the marked lanes after it
+            for item in items[i - first:min(end, i - k + min(marks.find(0, k + 1), _LANES)) - first]:
+                while pending and pending[0][0] <= i:
+                    out.append(heappop(pending)[3])
+                fate = fates[k]
+                if fate < _REORDERED:  # released in slot i, after every pending entry due by then
                     out.append(item)
-                    if dup[k]:
+                    if fate:
                         out.append(item)
-            i += 1
+                elif fate < _LOST:
+                    heappush(pending, (i + depth, i, 0, item))
+                    if fate & _DUPLICATED:
+                        heappush(pending, (i + depth, i, 1, item))
+                i, k = i + 1, k + 1
         self._index = i
         return out
 

@@ -45,8 +45,8 @@ MAX_FRAG_PAYLOAD = 65000
 
 _FRAGMENT, _IMAGE = PacketKind.FRAGMENT.value, StreamId.IMAGE.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
-_slot_terms = attrgetter("seq", "frag_count", "frag_payload", "last_len", "chunks", "remaining")
-_NO_SLOT = (-1, 0, 0, 0, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
+_slot_terms = attrgetter("seq", "frag_count", "frag_payload", "last_len", "chunks")
+_NO_SLOT = (-1, 0, 0, 0, None)  # the terms when no frame is open: no seq is -1, so nothing fits
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -237,29 +237,26 @@ class Reassembler(Receiver):
 
     def step_all(self, packets: Iterable[Packet]) -> list[Image]:
         """What stepping each packet in turn completes, and counts; an in-order fragment is stored here."""
-        images, slot, stored = [], self._slot, 0
-        seq, count, full, last_len, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+        images, stats, slot, step = [], self._stats, self._slot, self.step  # per call, for a tracer
+        seq, count, full, last_len, chunks = _slot_terms(slot) if slot else _NO_SLOT
         for pkt in packets:
             h, payload = pkt
             index, n = h[3], len(payload)
             if (h[2] == seq and h[1] == _FRAGMENT and index < count
                     and n == (full if index < count - 1 else last_len) and chunks[index] is None):
                 chunks[index] = payload
-                stored += HEADER_SIZE + n
-                left -= 1
-                if not left:
+                stats.bytes_received += HEADER_SIZE + n
+                slot.remaining -= 1
+                if not slot.remaining:
                     images.append(self._complete(slot).image)
                     slot, seq = None, -1
                 continue
-            event = self.step(pkt)  # looked up per call, for a tracer; by the rule above it stores nothing
+            event = step(pkt)
             if event.__class__ is ImageComplete:
                 images.append(event.image)
             if self._slot is not slot:
                 slot = self._slot
-                seq, count, full, last_len, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
-        if slot:
-            slot.remaining = left
-        self._stats.bytes_received += stored
+                seq, count, full, last_len, chunks = _slot_terms(slot) if slot else _NO_SLOT
         return images
 
     def _take(self, pkt: Packet) -> Optional[Image]:

@@ -19,7 +19,7 @@ from nbpk.channel import (
     Service,
     StreamImpairer,
     UdpEndpoint,
-    splitmix64_block,
+    _mixed_block,
 )
 
 MASK64 = (1 << 64) - 1
@@ -41,6 +41,7 @@ def impair(cfg: ImpairmentConfig, items, chunks=None) -> list:
 
 
 LANES = 128  # draws per stream in one block
+LANE_ONES = sum(1 << 128 * k for k in range(LANES))  # a 1 in every 128-bit lane of a mixed block
 # seeds anywhere, and seeds near 2**64, whose Weyl states wrap inside the first block
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**20, 2**64 + 2**20))
 # runs of 0-300 items, so a run can start, end or lie anywhere in a block; None pushes one at a time
@@ -48,9 +49,14 @@ CHUNKS = st.lists(st.integers(0, 300), min_size=1, max_size=6).filter(any)
 CHUNKING = st.one_of(st.none(), CHUNKS)
 
 
+def lanes(block: int) -> list[int]:
+    """The 128-bit lanes of a mixed block, lane 0 first."""
+    return [block >> 128 * k & (1 << 128) - 1 for k in range(LANES)]
+
+
 class TestSplitMix64:
     def test_known_vector_seed_zero(self):
-        assert splitmix64_block(SPLITMIX64_GAMMA)[0] == SPLITMIX64_SEED0_FIRST
+        assert lanes(_mixed_block(SPLITMIX64_GAMMA))[0] == SPLITMIX64_SEED0_FIRST
         assert SPLITMIX64_SEED0_FIRST == 16294208416658607535
 
     @given(SEEDS)
@@ -60,14 +66,25 @@ class TestSplitMix64:
         # every lane of the blocks that start at draws 1, 2 and 3: draws 1 .. 384 in all
         draws = splitmix64_sequence(seed, 3 * LANES)
         for j in (1, 2, 3):
-            assert splitmix64_block(seed + j * SPLITMIX64_GAMMA) == tuple(draws[j - 1::3])
+            assert lanes(_mixed_block(seed + j * SPLITMIX64_GAMMA)) == draws[j - 1::3]
 
     @given(SEEDS)
     def test_floats_in_unit_interval(self, state):
         # u64 outputs, so their top 53 bits over 2**53 lie in [0, 1)
-        for draw in splitmix64_block(state):
+        for draw in lanes(_mixed_block(state)):
             assert 0 <= draw <= MASK64
             assert 0.0 <= (draw >> 11) * 2.0**-53 < 1.0
+
+    # push_all adds 2**64 - limit to every lane: bit 64 is set where the draw is not below the limit
+    @given(SEEDS, st.integers(0, LANES - 1), st.integers(-1, 1))
+    @example(0, 0, -2**64)
+    @example(0, 0, 2**64)
+    def test_addend_carries_into_bit_64_unless_the_draw_is_below_the_limit(self, state, k, delta):
+        draws = lanes(_mixed_block(state))
+        limit = min(max(draws[k] + delta, 1), MASK64)
+        carried = lanes(_mixed_block(state, LANE_ONES * (2**64 - limit)))
+        assert [lane >> 64 for lane in carried] == [int(draw >= limit) for draw in draws]
+        assert [lane & MASK64 for lane in carried] == [(draw - limit) & MASK64 for draw in draws]
 
     def test_float_uses_top_53_bits(self):
         # the first packet's loss draw u: loss_p == u keeps it, the next double up loses it
@@ -206,11 +223,10 @@ class TestStreamImpairer:
             start = run.stop
         assert runs.flush() == one_at_a_time.flush()
 
-
-    # a run ends at an outcome, a pending release or a block edge: cut the stream at each
+    # a run ends at an outcome, a pending release or a block edge: cut the stream at each;
+    # at 0.06, blocks fall either side of the density past which every lane goes one at a time
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([0.0, 1e-3, 0.3, 1.0]), st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
-           st.sampled_from([0.0, 1e-3, 0.3, 1.0]), st.integers(1, 8), SEEDS,
+    @given(*[st.sampled_from([0.0, 1e-3, 0.06, 0.3, 1.0])] * 3, st.integers(1, 8), SEEDS,
            st.integers(0, 3 * LANES + 16), st.data())
     def test_runs_cut_at_block_edges_and_release_slots(self, loss, dup, reorder, depth, seed, n, data):
         cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder, reorder_depth=depth, seed=seed)
