@@ -4,11 +4,11 @@ Large frames travel as one START packet announcing the frame geometry followed
 by FRAGMENT packets carrying pixel slices. A reassembler serves one image stream
 and keeps at most one frame buffer. A START that advances the stream's seq order
 (``wire.SeqOrder``) drops an incomplete older frame on the spot; one that does
-not is a stale orphan. Packets that can't be matched to the in-flight frame are
-orphans; repeats of an already-stored fragment are duplicates. An in-order
-fragment of the open frame is stored in the loop over its datagram (``feed``) or
-its run of packets (``step_all``); every other packet is ``step``'s. Readings and
-commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
+not is a stale orphan. The open frame's place table (``_Slot.want``) is the slot
+rule's one home: a fragment that fits an empty place is stored in the loop over its
+datagram (``feed``) or its run of packets (``step_all``), or by ``step``, which also
+tells a duplicate (a repeat of a stored place) from an orphan (anything else). Readings
+and commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ MAX_FRAG_PAYLOAD = 65000
 
 _FRAGMENT, _IMAGE = PacketKind.FRAGMENT.value, StreamId.IMAGE.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
-_slot_terms = attrgetter("seq", "frag_count", "frag_payload", "last_len", "chunks")
-_NO_SLOT = (-1, 0, 0, 0, None)  # the terms when no frame is open: no seq is -1, so nothing fits
+_slot_terms = attrgetter("seq", "frag_count", "want", "chunks")
+_NO_SLOT = (-1, 0, None, None)  # the terms when no frame is open: no seq is -1, so nothing fits
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -151,20 +151,19 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
 
 
 class _Slot:
-    """One in-flight frame; ``chunks`` holds each stored fragment payload, uncopied."""
+    """One in-flight frame. ``want[i]`` is the payload length place ``i`` takes while it is
+    empty and -1 once ``chunks[i]`` holds it, uncopied: the slot rule's one table."""
 
-    __slots__ = ("seq", "meta", "frag_payload", "frag_count", "last_len", "chunks",
-                 "remaining", "timestamp_us")
+    __slots__ = ("seq", "meta", "frag_count", "want", "chunks", "remaining", "timestamp_us")
 
     def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int):
         self.seq = seq
         self.meta = meta
-        self.frag_payload = meta.frag_payload
-        self.frag_count = meta.frag_count
+        self.frag_count = self.remaining = count = meta.frag_count
         # every fragment but the last carries frag_payload bytes
-        self.last_len = meta.total_len - (meta.frag_count - 1) * meta.frag_payload
-        self.chunks = [None] * meta.frag_count
-        self.remaining = meta.frag_count
+        self.want = [meta.frag_payload] * count
+        self.want[-1] = meta.total_len - (count - 1) * meta.frag_payload
+        self.chunks = [None] * count
         self.timestamp_us = timestamp_us
 
 
@@ -211,7 +210,7 @@ class Reassembler(Receiver):
     in seq order. The one eviction is preemption by the next frame's START;
     the reassembler keeps no clock, so its output is a pure function of the
     packets fed to it. :meth:`step` takes validated packets (every ``Packet``
-    is); :meth:`feed` and :meth:`step_all` store an in-order fragment themselves.
+    is); :meth:`feed` and :meth:`step_all` store a fitting fragment themselves.
     """
 
     def __init__(self):
@@ -219,16 +218,16 @@ class Reassembler(Receiver):
         self._slot: Optional[_Slot] = None
 
     def feed(self, datagram: bytes) -> Optional[Image]:
-        """The image ``datagram`` completes, or None. A fragment that passes ``from_bytes``'s
-        FRAGMENT rule and ``step``'s slot rule costs one ``unpack_from``; every other datagram
-        (a START, orphan, duplicate, malformed one) goes through ``Receiver.feed`` to ``step``."""
+        """The image ``datagram`` completes, or None. A FRAGMENT that passes ``from_bytes``'s
+        rule and fits an empty place of ``_Slot.want`` costs one ``unpack_from``; every other
+        datagram (a START, orphan, duplicate, malformed one) goes through ``Receiver.feed`` to ``step``."""
         slot, n = self._slot, len(datagram)
         if slot is not None and HEADER_SIZE <= n <= UDP_MAX_DATAGRAM:
             magic, version, stream, kind, flags, seq, index, count, size, _ = _HEADER.unpack_from(datagram)
             if (seq == slot.seq and index < count and index < slot.frag_count and size == n - HEADER_SIZE
-                    and size == (slot.frag_payload if index < slot.frag_count - 1 else slot.last_len)
-                    and kind == _FRAGMENT and stream == _IMAGE and magic == MAGIC
-                    and version == WIRE_VERSION and flags == 0 and slot.chunks[index] is None):
+                    and slot.want[index] == size and kind == _FRAGMENT and stream == _IMAGE
+                    and magic == MAGIC and version == WIRE_VERSION and flags == 0):
+                slot.want[index] = -1
                 slot.chunks[index] = memoryview(bytes(datagram))[HEADER_SIZE:]
                 self._stats.bytes_received += n
                 slot.remaining -= 1
@@ -236,14 +235,14 @@ class Reassembler(Receiver):
         return super().feed(datagram)
 
     def step_all(self, packets: Iterable[Packet]) -> list[Image]:
-        """What stepping each packet in turn completes, and counts; an in-order fragment is stored here."""
+        """What stepping each packet in turn completes, and counts; a fitting fragment is stored here."""
         images, stats, slot, step = [], self._stats, self._slot, self.step  # per call, for a tracer
-        seq, count, full, last_len, chunks = _slot_terms(slot) if slot else _NO_SLOT
+        seq, count, want, chunks = _slot_terms(slot) if slot else _NO_SLOT
         for pkt in packets:
             h, payload = pkt
             index, n = h[3], len(payload)
-            if (h[2] == seq and h[1] == _FRAGMENT and index < count
-                    and n == (full if index < count - 1 else last_len) and chunks[index] is None):
+            if h[2] == seq and h[1] == _FRAGMENT and index < count and want[index] == n:
+                want[index] = -1
                 chunks[index] = payload
                 stats.bytes_received += HEADER_SIZE + n
                 slot.remaining -= 1
@@ -256,7 +255,7 @@ class Reassembler(Receiver):
                 images.append(event.image)
             if self._slot is not slot:
                 slot = self._slot
-                seq, count, full, last_len, chunks = _slot_terms(slot) if slot else _NO_SLOT
+                seq, count, want, chunks = _slot_terms(slot) if slot else _NO_SLOT
         return images
 
     def _take(self, pkt: Packet) -> Optional[Image]:
@@ -274,19 +273,18 @@ class Reassembler(Receiver):
             return self._on_start(h, payload)
         seq, index = h[2], h[3]
         slot = self._slot
-        if (slot is None or slot.seq != seq or index >= slot.frag_count
-                or n != (slot.frag_payload if index < slot.frag_count - 1 else slot.last_len)):
-            stats.orphan_fragments += 1
-            return Orphan(seq=seq, frag_index=index)
-        chunks = slot.chunks
-        if chunks[index] is not None:
-            stats.duplicate_fragments += 1
-            return Duplicate(seq=seq, frag_index=index)
-        chunks[index] = payload
-        slot.remaining -= 1
-        if slot.remaining:
-            return None
-        return self._complete(slot)
+        if slot is not None and slot.seq == seq and index < slot.frag_count:
+            wanted = slot.want[index]
+            if wanted == n:
+                slot.want[index] = -1
+                slot.chunks[index] = payload
+                slot.remaining -= 1
+                return None if slot.remaining else self._complete(slot)
+            if wanted < 0 and len(slot.chunks[index]) == n:
+                stats.duplicate_fragments += 1
+                return Duplicate(seq=seq, frag_index=index)
+        stats.orphan_fragments += 1
+        return Orphan(seq=seq, frag_index=index)
 
     def _on_start(self, h: PacketHeader, payload: bytes) -> Optional[Event]:
         try:
@@ -294,7 +292,8 @@ class Reassembler(Receiver):
         except WireError:
             self._stats.orphan_fragments += 1
             return Orphan(seq=h.seq)
-        if meta.total_len == 0 or meta.frag_count != h.frag_count:
+        if (meta.total_len == 0 or meta.frag_count != h.frag_count
+                or not MIN_FRAG_PAYLOAD <= meta.frag_payload <= MAX_FRAG_PAYLOAD):
             self._stats.orphan_fragments += 1
             return Orphan(seq=h.seq)
 

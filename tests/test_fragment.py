@@ -13,6 +13,8 @@ from oracles import frame_outcomes, packetize_reference
 from nbpk import fragment
 from nbpk.channel import ImpairmentConfig, StreamImpairer
 from nbpk.fragment import (
+    MAX_FRAG_PAYLOAD,
+    MIN_FRAG_PAYLOAD,
     Dropped,
     Duplicate,
     ImageComplete,
@@ -44,6 +46,50 @@ def make_image(seq=0, width=32, height=24, fill=0xAB):
 
 def image_packets(seq=0, frag_payload=256, width=32, height=24):
     return packetize_image(make_image(seq, width, height), frag_payload)
+
+
+ENTRY_POINTS = ["feed", "step_all", "step"]
+
+
+def reassemble_through(entry: str, packets: list) -> tuple:
+    """The images one fresh reassembler completes from ``packets`` through one
+    entry point, and its ``stats()``."""
+    rx = Reassembler()
+    if entry == "feed":
+        images = [img for p in packets if (img := rx.feed(p.to_bytes())) is not None]
+    elif entry == "step_all":
+        images = rx.step_all(packets)
+    else:
+        images = [event.image for p in packets if (event := rx.step(p)).__class__ is ImageComplete]
+    return images, rx.stats()
+
+
+SLOT_RULE_CASES = ["wrong-length", "index-out-of-range", "no-start", "duplicate",
+                   "last-at-full-length", "repeat-with-another-length", "other-frag-count"]
+
+
+def slot_rule_case(case: str) -> tuple:
+    """A case's packets, then the images, orphans and duplicates they give. The
+    frame is 32x21 at frag_payload 256: a START and six fragments, the last of 64 bytes."""
+    start, *frags = image_packets(seq=3, width=32, height=21)
+
+    def fragment(index, size, count=6):
+        return Packet(PacketHeader(StreamId.IMAGE, PacketKind.FRAGMENT, seq=3, frag_index=index,
+                                   frag_count=count, payload_len=size), bytes(size))
+
+    packets, orphans, duplicates = {
+        "wrong-length": ([start, fragment(1, 100), *frags], 1, 0),
+        "index-out-of-range": ([start, fragment(11, 256, count=12), *frags], 1, 0),
+        "no-start": ([frags[1]], 1, 0),
+        "duplicate": ([start, frags[0], frags[0], *frags[1:]], 0, 1),
+        "last-at-full-length": ([start, fragment(5, 256), *frags], 1, 0),
+        "repeat-with-another-length": (
+            [start, frags[5], fragment(5, 256), frags[0], fragment(0, 100), *frags[1:5]], 2, 0),
+        "other-frag-count": (
+            [start, Packet(frags[2].header._replace(frag_count=7), frags[2].payload),
+             *frags[:2], *frags[3:]], 0, 0),
+    }[case]
+    return packets, [] if case == "no-start" else [make_image(3, 32, 21)], orphans, duplicates
 
 
 class TestPacketize:
@@ -387,6 +433,26 @@ class TestReassembler:
         for p in image_packets(seq=1):
             rx.step(p)
         assert snap.frames_complete == 0
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("case", SLOT_RULE_CASES)
+    def test_slot_rule_through_every_entry_point(self, case, entry):
+        packets, images, orphans, duplicates = slot_rule_case(case)
+        got, stats = reassemble_through(entry, packets)
+        assert got == images
+        assert (stats.orphan_fragments, stats.duplicate_fragments) == (orphans, duplicates)
+        assert stats == reassemble_through("step", packets)[1]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("frag_payload, fits", [
+        (100, False), (MIN_FRAG_PAYLOAD - 1, False), (MIN_FRAG_PAYLOAD, True),
+        (MAX_FRAG_PAYLOAD, True), (MAX_FRAG_PAYLOAD + 1, False)])
+    def test_start_outside_the_frag_payload_range_is_orphan(self, frag_payload, fits, entry):
+        img = make_image(3, width=320, height=240) if frag_payload > 1000 else make_image(3)
+        packets = [Packet.from_bytes(d) for d in packetize_reference(img, frag_payload)]
+        images, stats = reassemble_through(entry, packets)
+        assert images == ([img] if fits else [])
+        assert (stats.orphan_fragments, stats.malformed_packets) == (0 if fits else len(packets), 0)
 
 
 class TestCopyPolicy:
