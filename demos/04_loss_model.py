@@ -17,7 +17,7 @@ print(f"packets per frame: {n}\n")
 print(f"{'loss p':>8} {'model (1-p)^n':>14} {'measured':>10} {'frames':>8}")
 for p in (0.0, 0.002, 0.005, 0.01, 0.02):
     s = Scenario(duration_s=20.0, fps=30.0, width=320, height=240,
-                 impairment=ImpairmentConfig(loss_p=p, seed=11))
+                 impairment=ImpairmentConfig(loss_p=p), seed=11)
     r = run_scenario(s)
     model = analytic_delivery(p, n)
     print(f"{p:8.3f} {model:14.4f} {r.delivery_ratio:10.4f} "
@@ -25,8 +25,7 @@ for p in (0.0, 0.002, 0.005, 0.01, 0.02):
 
 print("\nThe same run twice with one seed is bit-for-bit identical:")
 s = Scenario(duration_s=10.0, fps=30.0, width=320, height=240,
-             impairment=ImpairmentConfig(loss_p=0.01, dup_p=0.005,
-                                         reorder_p=0.005, seed=99))
+             impairment=ImpairmentConfig(loss_p=0.01, dup_p=0.005, reorder_p=0.005), seed=99)
 a, b = run_scenario(s), run_scenario(s)
 print(f"  run A delivered {a.frames_delivered}, run B delivered "
       f"{b.frames_delivered}, reports equal: {a == b}")
@@ -34,7 +33,7 @@ print(f"  run A delivered {a.frames_delivered}, run B delivered "
 print("\nDuplication costs nothing by itself, and reordering at the default depth 1")
 print("moves no packet (a late packet still goes out before the next one):")
 s = Scenario(duration_s=10.0, fps=30.0, width=320, height=240,
-             impairment=ImpairmentConfig(dup_p=0.2, reorder_p=0.1, seed=4))
+             impairment=ImpairmentConfig(dup_p=0.2, reorder_p=0.1), seed=4)
 r = run_scenario(s)
 print(f"  dup 20% / reorder 10% at depth 1, zero loss -> delivered "
       f"{r.frames_delivered}/{r.frames_sent}, "

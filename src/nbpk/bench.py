@@ -5,7 +5,7 @@ reassembler in-process on a virtual clock, a frame's packets crossing both as
 one run, so runs are deterministic given a seed and far faster than real time.
 The loopback mode runs a real emulator and bridge over UDP sockets and reports
 receive-side rates; it applies no impairment, so ``nbpk bench --loopback``
-refuses the impairment flags. Both modes keep their books in one ``Report``.
+refuses the impairment flags and ``--seed``. Both modes keep their books in one ``Report``.
 
 Under independent per-packet loss ``p``, a frame of ``n`` packets survives
 only if all of them do, so the expected delivery ratio is ``(1-p)**n``.
@@ -49,8 +49,7 @@ def analytic_delivery(loss_p: float, packets_per_frame: int) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One benchmark configuration. ``seed``, when set, overrides the
-    impairment config's own seed."""
+    """One benchmark configuration: what the simulated link does, and the seed that fixes its draws."""
 
     duration_s: float = 10.0
     fps: float = 30.0
@@ -58,14 +57,11 @@ class Scenario:
     height: int = 240
     frag_payload: int = DEFAULT_FRAG_PAYLOAD
     impairment: ImpairmentConfig = ImpairmentConfig()
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         check_positive("duration_s", self.duration_s)
         check_positive("fps", self.fps)
-
-    def effective_impairment(self) -> ImpairmentConfig:
-        return self.impairment if self.seed is None else replace(self.impairment, seed=self.seed)
 
     @property
     def packets_per_frame(self) -> int:
@@ -126,8 +122,7 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     whose run releases it, so latency comes only from reordering. ``trace_out``,
     if given, gets the seq of every delivered frame in completion order.
     """
-    cfg = s.effective_impairment()
-    imp, rx = StreamImpairer(cfg), Reassembler()
+    imp, rx = StreamImpairer(s.impairment, s.seed), Reassembler()
     frames_sent = max(1, round(s.duration_s * s.fps))
     latencies: list[int] = []
     verify_failures = 0
@@ -148,7 +143,7 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     complete(rx.step_all(imp.flush()), t_us)
 
     return _report(frames_sent, latencies, verify_failures, rx.stats(),
-                   analytic_delivery(cfg.loss_p, s.packets_per_frame), s.duration_s)
+                   analytic_delivery(s.impairment.loss_p, s.packets_per_frame), s.duration_s)
 
 
 def loopback_pair(s: Scenario, bus: Optional[TopicBus] = None) -> tuple[RobotSim, Bridge]:
@@ -168,7 +163,7 @@ def run_loopback(s: Scenario) -> Report:
     """Run emulator→bridge over real UDP loopback for ``s.duration_s``.
 
     Wall-clock, receive-side measurement; no impairment is applied, so the
-    expected ratio is 1 and ``s.impairment`` is ignored.
+    expected ratio is 1 and ``s.impairment`` and ``s.seed`` are ignored.
     After the sender stops, ``_SETTLE_S`` of drain time lets in-flight
     frames complete before the books close.
     """

@@ -210,13 +210,12 @@ class Service:
 
 @dataclass(frozen=True)
 class ImpairmentConfig:
-    """Per-packet impairment probabilities and the seed that fixes them."""
+    """Per-packet impairment probabilities and the reorder depth; ``StreamImpairer`` takes the seed."""
 
     loss_p: float = 0.0
     dup_p: float = 0.0
     reorder_p: float = 0.0
     reorder_depth: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("loss_p", "dup_p", "reorder_p"):
@@ -231,9 +230,9 @@ class StreamImpairer:
     """Apply loss, duplication and reordering to a packet stream, a run of items at a time.
 
     ``push_all`` feeds a run and ``push`` one item; a run releases exactly
-    what pushing its items one by one would. A pure function of (cfg,
-    items pushed), however they are split: the same seed yields the same
-    output every time. Items are never altered, only kept, repeated, or
+    what pushing its items one by one would. A pure function of (cfg, seed,
+    items pushed), however they are split; the seed, taken modulo 2**64,
+    fixes every draw. Items are never altered, only kept, repeated, or
     moved; a reordered item is released ``reorder_depth`` slots late, with
     ties broken by original send index, and duplicates release back to
     back. Output order is (release slot, send index, copy): an entry with
@@ -241,8 +240,8 @@ class StreamImpairer:
     every later item lands in a slot past its own index.
     """
 
-    def __init__(self, cfg: ImpairmentConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: ImpairmentConfig, seed: int):
+        self.cfg, self.seed = cfg, seed
         # A draw's u < p is draw < limit = ceil(p * 2**53) << 11, exactly; a lane's draws
         # are tested by adding 2**64 - limit. At p = 0 or 1 the outcome is fixed, and stands in.
         self._addends = tuple(p == 1.0 if p in (0.0, 1.0) else
@@ -259,7 +258,7 @@ class StreamImpairer:
 
     def _draw_block(self, i: int) -> tuple[bytes, bytes]:
         """The marks and outcome bits of items ``i .. i + 127``, whose draws are 3i + 1, 3i + 2, ..."""
-        x = self.cfg.seed + 3 * i * SPLITMIX64_GAMMA
+        x = self.seed + 3 * i * SPLITMIX64_GAMMA
         fates = 0  # lane k has draw j's bit if item i + k's draw j fell below its limit (bit 64 stayed clear)
         for j, (addend, bit) in enumerate(zip(self._addends, (_LOST, _DUPLICATED, _REORDERED)), 1):
             fates |= ((_LANE_ONES if addend else 0) if addend.__class__ is bool else

@@ -193,11 +193,12 @@ def build_parser() -> _Parser:
     bench.add_argument("--fps", type=float)
     bench.add_argument("--loss", dest="loss_p", type=float)
     bench.add_argument("--dup", dest="dup_p", type=float)
-    bench.add_argument("--reorder", dest="reorder_p", type=float)
+    bench.add_argument("--reorder", dest="reorder_p", type=float,
+                       help="reorder probability; at the default depth of 1 it moves no packet")
     bench.add_argument("--seed", type=int)
     bench.add_argument("--out", default=None, help="write the JSON report here")
     bench.add_argument("--loopback", action="store_true", default=False,
-                       help="real UDP loopback run (refuses --loss, --dup and --reorder)")
+                       help="real UDP loopback run (refuses --loss, --dup, --reorder and --seed)")
 
     rec = command("record", "receive streams and log them", _cmd_record)
     rec.add_argument("out", help="log file to write")
@@ -295,8 +296,8 @@ def _cmd_bridge(args) -> int:
 
 def _cmd_bench(args) -> int:
     imp = _config(ImpairmentConfig, args)
-    if args.loopback and (imp.loss_p or imp.dup_p or imp.reorder_p):
-        raise UsageError("--loopback sends over real sockets and cannot apply --loss, --dup or --reorder")
+    if args.loopback and (imp.loss_p or imp.dup_p or imp.reorder_p or "seed" in args):
+        raise UsageError("--loopback sends over real sockets and cannot apply --loss, --dup, --reorder or --seed")
     scenario = _config(bench_mod.Scenario, args, impairment=imp)
     if args.loopback:
         _config(RobotConfig, args)  # the emulator's bounds on --fps

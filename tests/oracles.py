@@ -67,11 +67,11 @@ def splitmix64_seed_for(output: int, k: int) -> int:
     return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) & MASK64
 
 
-def impair_reference(cfg, items: list) -> list:
+def impair_reference(cfg, seed: int, items: list) -> list:
     """The channel simulator as one sort over the whole stream (the library's
-    original ``impair``): three draws per item, a survivor lands in slot
-    ``i`` or ``i + reorder_depth``, and emission order is (slot, i, copy)."""
-    draws = [(u >> 11) * 2.0**-53 for u in splitmix64_sequence(cfg.seed, 3 * len(items))]
+    original ``impair``): three draws per item from ``seed``, a survivor lands in
+    slot ``i`` or ``i + reorder_depth``, and emission order is (slot, i, copy)."""
+    draws = [(u >> 11) * 2.0**-53 for u in splitmix64_sequence(seed, 3 * len(items))]
     emitted = []
     for i, item in enumerate(items):
         u_loss, u_dup, u_reorder = draws[3 * i:3 * i + 3]

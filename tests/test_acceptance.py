@@ -98,7 +98,7 @@ def test_1_sustained_loopback_minute():
 
 def test_2_lossy_delivery_matches_analytic_model():
     s = Scenario(duration_s=100.0, fps=30.0, width=320, height=240,
-                 impairment=ImpairmentConfig(loss_p=0.01, seed=0xACC2))
+                 impairment=ImpairmentConfig(loss_p=0.01), seed=0xACC2)
     r = run_scenario(s)
     expected = analytic_delivery(0.01, s.packets_per_frame)
     gap = abs(r.delivery_ratio - expected)
@@ -421,8 +421,7 @@ def test_7_command_ramp_echo_and_deadman():
 
 def test_8_identical_seeds_identical_runs():
     s = Scenario(duration_s=20.0, fps=30.0, width=64, height=48,
-                 impairment=ImpairmentConfig(loss_p=0.02, dup_p=0.01,
-                                             reorder_p=0.01, seed=0xACC8))
+                 impairment=ImpairmentConfig(loss_p=0.02, dup_p=0.01, reorder_p=0.01), seed=0xACC8)
     trace_a: list[int] = []
     trace_b: list[int] = []
     ra = run_scenario(s, trace_out=trace_a)

@@ -63,16 +63,6 @@ class TestAnalyticModel:
 
 
 class TestScenario:
-    def test_seed_overrides_impairment_seed(self):
-        s = Scenario(impairment=ImpairmentConfig(loss_p=0.1, seed=7), seed=99)
-        eff = s.effective_impairment()
-        assert eff.seed == 99
-        assert eff.loss_p == 0.1
-
-    def test_no_seed_keeps_config(self):
-        imp = ImpairmentConfig(loss_p=0.1, seed=7)
-        assert Scenario(impairment=imp).effective_impairment() is imp
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(duration_s=0)
@@ -100,7 +90,7 @@ class TestReport:
         assert main(["bench", "--duration", "1", "--fps", "10", "--loss", "0.05",
                      "--seed", "3", "--out", str(p)]) == 0
         r = run_scenario(Scenario(duration_s=1.0, fps=10.0,
-                                  impairment=ImpairmentConfig(loss_p=0.05, seed=3)))
+                                  impairment=ImpairmentConfig(loss_p=0.05), seed=3))
         assert Report(**json.loads(p.read_text())) == r
         assert p.read_text() == capsys.readouterr().out  # the printed text, written once
         keys = list(json.loads(p.read_text()))
@@ -122,7 +112,7 @@ class TestRunScenario:
 
     def test_lossy_run_matches_model_loosely(self):
         s = Scenario(duration_s=25.0, fps=20.0, width=64, height=48,
-                     impairment=ImpairmentConfig(loss_p=0.05, seed=3))
+                     impairment=ImpairmentConfig(loss_p=0.05), seed=3)
         r = run_scenario(s)
         assert r.expected_ratio == pytest.approx(0.95 ** 6, abs=1e-12)
         assert abs(r.delivery_ratio - r.expected_ratio) < 0.08
@@ -130,8 +120,7 @@ class TestRunScenario:
 
     def test_deterministic_given_seed(self):
         s = Scenario(duration_s=5.0, fps=30.0, width=64, height=48,
-                     impairment=ImpairmentConfig(loss_p=0.1, dup_p=0.05,
-                                                 reorder_p=0.05, seed=42))
+                     impairment=ImpairmentConfig(loss_p=0.1, dup_p=0.05, reorder_p=0.05), seed=42)
         t1: list[int] = []
         t2: list[int] = []
         r1 = run_scenario(s, trace_out=t1)
@@ -149,7 +138,7 @@ class TestRunScenario:
 
     def test_trace_is_sorted_without_reordering(self):
         s = Scenario(duration_s=5.0, fps=30.0, width=64, height=48,
-                     impairment=ImpairmentConfig(loss_p=0.1, seed=5))
+                     impairment=ImpairmentConfig(loss_p=0.1), seed=5)
         trace: list[int] = []
         run_scenario(s, trace_out=trace)
         assert trace == sorted(trace)
@@ -160,14 +149,14 @@ class TestRunScenario:
         assert clean.mean_latency_us == clean.p95_latency_us == 0.0
         # a packet arrives at the virtual time of the push that releases it,
         # so a frame whose last fragment is held back completes a frame late
-        late = run_scenario(Scenario(**base, impairment=ImpairmentConfig(reorder_p=0.5, seed=8)))
+        late = run_scenario(Scenario(**base, impairment=ImpairmentConfig(reorder_p=0.5), seed=8))
         assert late.frames_delivered > 0
         assert late.mean_latency_us > 0
         assert late.p95_latency_us >= 1e6 / 30 - 1
 
     def test_duplicates_counted(self):
         s = Scenario(duration_s=3.0, fps=30.0, width=64, height=48,
-                     impairment=ImpairmentConfig(dup_p=0.5, seed=9))
+                     impairment=ImpairmentConfig(dup_p=0.5), seed=9)
         r = run_scenario(s)
         assert r.duplicate_fragments > 0
         assert r.frames_delivered == r.frames_sent  # duplication never loses data
@@ -212,16 +201,16 @@ _GOLDEN = {
 
 
 def _golden_scenarios():
-    yield "clean", Scenario(**_SMALL, impairment=ImpairmentConfig(seed=1))
+    yield "clean", Scenario(**_SMALL, seed=1)
     for name in ("loss_p", "dup_p", "reorder_p"):
         for p in _EDGES:
             yield f"{name}={p!r}", Scenario(**_SMALL, impairment=ImpairmentConfig(
-                **{name: p}, reorder_depth=2, seed=1))
+                **{name: p}, reorder_depth=2), seed=1)
     # seeds past 2**64 are reduced modulo 2**64
     yield "mixed", Scenario(**_SMALL, impairment=ImpairmentConfig(
-        loss_p=0.02, dup_p=0.1, reorder_p=0.2, reorder_depth=3, seed=2**64 + 7))
+        loss_p=0.02, dup_p=0.1, reorder_p=0.2, reorder_depth=3), seed=2**64 + 7)
     yield "mixed-depth2", Scenario(**_SMALL, impairment=ImpairmentConfig(
-        loss_p=0.01, dup_p=0.05, reorder_p=0.05, reorder_depth=2, seed=2**40 + 7))
+        loss_p=0.01, dup_p=0.05, reorder_p=0.05, reorder_depth=2), seed=2**40 + 7)
     # the sim-loss1 benchmark's shape: one second of 320x240 at 1 % loss
     yield "qvga-loss1", Scenario(duration_s=1.0, impairment=ImpairmentConfig(loss_p=0.01),
                                  seed=(11 << 32) | 3)

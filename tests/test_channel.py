@@ -25,10 +25,10 @@ from nbpk.channel import (
 MASK64 = (1 << 64) - 1
 
 
-def impair(cfg: ImpairmentConfig, items, chunks=None) -> list:
+def impair(cfg: ImpairmentConfig, seed: int, items, chunks=None) -> list:
     """Push the items through a fresh impairer, then flush it: one at a time
     through ``push``, or, given chunk sizes (cycled), in runs through ``push_all``."""
-    imp, items = StreamImpairer(cfg), list(items)
+    imp, items = StreamImpairer(cfg, seed), list(items)
     if chunks is None:
         out = [released for item in items for released in imp.push(item)]
     else:
@@ -90,8 +90,8 @@ class TestSplitMix64:
         # the first packet's loss draw u: loss_p == u keeps it, the next double up loses it
         seed = 12345
         u = (splitmix64_sequence(seed, 1)[0] >> 11) * 2.0**-53
-        assert impair(ImpairmentConfig(loss_p=u, seed=seed), ["a"]) == ["a"]
-        assert impair(ImpairmentConfig(loss_p=math.nextafter(u, 1.0), seed=seed), ["a"]) == []
+        assert impair(ImpairmentConfig(loss_p=u), seed, ["a"]) == ["a"]
+        assert impair(ImpairmentConfig(loss_p=math.nextafter(u, 1.0)), seed, ["a"]) == []
 
 
 class TestImpairmentConfig:
@@ -104,55 +104,53 @@ class TestImpairmentConfig:
             ImpairmentConfig(reorder_depth=0)
 
     def test_defaults_are_transparent(self):
-        assert impair(ImpairmentConfig(), list(range(10))) == list(range(10))
+        assert impair(ImpairmentConfig(), 0, list(range(10))) == list(range(10))
 
 
 class TestImpair:
     def test_deterministic(self):
-        cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, seed=99)
+        cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2)
         items = list(range(500))
-        assert impair(cfg, items) == impair(cfg, items)
+        assert impair(cfg, 99, items) == impair(cfg, 99, items)
 
     def test_different_seed_different_trace(self):
         items = list(range(200))
-        a = impair(ImpairmentConfig(loss_p=0.5, seed=1), items)
-        b = impair(ImpairmentConfig(loss_p=0.5, seed=2), items)
+        a = impair(ImpairmentConfig(loss_p=0.5), 1, items)
+        b = impair(ImpairmentConfig(loss_p=0.5), 2, items)
         assert a != b
 
     def test_total_loss(self):
-        assert impair(ImpairmentConfig(loss_p=1.0, seed=0), list(range(50))) == []
+        assert impair(ImpairmentConfig(loss_p=1.0), 0, list(range(50))) == []
 
     def test_loss_rate_statistics(self):
-        cfg = ImpairmentConfig(loss_p=0.1, seed=7)
         n = 20000
-        survivors = impair(cfg, range(n))
+        survivors = impair(ImpairmentConfig(loss_p=0.1), 7, range(n))
         rate = 1 - len(survivors) / n
         assert abs(rate - 0.1) < 0.01
 
     def test_duplicates_are_adjacent_copies(self):
-        cfg = ImpairmentConfig(dup_p=1.0, seed=3)
-        out = impair(cfg, ["a", "b", "c"])
+        out = impair(ImpairmentConfig(dup_p=1.0), 3, ["a", "b", "c"])
         assert out == ["a", "a", "b", "b", "c", "c"]
 
     def test_reorder_moves_item_back(self):
         # force-reorder everything: each item lands `depth` slots late, and
         # with every slot shifted equally the order is ultimately unchanged;
         # reorder only permutes when it hits a subset
-        cfg = ImpairmentConfig(reorder_p=1.0, reorder_depth=2, seed=5)
-        assert impair(cfg, list(range(6))) == list(range(6))
+        cfg = ImpairmentConfig(reorder_p=1.0, reorder_depth=2)
+        assert impair(cfg, 5, list(range(6))) == list(range(6))
 
     def test_reorder_partial_permutes(self):
-        cfg = ImpairmentConfig(reorder_p=0.5, reorder_depth=3, seed=11)
+        cfg = ImpairmentConfig(reorder_p=0.5, reorder_depth=3)
         items = list(range(100))
-        out = impair(cfg, items)
+        out = impair(cfg, 11, items)
         assert sorted(out) == items  # nothing lost or duplicated
         assert out != items  # but genuinely reordered at this seed
 
     def test_loss_decisions_are_per_index(self):
         # the fate of packet i must not depend on how long the stream is
-        cfg = ImpairmentConfig(loss_p=0.4, seed=21)
-        long = set(impair(cfg, range(300)))
-        short = set(impair(cfg, range(100)))
+        cfg = ImpairmentConfig(loss_p=0.4)
+        long = set(impair(cfg, 21, range(300)))
+        short = set(impair(cfg, 21, range(100)))
         assert short == {i for i in long if i < 100}
 
 
@@ -163,10 +161,9 @@ class TestStreamImpairer:
         st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 3 * LANES + 16), CHUNKING,
     )
     def test_equivalent_to_batch(self, loss, dup, reorder, depth, seed, n, chunks):
-        cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder,
-                               reorder_depth=depth, seed=seed)
+        cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder, reorder_depth=depth)
         items = list(range(n))
-        assert impair(cfg, items, chunks) == impair_reference(cfg, items)
+        assert impair(cfg, seed, items, chunks) == impair_reference(cfg, seed, items)
 
     # either side of each refill, with every stream drawing
     @settings(max_examples=20)
@@ -174,8 +171,8 @@ class TestStreamImpairer:
     @pytest.mark.parametrize("n", [LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 8 * LANES])
     @pytest.mark.parametrize("seed", [0, 2**64 - 5])
     def test_equivalent_across_blocks(self, n, seed, chunks):
-        cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3, seed=seed)
-        assert impair(cfg, range(n), chunks) == impair_reference(cfg, list(range(n)))
+        cfg = ImpairmentConfig(loss_p=0.3, dup_p=0.2, reorder_p=0.2, reorder_depth=3)
+        assert impair(cfg, seed, range(n), chunks) == impair_reference(cfg, seed, list(range(n)))
 
     # hypothesis's floats(0, 1) rarely draws the doubles next to 0 and 1
     @settings(max_examples=10)
@@ -186,8 +183,8 @@ class TestStreamImpairer:
         items = list(range(200))
         for other, seed in itertools.product((0.0, 0.2, 1.0), (0, 2**64 + 7)):  # seed mod 2**64
             cfg = ImpairmentConfig(**{"loss_p": other, "dup_p": other, "reorder_p": other, name: p},
-                                   reorder_depth=3, seed=seed)
-            assert impair(cfg, items, chunks) == impair_reference(cfg, items), cfg
+                                   reorder_depth=3)
+            assert impair(cfg, seed, items, chunks) == impair_reference(cfg, seed, items), (cfg, seed)
 
     # Item 200, in the second block, gets a chosen draw: u = 0 lies below 5e-324, and
     # u = 1 - 2**-53 does not lie below itself. The next draw in u decides the other way.
@@ -200,22 +197,22 @@ class TestStreamImpairer:
     @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
     def test_edge_probabilities_decide_by_the_top_53_bits(self, name, p, draw, fires, chunks):
         i, k = 200, 3 * 200 + ("loss_p", "dup_p", "reorder_p").index(name) + 1
-        cfg = ImpairmentConfig(**{name: p}, reorder_depth=2, seed=splitmix64_seed_for(draw, k))
-        assert ((splitmix64_sequence(cfg.seed, k)[-1] >> 11) * 2.0**-53 < p) == fires
+        cfg, seed = ImpairmentConfig(**{name: p}, reorder_depth=2), splitmix64_seed_for(draw, k)
+        assert ((splitmix64_sequence(seed, k)[-1] >> 11) * 2.0**-53 < p) == fires
         items = list(range(i + 3))
-        assert impair(cfg, items, chunks) == impair_reference(cfg, items)
+        assert impair(cfg, seed, items, chunks) == impair_reference(cfg, seed, items)
 
     @settings(max_examples=100)
     @given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 5), st.integers(0, 2**32),
            st.integers(0, 3 * LANES + 16), CHUNKS)
     def test_releases_do_not_wait_for_flush(self, loss, reorder, depth, seed, n, chunks):
-        imp = StreamImpairer(ImpairmentConfig())
+        imp = StreamImpairer(ImpairmentConfig(), seed)
         assert imp.push("a") == ["a"]
         assert imp.push("b") == ["b"]
         assert imp.flush() == []
         # each run releases what pushing its items one at a time releases by the same point
-        cfg = ImpairmentConfig(loss_p=loss, dup_p=0.2, reorder_p=reorder, reorder_depth=depth, seed=seed)
-        runs, one_at_a_time = StreamImpairer(cfg), StreamImpairer(cfg)
+        cfg = ImpairmentConfig(loss_p=loss, dup_p=0.2, reorder_p=reorder, reorder_depth=depth)
+        runs, one_at_a_time = StreamImpairer(cfg, seed), StreamImpairer(cfg, seed)
         start, sizes = 0, itertools.cycle(chunks)
         while start < n:
             run = range(start, min(n, start + next(sizes)))
@@ -229,21 +226,21 @@ class TestStreamImpairer:
     @given(*[st.sampled_from([0.0, 1e-3, 0.06, 0.3, 1.0])] * 3, st.integers(1, 8), SEEDS,
            st.integers(0, 3 * LANES + 16), st.data())
     def test_runs_cut_at_block_edges_and_release_slots(self, loss, dup, reorder, depth, seed, n, data):
-        cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder, reorder_depth=depth, seed=seed)
-        one_at_a_time = StreamImpairer(cfg)
+        cfg = ImpairmentConfig(loss_p=loss, dup_p=dup, reorder_p=reorder, reorder_depth=depth)
+        one_at_a_time = StreamImpairer(cfg, seed)
         released = [one_at_a_time.push(i) for i in range(n)]
         # slot j released an earlier item: a pending release fell due as item j was pushed
         slots = {j for j, out in enumerate(released) if any(item < j for item in out)}
         edges = sorted({*range(0, n + 1, LANES), *slots, *(j + 1 for j in slots if j < n)})
         cuts = sorted(data.draw(st.lists(st.sampled_from(edges), max_size=8)))
-        runs, items, bounds, out = StreamImpairer(cfg), list(range(n)), [0, *cuts, n], []
+        runs, items, bounds, out = StreamImpairer(cfg, seed), list(range(n)), [0, *cuts, n], []
         for a, b in zip(bounds, bounds[1:]):
             run = runs.push_all(items[a:b])
             assert run == [x for each in released[a:b] for x in each], (a, b)
             out += run
         tail = runs.flush()
         assert tail == one_at_a_time.flush()
-        assert out + tail == impair_reference(cfg, items)
+        assert out + tail == impair_reference(cfg, seed, items)
 
 
 class TestEndpointConfig:

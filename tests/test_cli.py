@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,12 @@ class TestParsing:
             assert args.command == cmd
             assert args.run is getattr(cli, f"_cmd_{cmd}")  # what main calls
 
+    def test_no_bench_flag_fills_two_config_fields(self):
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subcommands.choices["bench"]._actions}
+        assert {"seed", "loss_p", "reorder_p"} <= dests
+        assert not dests & {f.name for f in fields(Scenario)} & {f.name for f in fields(ImpairmentConfig)}
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(UsageError):
             build_parser().parse_args(["frobnicate"])
@@ -300,9 +308,10 @@ class TestMainExitCodes:
         assert "fps" in capsys.readouterr().err
         gc.collect()  # a socket left open warns when it is collected
 
-    @pytest.mark.parametrize("flag", ["--loss", "--dup", "--reorder"])
-    def test_bench_loopback_refuses_impairment_and_opens_no_socket(self, capsys, flag):
-        assert main(["bench", "--loopback", flag, "0.5", "--duration", "0.1"]) == 1
+    @pytest.mark.parametrize("flag, value", [("--loss", "0.5"), ("--dup", "0.5"), ("--reorder", "0.5"),
+                                             ("--seed", "7"), ("--seed", "0")])
+    def test_bench_loopback_refuses_impairment_and_opens_no_socket(self, capsys, flag, value):
+        assert main(["bench", "--loopback", flag, value, "--duration", "0.1"]) == 1
         err = capsys.readouterr().err
         assert "--loopback" in err and flag in err
         gc.collect()  # a socket left open warns when it is collected
@@ -335,7 +344,7 @@ class _Built(Exception):
     (["bench", "--duration", "2", "--fps", "15", "--loss", "0.1", "--dup", "0.2",
       "--reorder", "0.3", "--seed", "7"],
      Scenario(duration_s=2.0, fps=15.0, seed=7,
-              impairment=ImpairmentConfig(loss_p=0.1, dup_p=0.2, reorder_p=0.3, seed=7))),
+              impairment=ImpairmentConfig(loss_p=0.1, dup_p=0.2, reorder_p=0.3))),
 ], ids=["robot", "bridge", "bench", "robot-flags", "bridge-flags", "bridge-host-only",
         "record-flags", "bench-flags"])
 def test_flags_fill_the_config_fields_they_name(monkeypatch, tmp_path, argv, config):

@@ -598,9 +598,8 @@ def impaired_packets(draw) -> list:
     # a START lost one time in five
     packets = [p for frame in draw(sent_frames()) for p in frame[draw(st.integers(0, 4)) == 0:]]
     cfg = ImpairmentConfig(loss_p=draw(PROBABILITIES), dup_p=draw(PROBABILITIES),
-                           reorder_p=draw(PROBABILITIES), reorder_depth=draw(st.integers(1, len(packets))),
-                           seed=draw(st.integers(0, 2**64 - 1)))
-    imp = StreamImpairer(cfg)
+                           reorder_p=draw(PROBABILITIES), reorder_depth=draw(st.integers(1, len(packets))))
+    imp = StreamImpairer(cfg, draw(st.integers(0, 2**64 - 1)))
     return imp.push_all(packets) + imp.flush()
 
 
