@@ -138,7 +138,7 @@ def run_scenario(s: Scenario, trace_out: Optional[list[int]] = None) -> Report:
     t_us = 0
     for i in range(frames_sent):
         t_us = round(i * 1e6 / s.fps)
-        img = replace(gen_test_image(i, s.width, s.height), timestamp_us=t_us)
+        img = gen_test_image(i, s.width, s.height, t_us)
         complete(rx.step_all(imp.push_all(packetize_image(img, s.frag_payload))), t_us)
     complete(rx.step_all(imp.flush()), t_us)
 

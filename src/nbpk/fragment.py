@@ -21,6 +21,7 @@ from typing import Any, Iterable, Optional, Union
 
 from .wire import (
     _HEADER,
+    _checked_header,
     HEADER_SIZE,
     DEFAULT_FRAG_PAYLOAD,
     MAGIC,
@@ -43,10 +44,12 @@ from .wire import (
 MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
-_FRAGMENT, _IMAGE = PacketKind.FRAGMENT.value, StreamId.IMAGE.value
+_START, _FRAGMENT, _IMAGE = PacketKind.START.value, PacketKind.FRAGMENT.value, StreamId.IMAGE.value
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
-_slot_terms = attrgetter("seq", "frag_count", "want", "chunks")
-_NO_SLOT = (-1, 0, None, None)  # the terms when no frame is open: no seq is -1, so nothing fits
+_slot_terms = attrgetter("seq", "frag_count", "want", "chunks", "remaining")
+_NO_SLOT = (-1, 0, None, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
+# keyed on bytes, as a writable buffer has no hash; the result is frozen, and an error is not cached
+_start_meta = lru_cache(maxsize=4)(decode_start_meta)
 
 
 # --- events returned by Reassembler.step (None means "nothing happened") ---
@@ -131,8 +134,8 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
     meta_bytes, frag_count, lengths, slices = _layout(len(data), img.width, img.height, frag_payload)
-    start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, img.seq, 0, frag_count,
-                                len(meta_bytes), img.timestamp_us), meta_bytes)
+    start = _tuple_new(Packet, (_checked_header(_IMAGE, _START, img.seq, 0, frag_count, len(meta_bytes),
+                                                img.timestamp_us), meta_bytes))
     # The START passed every check its fragments need (seq, timestamp and
     # frag_count in range), and each fragment's index < frag_count and
     # length <= MAX_FRAG_PAYLOAD hold by construction: build them unchecked.
@@ -235,27 +238,43 @@ class Reassembler(Receiver):
         return super().feed(datagram)
 
     def step_all(self, packets: Iterable[Packet]) -> list[Image]:
-        """What stepping each packet in turn completes, and counts; a fitting fragment is stored here."""
+        """What stepping each packet in turn completes, and counts; a fitting fragment is stored here.
+        Within one call the open slot's remaining count and the bytes stored live in locals; they
+        are whole before every ``step``, at each completion and at return (``try``/``finally``)."""
         images, stats, slot, step = [], self._stats, self._slot, self.step  # per call, for a tracer
-        seq, count, want, chunks = _slot_terms(slot) if slot else _NO_SLOT
-        for pkt in packets:
-            h, payload = pkt
-            index, n = h[3], len(payload)
-            if h[2] == seq and h[1] == _FRAGMENT and index < count and want[index] == n:
-                want[index] = -1
-                chunks[index] = payload
-                stats.bytes_received += HEADER_SIZE + n
-                slot.remaining -= 1
-                if not slot.remaining:
-                    images.append(self._complete(slot).image)
-                    slot, seq = None, -1
-                continue
-            event = step(pkt)
-            if event.__class__ is ImageComplete:
-                images.append(event.image)
-            if self._slot is not slot:
-                slot = self._slot
-                seq, count, want, chunks = _slot_terms(slot) if slot else _NO_SLOT
+        seq, count, want, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+        stored = 0
+        try:
+            for pkt in packets:
+                h = pkt[0]
+                index = h[3]
+                if h[2] == seq and index < count and h[1] == _FRAGMENT:
+                    n = len(payload := pkt[1])
+                    if want[index] == n:
+                        want[index] = -1
+                        chunks[index] = payload
+                        stored += HEADER_SIZE + n
+                        left -= 1
+                        if not left:
+                            stats.bytes_received += stored
+                            slot.remaining = stored = 0
+                            images.append(self._complete(slot).image)
+                            slot, seq = None, -1
+                        continue
+                if slot is not None:
+                    slot.remaining = left
+                stats.bytes_received += stored
+                stored = 0
+                event = step(pkt)
+                if event.__class__ is ImageComplete:
+                    images.append(event.image)
+                if self._slot is not slot:  # step opened a slot; it stores nothing in an open one
+                    slot = self._slot
+                    seq, count, want, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+        finally:
+            if slot is not None:
+                slot.remaining = left
+            stats.bytes_received += stored
         return images
 
     def _take(self, pkt: Packet) -> Optional[Image]:
@@ -288,7 +307,7 @@ class Reassembler(Receiver):
 
     def _on_start(self, h: PacketHeader, payload: bytes) -> Optional[Event]:
         try:
-            meta = decode_start_meta(payload)
+            meta = _start_meta(bytes(payload))
         except WireError:
             self._stats.orphan_fragments += 1
             return Orphan(seq=h.seq)

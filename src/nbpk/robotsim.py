@@ -118,8 +118,8 @@ def _body_crc(n: int, start: int) -> int:
     return zlib.crc32(memoryview(_size_terms(n)[0])[start:start + n - 8])
 
 
-def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
-    """Build a YUV422-sized deterministic pattern for frame ``seq``.
+def gen_test_image(seq: int, width: int = 320, height: int = 240, timestamp_us: int = 0) -> Image:
+    """Build a YUV422-sized deterministic pattern for frame ``seq``, stamped ``timestamp_us``.
 
     Layout: bytes [0, 4) hold ``seq`` little-endian; every interior byte
     ``i`` is ``(i + seq) mod 256``; the last 4 bytes are the CRC-32 (IEEE)
@@ -140,7 +140,7 @@ def gen_test_image(seq: int, width: int = 320, height: int = 240) -> Image:
     c = zlib.crc32(prefix)
     crc = _body_crc(n, start) ^ t0[c & 0xFF] ^ t1[c >> 8 & 0xFF] ^ t2[c >> 16 & 0xFF] ^ t3[c >> 24]
     pixels = b"".join((prefix, memoryview(ramp)[start:start + n - 8], struct.pack("<I", crc)))
-    return Image(width=width, height=height, pixels=pixels, seq=seq)
+    return Image(width=width, height=height, pixels=pixels, seq=seq, timestamp_us=timestamp_us)
 
 
 def image_ok(img: Image) -> bool:
@@ -287,7 +287,7 @@ class RobotSim(Service):
     def _image_loop(self) -> None:
         cfg = self.cfg
         for seq, now in self._ticks(cfg.fps):
-            img = replace(gen_test_image(seq, cfg.width, cfg.height), timestamp_us=int(now * 1e6))
+            img = gen_test_image(seq, cfg.width, cfg.height, int(now * 1e6))
             for pkt in packetize_image(img, cfg.frag_payload):
                 self._send(self._image_addr, pkt)
             self.images_sent += 1

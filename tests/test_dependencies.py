@@ -60,7 +60,8 @@ def test_module_loads_only_its_closure(module):
         f"importlib.import_module('nbpk.{module}')\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+    # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the child from writing src/nbpk/__pycache__
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     loaded = json.loads(out)
     assert {name[len("nbpk."):] for name in loaded if name.startswith("nbpk.")} \

@@ -2,6 +2,7 @@ import itertools
 import random
 import struct
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,11 @@ def image_packets(seq=0, frag_payload=256, width=32, height=24):
 ENTRY_POINTS = ["feed", "step_all", "step"]
 
 
+def step_each(rx: Reassembler, packets) -> list:
+    """The images ``rx`` completes as each of ``packets`` is stepped in turn."""
+    return [event.image for p in packets if (event := rx.step(p)).__class__ is ImageComplete]
+
+
 def reassemble_through(entry: str, packets: list) -> tuple:
     """The images one fresh reassembler completes from ``packets`` through one
     entry point, and its ``stats()``."""
@@ -60,7 +66,7 @@ def reassemble_through(entry: str, packets: list) -> tuple:
     elif entry == "step_all":
         images = rx.step_all(packets)
     else:
-        images = [event.image for p in packets if (event := rx.step(p)).__class__ is ImageComplete]
+        images = step_each(rx, packets)
     return images, rx.stats()
 
 
@@ -434,6 +440,35 @@ class TestReassembler:
             rx.step(p)
         assert snap.frames_complete == 0
 
+    @pytest.mark.parametrize("meta", [
+        struct.pack("<IHHBBH", 1536, 32, 24, 1, 0, 256)[:11],  # short
+        struct.pack("<IHHBBH", 1536, 32, 24, 2, 0, 256),  # an unknown encoding
+        struct.pack("<IHHBBH", 1536, 32, 24, 1, 1, 256),  # the reserved byte set
+        struct.pack("<IHHBBH", 1536, 32, 24, 1, 0, 128),  # frag_payload below the range
+    ], ids=["short", "bad-encoding", "reserved-set", "frag-payload-out-of-range"])
+    def test_a_malformed_start_sent_twice_is_an_orphan_twice(self, meta):
+        rx = Reassembler()
+        start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, seq=3, frag_count=12,
+                                    payload_len=len(meta)), meta)
+        assert [rx.step(start), rx.step(start)] == [Orphan(seq=3)] * 2
+        assert rx.step(image_packets(seq=3)[1]) == Orphan(seq=3, frag_index=0)  # no slot opened
+        assert rx.stats().orphan_fragments == 3
+
+    def test_a_start_with_a_writable_payload_opens_its_frame(self):
+        start, *frags = image_packets(seq=3)
+        rx = Reassembler()
+        assert rx.step(Packet(start.header, bytearray(start.payload))) is None
+        assert [event.image for p in frags if (event := rx.step(p)) is not None] == [make_image(3)]
+
+    def test_a_parsed_start_and_a_built_one_open_equal_slots(self):
+        start = image_packets(seq=3)[0]
+        fed, stepped = Reassembler(), Reassembler()
+        assert fed.feed(start.to_bytes()) is None and stepped.step(start) is None
+        assert type(Packet.from_bytes(start.to_bytes()).payload) is memoryview
+        assert type(start.payload) is bytes
+        terms = attrgetter(*fragment._Slot.__slots__)
+        assert terms(fed._slot) == terms(stepped._slot)
+
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("case", SLOT_RULE_CASES)
     def test_slot_rule_through_every_entry_point(self, case, entry):
@@ -619,7 +654,7 @@ class TestStepAllAgainstStep:
         packets = data.draw(impaired_packets())
         cuts = data.draw(st.lists(st.integers(0, len(packets)), max_size=6))  # mid-frame too
         stepped, run = Reassembler(), Reassembler()
-        expected = [event.image for p in packets if (event := stepped.step(p)).__class__ is ImageComplete]
+        expected = step_each(stepped, packets)
         assert step_all_in_runs(run, packets, cuts) == expected
         assert run.stats() == stepped.stats()
 
@@ -640,6 +675,74 @@ class TestStepAllAgainstStep:
         out = Reassembler().step_all([packets[0], packets[2], packets[2], *packets[1:]])
         assert out == [make_image(3)]
         assert seen == [packets[0], packets[2], packets[2]]  # the START and the two duplicates
+
+
+def spied(run, packets: list) -> tuple:
+    """``run(rx, packets)`` on a fresh reassembler: its images, its final ``stats()``, and what
+    it showed each time ``step`` or ``_complete`` started, as ``(position of the packet, method)``
+    mapped to ``(stats(), the open slot's remaining count)``."""
+    rx, seen, at = Reassembler(), {}, [0]
+
+    def spy(name):
+        method = getattr(rx, name)
+
+        def spying(*args):
+            seen[at[0], name] = rx.stats(), rx._slot and rx._slot.remaining
+            return method(*args)
+        setattr(rx, name, spying)
+
+    spy("step")
+    spy("_complete")
+
+    def numbered():
+        for at[0], pkt in enumerate(packets):
+            yield pkt
+    return run(rx, numbered()), rx.stats(), seen
+
+
+class TestStepAllWriteBack:
+    """Within one ``step_all`` call the open slot's remaining count and the bytes stored
+    may live in locals, but they are whole before every ``step``, at each completion and
+    at return: whoever reads them there sees what stepping each packet in turn gives."""
+
+    def check(self, packets, run):
+        images, stats, seen = spied(run, packets)
+        ref_images, ref_stats, ref_seen = spied(step_each, packets)
+        assert images == ref_images
+        assert stats == ref_stats
+        assert {key: ref_seen[key] for key in seen} == seen
+        assert {key for key in seen if key[1] == "_complete"} == {
+            key for key in ref_seen if key[1] == "_complete"}
+
+    def test_a_frame_step_all_opens_and_step_finishes(self):
+        packets = image_packets(seq=3)  # a START and 6 fragments
+        self.check(packets, lambda rx, it: rx.step_all(itertools.islice(it, 4)) + step_each(rx, it))
+
+    def test_a_frame_step_all_opens_and_feed_finishes(self):
+        packets = image_packets(seq=3)
+        self.check(packets, lambda rx, it: rx.step_all(itertools.islice(it, 4))
+                   + [img for p in it if (img := rx.feed(p.to_bytes())) is not None])
+
+    def test_a_run_that_ends_mid_frame_resumes_in_the_next_call(self):
+        packets = image_packets(seq=3) + image_packets(seq=4)
+        self.check(packets, lambda rx, it: rx.step_all(itertools.islice(it, 4)) + rx.step_all(it))
+
+    def test_the_next_start_evicts_a_half_stored_frame(self):
+        first, second = image_packets(seq=3), image_packets(seq=4)
+        packets = [*first[:4], first[5], second[0], second[0], *second[1:]]  # and a duplicate START
+        self.check(packets, lambda rx, it: rx.step_all(it))
+
+    def test_a_run_that_raises_leaves_whole_counts(self):
+        packets = image_packets(seq=3)
+
+        def raising(rx, it):
+            def broken():
+                yield from itertools.islice(it, 4)
+                raise OSError("the source failed")
+            with pytest.raises(OSError):
+                rx.step_all(broken())
+            return step_each(rx, it)
+        self.check(packets, raising)
 
 
 class TestLossOutcomesAgainstOracle:

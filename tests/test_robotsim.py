@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import struct
@@ -73,6 +74,15 @@ class TestTestImage:
         img = gen_test_image(7, 32, 24)
         relabeled = Image(width=32, height=24, pixels=img.pixels, seq=8)
         assert image_ok(img) and not image_ok(relabeled)  # the CRC holds, the seq does not
+
+    @pytest.mark.parametrize("seq", [0, 255, 2**32 - 1])
+    def test_stamp_is_what_replace_gives(self, seq):
+        stamped, unstamped = gen_test_image(seq, 32, 24, 10**12 + seq), gen_test_image(seq, 32, 24)
+        assert unstamped.timestamp_us == 0
+        expected = dataclasses.replace(unstamped, timestamp_us=10**12 + seq)
+        for field in dataclasses.fields(Image):
+            got, want = getattr(stamped, field.name), getattr(expected, field.name)
+            assert type(got) is type(want) and got == want, field.name
 
     def test_spliced_frames_fail_crc(self):
         a = gen_test_image(1, 32, 24)

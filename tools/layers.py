@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Where a simulated frame's time goes, stage by stage.
+
+A QVGA frame at 1 % independent loss crosses the stages ``bench.run_scenario``
+runs: ``gen_test_image``, ``packetize_image``, ``StreamImpairer.push_all``,
+``Reassembler.step_all``, and ``image_ok`` on each delivered frame. The packets
+the impairer releases are then serialized (not timed) and fed, one datagram at
+a time, to a second reassembler's ``feed``, the bridge's receive path.
+
+Every round runs every stage on the same frames, so a host that drifts moves
+all stages alike. Each stage is reported as its median over the rounds, with
+the interquartile range: ``frame`` is the five ``run_scenario`` stages' time
+per frame sent, ``image_ok`` is per delivered frame and ``feed`` per datagram.
+The process prints the core count, then pins itself to one core. It imports
+nbpk from the ``src`` tree of the checkout it sits in, so a copy placed in
+another checkout measures that checkout's code.
+
+    python3 tools/layers.py                        # 21 rounds of 200 frames
+    python3 tools/layers.py --rounds 3 --frames 20 # a smoke run
+
+The last line printed is one JSON object with the same figures. The exit code
+is 1 if a delivered frame fails ``image_ok`` or ``feed`` and ``step_all``
+complete different frames.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nbpk.channel import ImpairmentConfig, StreamImpairer  # noqa: E402
+from nbpk.fragment import Reassembler, packetize_image  # noqa: E402
+from nbpk.robotsim import gen_test_image, image_ok  # noqa: E402
+
+WIDTH, HEIGHT, FRAG_PAYLOAD, LOSS_P = 320, 240, 1400, 0.01
+# each stage and what its time is divided by
+STAGES = {
+    "gen_test_image": "frame",
+    "packetize_image": "frame",
+    "push_all": "frame",
+    "step_all": "frame",
+    "image_ok": "delivered frame",
+    "frame": "frame",
+    "feed": "datagram",
+}
+
+
+def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassembler) -> dict:
+    """Microseconds per unit of each stage over ``frames``; a stage with no unit is left out."""
+    clock = time.perf_counter_ns
+    ns = dict.fromkeys(STAGES, 0)
+    counts = {"frame": len(frames), "delivered frame": 0, "datagram": 0}
+    for seq in frames:
+        t0 = clock()
+        img = gen_test_image(seq, WIDTH, HEIGHT)
+        t1 = clock()
+        packets = packetize_image(img, FRAG_PAYLOAD)
+        t2 = clock()
+        released = imp.push_all(packets)
+        t3 = clock()
+        images = rx.step_all(released)
+        t4 = clock()
+        ok = all(image_ok(image) for image in images)
+        t5 = clock()
+        datagrams = [p.to_bytes() for p in released]
+        t6 = clock()
+        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+        t7 = clock()
+        if not ok or fed_images != images:
+            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, or feed and step_all disagree")
+        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0, t7 - t6)):
+            ns[stage] += dt
+        counts["delivered frame"] += len(images)
+        counts["datagram"] += len(datagrams)
+    return {stage: ns[stage] / 1e3 / counts[per] for stage, per in STAGES.items() if counts[per]}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=21, help="rounds to take medians over")
+    parser.add_argument("--frames", type=int, default=200, help="frames per round")
+    parser.add_argument("--seed", type=int, default=3, help="the impairer's seed")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.frames < 1:
+        parser.error("--rounds and --frames must be at least 1")
+
+    print(f"cores: {os.cpu_count()}")
+    core = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {core})
+    print(f"pinned to core {core}; QVGA at {LOSS_P:.0%} loss, {args.rounds} rounds of {args.frames} frames")
+
+    imp, rx, fed = StreamImpairer(ImpairmentConfig(loss_p=LOSS_P), args.seed), Reassembler(), Reassembler()
+    run_round(range(args.frames), imp, rx, fed)  # warm-up: caches, allocator
+    rounds = [run_round(range(args.frames * k, args.frames * (k + 1)), imp, rx, fed)
+              for k in range(1, args.rounds + 1)]
+
+    rows = {}
+    for stage, per in STAGES.items():
+        values = [r[stage] for r in rounds if stage in r]
+        if not values:
+            sys.exit(f"layers: no round had a {per} for {stage}")
+        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                          else values * 3)
+        rows[stage] = {"unit": f"us per {per}", "median": round(median, 3), "q1": round(q1, 3),
+                       "q3": round(q3, 3), "rounds": len(values)}
+        print(f"{stage:16s} {median:9.2f} us  [{q1:.2f}, {q3:.2f}]  per {per}")
+    print(json.dumps({"cores": os.cpu_count(), "pinned_to": core, "rounds": args.rounds,
+                      "frames_per_round": args.frames, "seed": args.seed, "stages": rows}))
+
+
+if __name__ == "__main__":
+    main()
