@@ -27,9 +27,8 @@ packets1 = list(packetize_image(frame1, frag_payload=256))
 print(f"32x24 YUV422 = {len(frame0.pixels)} bytes -> "
       f"{len(packets0)} packets (1 START + {len(packets0) - 1} fragments)")
 for pkt in packets0[:3]:
-    h = pkt.header
-    print(f"  kind={h.kind.name:<8} frag {h.frag_index}/{h.frag_count} "
-          f"payload {h.payload_len} B")
+    print(f"  kind={pkt.kind.name:<8} frag {pkt.frag_index}/{pkt.frag_count} "
+          f"payload {pkt.payload_len} B")
 print("  ...")
 
 # The default 320x240 frame is the same story at scale:

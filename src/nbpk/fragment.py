@@ -30,7 +30,6 @@ from .wire import (
     Image,
     ImageStartMeta,
     Packet,
-    PacketHeader,
     PacketKind,
     SeqOrder,
     StreamId,
@@ -134,23 +133,20 @@ def packetize_image(img: Image, frag_payload: int = DEFAULT_FRAG_PAYLOAD) -> lis
     if len(data) == 0:
         raise ValueError("cannot packetize an empty image")
     meta_bytes, frag_count, lengths, slices = _layout(len(data), img.width, img.height, frag_payload)
-    start = _tuple_new(Packet, (_checked_header(_IMAGE, _START, img.seq, 0, frag_count, len(meta_bytes),
-                                                img.timestamp_us), meta_bytes))
+    stream, _, seq, _, _, _, timestamp_us = header = _checked_header(
+        _IMAGE, _START, img.seq, 0, frag_count, len(meta_bytes), img.timestamp_us)
     # The START passed every check its fragments need (seq, timestamp and
     # frag_count in range), and each fragment's index < frag_count and
     # length <= MAX_FRAG_PAYLOAD hold by construction: build them unchecked.
-    stream, _, seq, _, _, _, timestamp_us = start.header
-    headers = map(_tuple_new, repeat(PacketHeader), zip(
-        repeat(stream), repeat(PacketKind.FRAGMENT), repeat(seq), range(frag_count),
-        repeat(frag_count), lengths, repeat(timestamp_us)))
-    return [start, *map(_tuple_new, repeat(Packet), zip(headers, map(data.__getitem__, slices)))]
+    return [_tuple_new(Packet, (*header, meta_bytes)), *map(_tuple_new, repeat(Packet), zip(
+        repeat(stream), repeat(PacketKind.FRAGMENT), repeat(seq), range(frag_count), repeat(frag_count),
+        lengths, repeat(timestamp_us), map(data.__getitem__, slices)))]
 
 
 def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us: int) -> Packet:
     """Wrap a payload that fits one datagram into a SINGLE packet; ``Packet``
     rejects one that does not."""
-    return Packet(PacketHeader(stream_id, PacketKind.SINGLE, seq, payload_len=len(payload),
-                               timestamp_us=timestamp_us), bytes(payload))
+    return Packet((stream_id, PacketKind.SINGLE, seq, 0, 0, len(payload), timestamp_us), bytes(payload))
 
 
 class _Slot:
@@ -188,7 +184,7 @@ class Receiver:
         """The message ``datagram`` completes, or None; one that breaks the contract is malformed."""
         try:
             pkt = Packet.from_bytes(datagram)  # looked up per call, as is step: a tracer wraps them
-            if pkt.header[0] == self.stream and pkt.header[1] in self.kinds:
+            if pkt[0] == self.stream and pkt[1] in self.kinds:
                 return self._take(pkt)
         except WireError:
             pass
@@ -196,12 +192,11 @@ class Receiver:
         return None
 
     def _take(self, pkt: Packet) -> Any:
-        h = pkt.header
-        if not self._order.advance(h.seq):
+        if not self._order.advance(pkt.seq):
             return None
         self._stats.bytes_received += pkt.size
-        if h.stream_id == StreamId.MOTION:  # decode_* looked up per call, for a tracer to wrap
-            return decode_motion(pkt.payload, seq=h.seq, timestamp_us=h.timestamp_us)
+        if pkt.stream_id == StreamId.MOTION:  # decode_* looked up per call, for a tracer to wrap
+            return decode_motion(pkt.payload, seq=pkt.seq, timestamp_us=pkt.timestamp_us)
         return decode_request(pkt.payload)
 
 
@@ -246,10 +241,9 @@ class Reassembler(Receiver):
         stored = 0
         try:
             for pkt in packets:
-                h = pkt[0]
-                index = h[3]
-                if h[2] == seq and index < count and h[1] == _FRAGMENT:
-                    n = len(payload := pkt[1])
+                index = pkt[3]
+                if pkt[2] == seq and index < count and pkt[1] == _FRAGMENT:
+                    n = len(payload := pkt[7])
                     if want[index] == n:
                         want[index] = -1
                         chunks[index] = payload
@@ -283,14 +277,13 @@ class Reassembler(Receiver):
 
     def step(self, pkt: Packet) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
-        h, payload = pkt
-        n = len(payload)
+        n = len(payload := pkt[7])
         stats = self._stats
         stats.bytes_received += HEADER_SIZE + n
-        if h[1] != _FRAGMENT:
+        if pkt[1] != _FRAGMENT:
             # a SINGLE carries frag_count 0, which no START metadata announces
-            return self._on_start(h, payload)
-        seq, index = h[2], h[3]
+            return self._on_start(pkt)
+        seq, index = pkt[2], pkt[3]
         slot = self._slot
         if slot is not None and slot.seq == seq and index < slot.frag_count:
             wanted = slot.want[index]
@@ -305,29 +298,29 @@ class Reassembler(Receiver):
         stats.orphan_fragments += 1
         return Orphan(seq=seq, frag_index=index)
 
-    def _on_start(self, h: PacketHeader, payload: bytes) -> Optional[Event]:
+    def _on_start(self, pkt: Packet) -> Optional[Event]:
         try:
-            meta = _start_meta(bytes(payload))
+            meta = _start_meta(bytes(pkt.payload))
         except WireError:
             self._stats.orphan_fragments += 1
-            return Orphan(seq=h.seq)
-        if (meta.total_len == 0 or meta.frag_count != h.frag_count
+            return Orphan(seq=pkt.seq)
+        if (meta.total_len == 0 or meta.frag_count != pkt.frag_count
                 or not MIN_FRAG_PAYLOAD <= meta.frag_payload <= MAX_FRAG_PAYLOAD):
             self._stats.orphan_fragments += 1
-            return Orphan(seq=h.seq)
+            return Orphan(seq=pkt.seq)
 
         slot = self._slot
-        if slot is not None and slot.seq == h.seq:
+        if slot is not None and slot.seq == pkt.seq:
             self._stats.duplicate_fragments += 1
-            return Duplicate(seq=h.seq)
-        if not self._order.advance(h.seq):
-            return Orphan(seq=h.seq)
+            return Duplicate(seq=pkt.seq)
+        if not self._order.advance(pkt.seq):
+            return Orphan(seq=pkt.seq)
 
         evicted = None
         if slot is not None:
             evicted = Dropped(seq=slot.seq)
             self._stats.frames_dropped_preempted += 1
-        self._slot = _Slot(h.seq, meta, h.timestamp_us)
+        self._slot = _Slot(pkt.seq, meta, pkt.timestamp_us)
         return evicted
 
     def _complete(self, slot: _Slot) -> ImageComplete:

@@ -157,16 +157,16 @@ def _checked_header(stream_id, kind, seq, frag_index, frag_count, payload_len,
                                      timestamp_us))
 
 
-def _pack_header(h: PacketHeader) -> bytes:
-    """Wire form of a header that already passed ``_checked_header``."""
-    stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us = h
+def _pack(fields: tuple) -> bytes:
+    """Wire form of seven header fields that passed ``_checked_header``, then a payload."""
+    stream_id, kind, seq, frag_index, frag_count, payload_len, timestamp_us, payload = fields
     return _HEADER.pack(MAGIC, WIRE_VERSION, stream_id, kind, 0, seq, frag_index,
-                        frag_count, payload_len, timestamp_us)
+                        frag_count, payload_len, timestamp_us) + payload
 
 
 def encode_header(h: PacketHeader) -> bytes:
     """Serialize a header to its 26-byte wire form. Raises on invalid fields."""
-    return _pack_header(_checked_header(*h))
+    return _pack((*_checked_header(*h), b""))
 
 
 def decode_header(b: bytes) -> PacketHeader:
@@ -196,14 +196,14 @@ def _check_size(payload_len: int, datagram_len: int) -> None:
         )
 
 
-class Packet(namedtuple("Packet", "header payload")):
-    """One datagram: validated header plus its payload.
-
-    Every way to get a Packet checks it exactly once: the constructor and
-    :meth:`from_bytes` run the header validator and the size rule, and
-    ``fragment.packetize_image`` checks a frame's START and derives its
-    fragments from it. So :meth:`to_bytes` only packs. The payload of a
-    fragment or of a parsed datagram is a read-only view over immutable ``bytes``.
+class Packet(namedtuple("Packet", (*PacketHeader._fields, "payload"))):
+    """One datagram as one flat tuple: ``stream_id, kind, seq, frag_index, frag_count,
+    payload_len, timestamp_us, payload``, the first seven where a ``PacketHeader``'s sit;
+    :attr:`header` builds that header on demand. Every way to get a Packet checks it once:
+    the constructor (which ``_make``, ``_replace``, copy and pickle go through) and
+    :meth:`from_bytes` run the header validator and the size rule, and ``fragment.packetize_image``
+    checks a frame's START and derives its fragments from it. So :meth:`to_bytes` only packs.
+    A fragment's or a parsed datagram's payload is a read-only view over immutable ``bytes``.
     """
 
     __slots__ = ()
@@ -211,16 +211,25 @@ class Packet(namedtuple("Packet", "header payload")):
     def __new__(cls, header: PacketHeader, payload: bytes = b"") -> "Packet":
         header = _checked_header(*header)
         _check_size(header.payload_len, HEADER_SIZE + len(payload))
-        return _tuple_new(cls, (header, payload))
+        return _tuple_new(cls, (*header, payload))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    @classmethod
+    def _make(cls, fields) -> "Packet":  # so _replace checks too
+        *header, payload = fields
+        return cls(header, payload)
+
+    def __getnewargs__(self) -> tuple:  # so copy and pickle rebuild through __new__
+        return self[:7], self[7]
+
+    @property
+    def header(self) -> PacketHeader:
+        return _tuple_new(PacketHeader, self[:7])
 
     @property
     def size(self) -> int:
-        return HEADER_SIZE + len(self.payload)
+        return HEADER_SIZE + len(self[7])
 
-    def to_bytes(self) -> bytes:
-        return _pack_header(self.header) + self.payload
+    to_bytes = _pack
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "Packet":
@@ -231,14 +240,11 @@ class Packet(namedtuple("Packet", "header payload")):
         magic, version, stream, kind, flags, seq, index, count, size, ts = (
             _HEADER.unpack_from(b) if n >= HEADER_SIZE else _NO_HEADER)
         stream_, kind_ = _STREAM_IDS.get(stream), _KINDS.get(kind)
-        if (magic == MAGIC and version == WIRE_VERSION and flags == 0 and stream_ is not None
+        if not (magic == MAGIC and version == WIRE_VERSION and flags == 0 and stream_ is not None
                 and kind_ is not None and size == n - HEADER_SIZE and n <= UDP_MAX_DATAGRAM
                 and (index < count if kind == _FRAGMENT else index == 0 and (count > 0) == (kind == _START))):
-            header = _tuple_new(PacketHeader, (stream_, kind_, seq, index, count, size, ts))
-        else:
-            header = decode_header(b)
-            _check_size(header.payload_len, n)
-        return _tuple_new(cls, (header, memoryview(bytes(b))[HEADER_SIZE:]))
+            _check_size(decode_header(b).payload_len, n)
+        return _tuple_new(cls, (stream_, kind_, seq, index, count, size, ts, memoryview(bytes(b))[HEADER_SIZE:]))
 
 
 class SeqOrder:

@@ -151,9 +151,8 @@ def off_contract_datagrams() -> list[tuple[bytes, StreamId]]:
     # on the motion port is off-contract, as is a motion SINGLE sent to
     # the image port; images travel as START/FRAGMENT, so an image
     # SINGLE on the image port is off-contract too
-    motion_frame = [p._replace(header=p.header._replace(stream_id=StreamId.MOTION))
-                    for p in packetize_image(gen_test_image(0, 16, 8))]
-    assert [p.header.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
+    motion_frame = [p._replace(stream_id=StreamId.MOTION) for p in packetize_image(gen_test_image(0, 16, 8))]
+    assert [p.kind for p in motion_frame] == [PacketKind.START, PacketKind.FRAGMENT]
     motion_single = packetize_single(encode_motion(MotionReading.zero()), StreamId.MOTION,
                                      seq=0, timestamp_us=0)
     image_single = packetize_single(b"\x00" * 16, StreamId.IMAGE, seq=0, timestamp_us=0)

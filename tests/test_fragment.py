@@ -92,7 +92,7 @@ def slot_rule_case(case: str) -> tuple:
         "repeat-with-another-length": (
             [start, frags[5], fragment(5, 256), frags[0], fragment(0, 100), *frags[1:5]], 2, 0),
         "other-frag-count": (
-            [start, Packet(frags[2].header._replace(frag_count=7), frags[2].payload),
+            [start, frags[2]._replace(frag_count=7),
              *frags[:2], *frags[3:]], 0, 0),
     }[case]
     return packets, [] if case == "no-start" else [make_image(3, 32, 21)], orphans, duplicates
@@ -540,10 +540,10 @@ def step_feed(rx: Reassembler, datagram: bytes):
     """``Receiver.feed``'s path alone: ``Packet.from_bytes``, then ``step``; a
     datagram that fails to parse or is not the image stream's is malformed."""
     try:
-        h, _ = pkt = Packet.from_bytes(datagram)
+        pkt = Packet.from_bytes(datagram)
     except WireError:
         pkt = None
-    if pkt is None or h.stream_id != StreamId.IMAGE or h.kind == PacketKind.SINGLE:
+    if pkt is None or pkt.stream_id != StreamId.IMAGE or pkt.kind == PacketKind.SINGLE:
         rx._stats.malformed_packets += 1
         return None
     event = rx.step(pkt)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import as_f32, seq_order_reference, serial_lt
+from oracles import as_f32, decode_packet_reference, seq_order_reference, serial_lt
 
 from nbpk.wire import (
     HEADER_SIZE,
@@ -14,6 +16,7 @@ from nbpk.wire import (
     REQUEST_SIZE,
     RESTART_WINDOW,
     START_META_SIZE,
+    UDP_MAX_DATAGRAM,
     WIRE_VERSION,
     BadMagicError,
     BadVersionError,
@@ -23,6 +26,7 @@ from nbpk.wire import (
     MotionMode,
     MotionReading,
     MotionRequest,
+    Packet,
     PacketHeader,
     PacketKind,
     SeqOrder,
@@ -148,6 +152,60 @@ class TestHeader:
     def test_seq_range(self):
         with pytest.raises(InvariantError):
             encode_header(PacketHeader(StreamId.IMAGE, PacketKind.SINGLE, seq=2**32))
+
+
+#: Each way to copy a packet: ``copy``, ``deepcopy``, and pickle at every protocol.
+PACKET_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, **{
+    f"pickle{proto}": lambda p, proto=proto: pickle.loads(pickle.dumps(p, proto))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1)}}
+
+
+class TestPacket:
+    """``Packet`` is one flat tuple whose first seven fields are a header's."""
+
+    SINGLE = PacketHeader(StreamId.MOTION, PacketKind.SINGLE, seq=5, payload_len=3, timestamp_us=7)
+    START = PacketHeader(StreamId.IMAGE, PacketKind.START, seq=9, frag_count=4, payload_len=2)
+    FRAGMENT = PacketHeader(StreamId.IMAGE, PacketKind.FRAGMENT, seq=9, frag_index=2,
+                            frag_count=4, payload_len=2, timestamp_us=1)
+
+    @pytest.mark.parametrize("header", [SINGLE, START, FRAGMENT], ids=["single", "start", "fragment"])
+    @pytest.mark.parametrize("copier", list(PACKET_COPIES.values()), ids=list(PACKET_COPIES))
+    def test_copy_deepcopy_and_pickle_round_trip(self, header, copier):
+        pkt = Packet(header, b"\x01" * header.payload_len)
+        twin = copier(pkt)
+        assert type(twin) is Packet and twin == pkt and twin.header == header
+        assert type(twin.stream_id) is StreamId and type(twin.kind) is PacketKind
+
+    @pytest.mark.parametrize("field, value", [
+        ("stream_id", 9), ("kind", 3), ("seq", 2**32), ("frag_index", 4), ("frag_count", 2),
+        ("payload_len", 3), ("timestamp_us", -1), ("payload", b"\x01"),
+    ])
+    def test_replace_of_any_field_runs_the_validator(self, field, value):
+        pkt = Packet(self.FRAGMENT, b"ab")
+        with pytest.raises(InvariantError):
+            pkt._replace(**{field: value})
+
+    def test_replace_returns_a_checked_packet(self):
+        pkt = Packet(self.FRAGMENT, b"ab")._replace(stream_id=2, kind=1, frag_index=0)
+        assert pkt.stream_id is StreamId.MOTION and pkt.kind is PacketKind.START
+        assert Packet._make(pkt) == pkt
+        with pytest.raises(InvariantError):
+            Packet._make((*pkt[:7], b"abc"))  # payload_len 2 does not hold
+
+    @settings(max_examples=300)
+    @given(header_strategy(),
+           st.one_of(st.binary(max_size=64),
+                     st.integers(0, UDP_MAX_DATAGRAM - HEADER_SIZE).map(lambda n: b"\xa5" * n)))
+    def test_bytes_round_trip_field_by_field(self, h, payload):
+        pkt = Packet(h._replace(payload_len=len(payload)), payload)
+        datagram = pkt.to_bytes()
+        parsed = Packet.from_bytes(datagram)
+        for field in Packet._fields:
+            assert getattr(parsed, field) == getattr(pkt, field), field
+        assert type(parsed.stream_id) is StreamId and type(parsed.kind) is PacketKind
+        assert pkt.header == PacketHeader(*pkt[:7]) and type(pkt.header) is PacketHeader
+        assert decode_packet_reference(datagram) == (pkt.header, payload)
+        assert pkt.size == len(datagram) == HEADER_SIZE + len(payload)
 
 
 class TestStartMeta:

@@ -4,23 +4,27 @@
 A QVGA frame at 1 % independent loss crosses the stages ``bench.run_scenario``
 runs: ``gen_test_image``, ``packetize_image``, ``StreamImpairer.push_all``,
 ``Reassembler.step_all``, and ``image_ok`` on each delivered frame. The packets
-the impairer releases are then serialized (not timed) and fed, one datagram at
-a time, to a second reassembler's ``feed``, the bridge's receive path.
+the impairer releases then cross the datagram codec, ``Packet.to_bytes`` and
+``Packet.from_bytes``, and the datagrams are fed, one at a time, to a second
+reassembler's ``feed``, the bridge's receive path.
 
 Every round runs every stage on the same frames, so a host that drifts moves
 all stages alike. Each stage is reported as its median over the rounds, with
 the interquartile range: ``frame`` is the five ``run_scenario`` stages' time
-per frame sent, ``image_ok`` is per delivered frame and ``feed`` per datagram.
-The process prints the core count, then pins itself to one core. It imports
-nbpk from the ``src`` tree of the checkout it sits in, so a copy placed in
-another checkout measures that checkout's code.
+per frame sent, ``image_ok`` is per delivered frame, and ``to_bytes``,
+``from_bytes`` and ``feed`` are per datagram. ``minor_faults`` is the
+process's minor page faults (``ru_minflt``) in the five ``run_scenario``
+stages, per frame sent. The process prints the core count, then pins itself to one core. It
+imports nbpk from the ``src`` tree of the checkout it sits in, so a copy
+placed in another checkout measures that checkout's code.
 
     python3 tools/layers.py                        # 21 rounds of 200 frames
     python3 tools/layers.py --rounds 3 --frames 20 # a smoke run
 
 The last line printed is one JSON object with the same figures. The exit code
-is 1 if a delivered frame fails ``image_ok`` or ``feed`` and ``step_all``
-complete different frames.
+is 1 if a delivered frame fails ``image_ok``, ``from_bytes`` does not give back
+the packets ``to_bytes`` took, or ``feed`` and ``step_all`` complete different
+frames.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from resource import RUSAGE_SELF, getrusage
 import statistics
 import sys
 import time
@@ -38,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nbpk.channel import ImpairmentConfig, StreamImpairer  # noqa: E402
 from nbpk.fragment import Reassembler, packetize_image  # noqa: E402
 from nbpk.robotsim import gen_test_image, image_ok  # noqa: E402
+from nbpk.wire import Packet  # noqa: E402
 
 WIDTH, HEIGHT, FRAG_PAYLOAD, LOSS_P = 320, 240, 1400, 0.01
 # each stage and what its time is divided by
@@ -48,16 +54,26 @@ STAGES = {
     "step_all": "frame",
     "image_ok": "delivered frame",
     "frame": "frame",
+    "to_bytes": "datagram",
+    "from_bytes": "datagram",
     "feed": "datagram",
 }
 
 
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
 def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassembler) -> dict:
-    """Microseconds per unit of each stage over ``frames``; a stage with no unit is left out."""
+    """Microseconds per unit of each stage over ``frames``, and the minor page faults
+    per frame; a stage with no unit is left out."""
     clock = time.perf_counter_ns
     ns = dict.fromkeys(STAGES, 0)
     counts = {"frame": len(frames), "delivered frame": 0, "datagram": 0}
+    faults = 0
     for seq in frames:
+        f0 = getrusage(RUSAGE_SELF).ru_minflt
         t0 = clock()
         img = gen_test_image(seq, WIDTH, HEIGHT)
         t1 = clock()
@@ -69,17 +85,25 @@ def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassemb
         t4 = clock()
         ok = all(image_ok(image) for image in images)
         t5 = clock()
-        datagrams = [p.to_bytes() for p in released]
+        faults += getrusage(RUSAGE_SELF).ru_minflt - f0
         t6 = clock()
-        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+        datagrams = [p.to_bytes() for p in released]
         t7 = clock()
-        if not ok or fed_images != images:
-            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, or feed and step_all disagree")
-        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0, t7 - t6)):
+        parsed = [Packet.from_bytes(d) for d in datagrams]
+        t8 = clock()
+        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+        t9 = clock()
+        if not ok or parsed != released or fed_images != images:
+            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, from_bytes did not give "
+                     "back the packets, or feed and step_all disagree")
+        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0, t7 - t6,
+                                      t8 - t7, t9 - t8)):
             ns[stage] += dt
         counts["delivered frame"] += len(images)
         counts["datagram"] += len(datagrams)
-    return {stage: ns[stage] / 1e3 / counts[per] for stage, per in STAGES.items() if counts[per]}
+    us = {stage: ns[stage] / 1e3 / counts[per] for stage, per in STAGES.items() if counts[per]}
+    us["minor_faults"] = faults / len(frames)
+    return us
 
 
 def main(argv=None) -> None:
@@ -106,13 +130,14 @@ def main(argv=None) -> None:
         values = [r[stage] for r in rounds if stage in r]
         if not values:
             sys.exit(f"layers: no round had a {per} for {stage}")
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
-                          else values * 3)
-        rows[stage] = {"unit": f"us per {per}", "median": round(median, 3), "q1": round(q1, 3),
-                       "q3": round(q3, 3), "rounds": len(values)}
-        print(f"{stage:16s} {median:9.2f} us  [{q1:.2f}, {q3:.2f}]  per {per}")
+        rows[stage] = {"unit": f"us per {per}", **quartiles(values), "rounds": len(values)}
+        print(f"{stage:16s} {rows[stage]['median']:9.2f} us  [{rows[stage]['q1']:.2f}, "
+              f"{rows[stage]['q3']:.2f}]  per {per}")
+    faults = {"unit": "minor page faults per frame", **quartiles([r["minor_faults"] for r in rounds])}
+    print(f"{'minor_faults':16s} {faults['median']:9.2f}     [{faults['q1']:.2f}, {faults['q3']:.2f}]  per frame")
     print(json.dumps({"cores": os.cpu_count(), "pinned_to": core, "rounds": args.rounds,
-                      "frames_per_round": args.frames, "seed": args.seed, "stages": rows}))
+                      "frames_per_round": args.frames, "seed": args.seed, "stages": rows,
+                      "minor_faults": faults}))
 
 
 if __name__ == "__main__":
