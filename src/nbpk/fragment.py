@@ -4,10 +4,11 @@ Large frames travel as one START packet announcing the frame geometry followed
 by FRAGMENT packets carrying pixel slices. A reassembler serves one image stream
 and keeps at most one frame buffer. A START that advances the stream's seq order
 (``wire.SeqOrder``) drops an incomplete older frame on the spot; one that does
-not is a stale orphan. The open frame's place table (``_Slot.want``) is the slot
-rule's one home: a fragment that fits an empty place is stored in the loop over its
-datagram (``feed``) or its run of packets (``step_all``), or by ``step``, which also
-tells a duplicate (a repeat of a stored place) from an orphan (anything else). Readings
+not is a stale orphan. The open frame's place table (``_Slot.places``) is the slot
+rule's one home: an empty place holds the payload length it wants, a filled one the
+payload. A fragment that fits an empty place is stored in the loop over its datagram
+(``feed``) or its run of packets (``step_all``), or by ``step``, which also tells a
+duplicate (a repeat of a stored place) from an orphan (anything else). Readings
 and commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
 """
 
@@ -44,9 +45,10 @@ MIN_FRAG_PAYLOAD = 256
 MAX_FRAG_PAYLOAD = 65000
 
 _START, _FRAGMENT, _IMAGE = PacketKind.START.value, PacketKind.FRAGMENT.value, StreamId.IMAGE.value
+_FRAGMENT_KIND = PacketKind.FRAGMENT  # every Packet's kind is a member: tested by identity
 _tuple_new = tuple.__new__  # builds a Packet or header with no checks
-_slot_terms = attrgetter("seq", "frag_count", "want", "chunks", "remaining")
-_NO_SLOT = (-1, 0, None, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
+_slot_terms = attrgetter("seq", "frag_count", "places", "remaining")
+_NO_SLOT = (-1, 0, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
 # keyed on bytes, as a writable buffer has no hash; the result is frozen, and an error is not cached
 _start_meta = lru_cache(maxsize=4)(decode_start_meta)
 
@@ -150,19 +152,19 @@ def packetize_single(payload: bytes, stream_id: StreamId, seq: int, timestamp_us
 
 
 class _Slot:
-    """One in-flight frame. ``want[i]`` is the payload length place ``i`` takes while it is
-    empty and -1 once ``chunks[i]`` holds it, uncopied: the slot rule's one table."""
+    """One in-flight frame. ``places[i]`` is the payload length place ``i`` takes (an int) while
+    it is empty, and the fragment's payload, uncopied, once it is filled: the slot rule's one
+    table. No payload equals an int, so a filled place never fits again."""
 
-    __slots__ = ("seq", "meta", "frag_count", "want", "chunks", "remaining", "timestamp_us")
+    __slots__ = ("seq", "meta", "frag_count", "places", "remaining", "timestamp_us")
 
     def __init__(self, seq: int, meta: ImageStartMeta, timestamp_us: int):
         self.seq = seq
         self.meta = meta
         self.frag_count = self.remaining = count = meta.frag_count
         # every fragment but the last carries frag_payload bytes
-        self.want = [meta.frag_payload] * count
-        self.want[-1] = meta.total_len - (count - 1) * meta.frag_payload
-        self.chunks = [None] * count
+        self.places = [meta.frag_payload] * count
+        self.places[-1] = meta.total_len - (count - 1) * meta.frag_payload
         self.timestamp_us = timestamp_us
 
 
@@ -217,44 +219,41 @@ class Reassembler(Receiver):
 
     def feed(self, datagram: bytes) -> Optional[Image]:
         """The image ``datagram`` completes, or None. A FRAGMENT that passes ``from_bytes``'s
-        rule and fits an empty place of ``_Slot.want`` costs one ``unpack_from``; every other
+        rule and fits an empty place of ``_Slot.places`` costs one ``unpack_from``; every other
         datagram (a START, orphan, duplicate, malformed one) goes through ``Receiver.feed`` to ``step``."""
         slot, n = self._slot, len(datagram)
         if slot is not None and HEADER_SIZE <= n <= UDP_MAX_DATAGRAM:
             magic, version, stream, kind, flags, seq, index, count, size, _ = _HEADER.unpack_from(datagram)
             if (seq == slot.seq and index < count and index < slot.frag_count and size == n - HEADER_SIZE
-                    and slot.want[index] == size and kind == _FRAGMENT and stream == _IMAGE
+                    and slot.places[index] == size and kind == _FRAGMENT and stream == _IMAGE
                     and magic == MAGIC and version == WIRE_VERSION and flags == 0):
-                slot.want[index] = -1
-                slot.chunks[index] = memoryview(bytes(datagram))[HEADER_SIZE:]
+                slot.places[index] = memoryview(bytes(datagram))[HEADER_SIZE:]
                 self._stats.bytes_received += n
                 slot.remaining -= 1
-                return None if slot.remaining else self._complete(slot).image
+                return None if slot.remaining else self._complete(slot)
         return super().feed(datagram)
 
     def step_all(self, packets: Iterable[Packet]) -> list[Image]:
         """What stepping each packet in turn completes, and counts; a fitting fragment is stored here.
         Within one call the open slot's remaining count and the bytes stored live in locals; they
-        are whole before every ``step``, at each completion and at return (``try``/``finally``)."""
+        are whole before every ``step``, at each completion and at return (``try``/``finally``).
+        A packet is unpacked once; its ``payload_len`` is its payload's length, as ``Packet`` checks."""
         images, stats, slot, step = [], self._stats, self._slot, self.step  # per call, for a tracer
-        seq, count, want, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
-        stored = 0
+        seq, count, places, left = _slot_terms(slot) if slot else _NO_SLOT
+        stored, fragment = 0, _FRAGMENT_KIND
         try:
             for pkt in packets:
-                index = pkt[3]
-                if pkt[2] == seq and index < count and pkt[1] == _FRAGMENT:
-                    n = len(payload := pkt[7])
-                    if want[index] == n:
-                        want[index] = -1
-                        chunks[index] = payload
-                        stored += HEADER_SIZE + n
-                        left -= 1
-                        if not left:
-                            stats.bytes_received += stored
-                            slot.remaining = stored = 0
-                            images.append(self._complete(slot).image)
-                            slot, seq = None, -1
-                        continue
+                _, kind, s, index, _, n, _, payload = pkt
+                if s == seq and index < count and kind is fragment and places[index] == n:
+                    places[index] = payload
+                    stored += HEADER_SIZE + n
+                    left -= 1
+                    if not left:
+                        stats.bytes_received += stored
+                        slot.remaining = stored = 0
+                        images.append(self._complete(slot))
+                        slot, seq = None, -1
+                    continue
                 if slot is not None:
                     slot.remaining = left
                 stats.bytes_received += stored
@@ -264,7 +263,7 @@ class Reassembler(Receiver):
                     images.append(event.image)
                 if self._slot is not slot:  # step opened a slot; it stores nothing in an open one
                     slot = self._slot
-                    seq, count, want, chunks, left = _slot_terms(slot) if slot else _NO_SLOT
+                    seq, count, places, left = _slot_terms(slot) if slot else _NO_SLOT
         finally:
             if slot is not None:
                 slot.remaining = left
@@ -277,22 +276,21 @@ class Reassembler(Receiver):
 
     def step(self, pkt: Packet) -> Optional[Event]:
         """Consume one packet and report what it completed, dropped or was."""
-        n = len(payload := pkt[7])
+        _, kind, seq, index, _, n, _, payload = pkt
         stats = self._stats
         stats.bytes_received += HEADER_SIZE + n
-        if pkt[1] != _FRAGMENT:
+        if kind is not _FRAGMENT_KIND:
             # a SINGLE carries frag_count 0, which no START metadata announces
             return self._on_start(pkt)
-        seq, index = pkt[2], pkt[3]
         slot = self._slot
         if slot is not None and slot.seq == seq and index < slot.frag_count:
-            wanted = slot.want[index]
-            if wanted == n:
-                slot.want[index] = -1
-                slot.chunks[index] = payload
+            places = slot.places
+            place = places[index]
+            if place == n:
+                places[index] = payload
                 slot.remaining -= 1
-                return None if slot.remaining else self._complete(slot)
-            if wanted < 0 and len(slot.chunks[index]) == n:
+                return None if slot.remaining else ImageComplete(self._complete(slot))
+            if place.__class__ is not int and len(place) == n:  # a filled place: a repeat
                 stats.duplicate_fragments += 1
                 return Duplicate(seq=seq, frag_index=index)
         stats.orphan_fragments += 1
@@ -323,9 +321,8 @@ class Reassembler(Receiver):
         self._slot = _Slot(pkt.seq, meta, pkt.timestamp_us)
         return evicted
 
-    def _complete(self, slot: _Slot) -> ImageComplete:
+    def _complete(self, slot: _Slot) -> Image:
         self._slot = None
         self._stats.frames_complete += 1
         meta = slot.meta
-        return ImageComplete(image=Image(meta.width, meta.height, b"".join(slot.chunks), slot.seq,
-                                         slot.timestamp_us))
+        return Image(meta.width, meta.height, b"".join(slot.places), slot.seq, slot.timestamp_us)

@@ -186,17 +186,20 @@ class TestStreamImpairer:
                                    reorder_depth=3)
             assert impair(cfg, seed, items, chunks) == impair_reference(cfg, seed, items), (cfg, seed)
 
-    # Item 200, in the second block, gets a chosen draw: u = 0 lies below 5e-324, and
-    # u = 1 - 2**-53 does not lie below itself. The next draw in u decides the other way.
+    # Item i, the first or last lane of a block, gets a chosen draw: u = 0 lies below 5e-324, and
+    # u = 1 - 2**-53 does not lie below itself. The next draw in u decides the other way, and a
+    # draw on the limit ceil(p * 2**53) << 11 is no outcome while the draw one below it is.
     @settings(max_examples=10)
     @given(chunks=CHUNKING)
     @pytest.mark.parametrize("p, draw, fires", [
         (5e-324, 0, True), (5e-324, 2**11 - 1, True), (5e-324, 2**11, False),
         (1 - 2**-53, MASK64, False), (1 - 2**-53, MASK64 - 2**11, True),
+        *[(0.3, (math.ceil(0.3 * 2**53) << 11) + d, d < 0) for d in (-1, 0, 1)],
     ])
+    @pytest.mark.parametrize("i", [0, LANES - 1, LANES, 200])
     @pytest.mark.parametrize("name", ["loss_p", "dup_p", "reorder_p"])
-    def test_edge_probabilities_decide_by_the_top_53_bits(self, name, p, draw, fires, chunks):
-        i, k = 200, 3 * 200 + ("loss_p", "dup_p", "reorder_p").index(name) + 1
+    def test_edge_probabilities_decide_by_the_top_53_bits(self, name, i, p, draw, fires, chunks):
+        k = 3 * i + ("loss_p", "dup_p", "reorder_p").index(name) + 1
         cfg, seed = ImpairmentConfig(**{name: p}, reorder_depth=2), splitmix64_seed_for(draw, k)
         assert ((splitmix64_sequence(seed, k)[-1] >> 11) * 2.0**-53 < p) == fires
         items = list(range(i + 3))

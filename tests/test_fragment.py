@@ -71,7 +71,8 @@ def reassemble_through(entry: str, packets: list) -> tuple:
 
 
 SLOT_RULE_CASES = ["wrong-length", "index-out-of-range", "no-start", "duplicate",
-                   "last-at-full-length", "repeat-with-another-length", "other-frag-count"]
+                   "last-at-full-length", "repeat-with-another-length", "other-frag-count",
+                   "filled-by-bytes", "filled-by-bytearray"]
 
 
 def slot_rule_case(case: str) -> tuple:
@@ -82,6 +83,12 @@ def slot_rule_case(case: str) -> tuple:
     def fragment(index, size, count=6):
         return Packet(PacketHeader(StreamId.IMAGE, PacketKind.FRAGMENT, seq=3, frag_index=index,
                                    frag_count=count, payload_len=size), bytes(size))
+
+    def refilled(payload_type):
+        """Place 0 filled by a payload of ``payload_type`` (packetize_image's are views), then
+        repeated: at its length, twice, and at another; a filled place never fits again."""
+        first, *rest = (Packet(f.header, payload_type(f.payload)) for f in frags)
+        return [start, first, first, fragment(0, 256), fragment(0, 100), *rest], 1, 2
 
     packets, orphans, duplicates = {
         "wrong-length": ([start, fragment(1, 100), *frags], 1, 0),
@@ -94,6 +101,8 @@ def slot_rule_case(case: str) -> tuple:
         "other-frag-count": (
             [start, frags[2]._replace(frag_count=7),
              *frags[:2], *frags[3:]], 0, 0),
+        "filled-by-bytes": refilled(bytes),
+        "filled-by-bytearray": refilled(bytearray),
     }[case]
     return packets, [] if case == "no-start" else [make_image(3, 32, 21)], orphans, duplicates
 

@@ -4,15 +4,18 @@
 A QVGA frame at 1 % independent loss crosses the stages ``bench.run_scenario``
 runs: ``gen_test_image``, ``packetize_image``, ``StreamImpairer.push_all``,
 ``Reassembler.step_all``, and ``image_ok`` on each delivered frame. The packets
-the impairer releases then cross the datagram codec, ``Packet.to_bytes`` and
-``Packet.from_bytes``, and the datagrams are fed, one at a time, to a second
-reassembler's ``feed``, the bridge's receive path.
+the impairer releases then cross the header codec (``encode_header``, then
+``decode_header``, on each one's header; no workload runs it per datagram, as
+``from_bytes`` has its own test) and the datagram codec, ``Packet.to_bytes``
+and ``Packet.from_bytes``, and the datagrams are fed, one at a time, to a second
+reassembler's ``feed``, the bridge's receive path. A frame's buffers are dropped
+before the next frame starts, as ``run_scenario`` drops them.
 
 Every round runs every stage on the same frames, so a host that drifts moves
 all stages alike. Each stage is reported as its median over the rounds, with
 the interquartile range: ``frame`` is the five ``run_scenario`` stages' time
-per frame sent, ``image_ok`` is per delivered frame, and ``to_bytes``,
-``from_bytes`` and ``feed`` are per datagram. ``minor_faults`` is the
+per frame sent, ``image_ok`` is per delivered frame, and ``header_codec``,
+``to_bytes``, ``from_bytes`` and ``feed`` are per datagram. ``minor_faults`` is the
 process's minor page faults (``ru_minflt``) in the five ``run_scenario``
 stages, per frame sent. The process prints the core count, then pins itself to one core. It
 imports nbpk from the ``src`` tree of the checkout it sits in, so a copy
@@ -22,8 +25,8 @@ placed in another checkout measures that checkout's code.
     python3 tools/layers.py --rounds 3 --frames 20 # a smoke run
 
 The last line printed is one JSON object with the same figures. The exit code
-is 1 if a delivered frame fails ``image_ok``, ``from_bytes`` does not give back
-the packets ``to_bytes`` took, or ``feed`` and ``step_all`` complete different
+is 1 if a delivered frame fails ``image_ok``, the header codec or ``from_bytes``
+does not give back what it took, or ``feed`` and ``step_all`` complete different
 frames.
 """
 
@@ -43,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nbpk.channel import ImpairmentConfig, StreamImpairer  # noqa: E402
 from nbpk.fragment import Reassembler, packetize_image  # noqa: E402
 from nbpk.robotsim import gen_test_image, image_ok  # noqa: E402
-from nbpk.wire import Packet  # noqa: E402
+from nbpk.wire import Packet, decode_header, encode_header  # noqa: E402
 
 WIDTH, HEIGHT, FRAG_PAYLOAD, LOSS_P = 320, 240, 1400, 0.01
 # each stage and what its time is divided by
@@ -54,6 +57,7 @@ STAGES = {
     "step_all": "frame",
     "image_ok": "delivered frame",
     "frame": "frame",
+    "header_codec": "datagram",
     "to_bytes": "datagram",
     "from_bytes": "datagram",
     "feed": "datagram",
@@ -86,21 +90,26 @@ def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassemb
         ok = all(image_ok(image) for image in images)
         t5 = clock()
         faults += getrusage(RUSAGE_SELF).ru_minflt - f0
+        headers = [p.header for p in released]
         t6 = clock()
-        datagrams = [p.to_bytes() for p in released]
+        decoded = [decode_header(encode_header(h)) for h in headers]
         t7 = clock()
-        parsed = [Packet.from_bytes(d) for d in datagrams]
+        datagrams = [p.to_bytes() for p in released]
         t8 = clock()
-        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+        parsed = [Packet.from_bytes(d) for d in datagrams]
         t9 = clock()
-        if not ok or parsed != released or fed_images != images:
-            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, from_bytes did not give "
-                     "back the packets, or feed and step_all disagree")
+        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+        t10 = clock()
+        if not ok or decoded != headers or parsed != released or fed_images != images:
+            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, the header codec or "
+                     "from_bytes did not give back what it took, or feed and step_all disagree")
         for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0, t7 - t6,
-                                      t8 - t7, t9 - t8)):
+                                      t8 - t7, t9 - t8, t10 - t9)):
             ns[stage] += dt
         counts["delivered frame"] += len(images)
         counts["datagram"] += len(datagrams)
+        # before the next frame's gen_test_image and feed allocate theirs
+        del img, packets, released, images, headers, decoded, datagrams, parsed, fed_images
     us = {stage: ns[stage] / 1e3 / counts[per] for stage, per in STAGES.items() if counts[per]}
     us["minor_faults"] = faults / len(frames)
     return us
