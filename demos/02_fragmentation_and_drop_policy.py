@@ -7,17 +7,25 @@ fragments. The receiver keeps exactly one frame in flight per stream:
 when the next frame's START arrives before the previous frame finished,
 the old frame is dropped on the spot. Freshness beats completeness. A
 late START, for a frame older than the newest one seen, is stale: it
-drops nothing.
+drops nothing. A step returns the frame it completes, or None; every other
+outcome shows only in the reassembler's counters, printed here as the
+change one packet makes to them.
 """
 
-from nbpk.fragment import (
-    Dropped,
-    ImageComplete,
-    Orphan,
-    Reassembler,
-    packetize_image,
-)
+from dataclasses import asdict
+
+from nbpk.fragment import Reassembler, packetize_image
 from nbpk.robotsim import gen_test_image
+
+
+def step_counted(rx, pkt):
+    """The image ``pkt`` completes, or None, and the counters it moved (all but bytes)."""
+    before = asdict(rx.stats())
+    image = rx.step(pkt)
+    after = asdict(rx.stats())
+    return image, {name: after[name] - n for name, n in before.items()
+                   if after[name] != n and name != "bytes_received"}
+
 
 frame0 = gen_test_image(0, width=32, height=24)
 frame1 = gen_test_image(1, width=32, height=24)
@@ -39,39 +47,40 @@ rx = Reassembler()
 
 print("== Happy path ==")
 for pkt in packets0:
-    event = rx.step(pkt)
-assert isinstance(event, ImageComplete)
-print(f"frame {event.image.seq} complete, {len(event.image.pixels)} bytes, "
-      f"pixels identical: {event.image.pixels == frame0.pixels}\n")
+    image = rx.step(pkt)
+assert image == frame0
+print(f"frame {image.seq} complete, {len(image.pixels)} bytes, "
+      f"pixels identical: {image.pixels == frame0.pixels}\n")
 
 print("== Preemptive drop ==")
 for pkt in packets1[:-1]:          # frame 1 arrives... almost
     rx.step(pkt)
 frame2 = gen_test_image(2, width=32, height=24)
 packets2 = list(packetize_image(frame2, frag_payload=256))
-event = rx.step(packets2[0])       # frame 2's START preempts it
-print(f"START of frame 2 while frame 1 is incomplete -> {event}")
-assert isinstance(event, Dropped) and event.seq == 1
+image, moved = step_counted(rx, packets2[0])  # frame 2's START preempts it
+print(f"START of frame 2 while frame 1 is incomplete -> {moved}")
+assert image is None and moved == {"frames_dropped_preempted": 1}
 for pkt in packets2[1:]:
-    event = rx.step(pkt)
-print(f"frame 2 then completes normally: {isinstance(event, ImageComplete)}\n")
+    image = rx.step(pkt)
+print(f"frame 2 then completes normally: {image == frame2}\n")
+assert image == frame2
 
 print("== A late START is stale ==")
 frame3 = gen_test_image(3, width=32, height=24)
 packets3 = list(packetize_image(frame3, frag_payload=256))
 rx.step(packets3[0])               # frame 3 is in flight...
-event = rx.step(packets1[0])       # ...when frame 1's START turns up late
-print(f"START of frame 1 while frame 3 is in flight -> {event}")
-assert event == Orphan(seq=1)
+image, moved = step_counted(rx, packets1[0])  # ...when frame 1's START turns up late
+print(f"START of frame 1 while frame 3 is in flight -> {moved}")
+assert image is None and moved == {"frames_stale": 1}
 for pkt in packets3[1:]:
-    event = rx.step(pkt)
-print(f"frame 3 still completes: {isinstance(event, ImageComplete)}\n")
+    image = rx.step(pkt)
+print(f"frame 3 still completes: {image == frame3}\n")
+assert image == frame3
 
 print("== Fragments with nowhere to go ==")
-late = packets1[3]
-event = rx.step(late)
-print(f"stray fragment of the dropped frame -> {event}")
-assert isinstance(event, Orphan)
+image, moved = step_counted(rx, packets1[3])
+print(f"stray fragment of the dropped frame -> {moved}")
+assert image is None and moved == {"orphan_fragments": 1}
 
 stats = rx.stats()
 print(f"\nbooks: {stats.frames_complete} complete, "

@@ -2,14 +2,17 @@
 
 Large frames travel as one START packet announcing the frame geometry followed
 by FRAGMENT packets carrying pixel slices. A reassembler serves one image stream
-and keeps at most one frame buffer. A START that advances the stream's seq order
-(``wire.SeqOrder``) drops an incomplete older frame on the spot; one that does
-not is a stale orphan. The open frame's place table (``_Slot.places``) is the slot
-rule's one home: an empty place holds the payload length it wants, a filled one the
-payload. A fragment that fits an empty place is stored in the loop over its datagram
-(``feed``) or its run of packets (``step_all``), or by ``step``, which also tells a
-duplicate (a repeat of a stored place) from an orphan (anything else). Readings
-and commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
+and keeps at most one frame buffer. Its entry points return the images they
+complete; every other outcome is only a count in ``StreamStats``. A START that
+advances the stream's seq order (``wire.SeqOrder``) drops an incomplete older
+frame on the spot (``frames_dropped_preempted``); one that does not is stale
+(``frames_stale``) and drops nothing. The open frame's place table
+(``_Slot.places``) is the slot rule's one home: an empty place holds the payload
+length it wants, a filled one the payload. A fragment that fits an empty place is
+stored in the loop over its datagram (``feed``) or its run of packets
+(``step_all``), or by ``step``, which counts a repeat of a stored place in
+``duplicate_fragments`` and anything else in ``orphan_fragments``. Readings and
+commands fit one SINGLE datagram each, which a ``Receiver`` orders and decodes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from .wire import (
     _HEADER,
@@ -51,37 +54,6 @@ _slot_terms = attrgetter("seq", "frag_count", "places", "remaining")
 _NO_SLOT = (-1, 0, None, 0)  # the terms when no frame is open: no seq is -1, so nothing fits
 # keyed on bytes, as a writable buffer has no hash; the result is frozen, and an error is not cached
 _start_meta = lru_cache(maxsize=4)(decode_start_meta)
-
-
-# --- events returned by Reassembler.step (None means "nothing happened") ---
-
-@dataclass(frozen=True)
-class ImageComplete:
-    image: Image
-
-
-@dataclass(frozen=True)
-class Dropped:
-    """An incomplete frame was evicted: the next frame's START preempted it."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
-class Orphan:
-    """Packet (a stale START too) could not be attached to any in-flight frame and was discarded."""
-
-    seq: int
-    frag_index: int = 0
-
-
-@dataclass(frozen=True)
-class Duplicate:
-    seq: int
-    frag_index: int = 0
-
-
-Event = Union[ImageComplete, Dropped, Orphan, Duplicate]
 
 
 @dataclass
@@ -207,10 +179,12 @@ class Reassembler(Receiver):
 
     One instance per receive loop. The frame in flight is kept in one slot,
     opened only by a START that advances the seq order, so frames complete
-    in seq order. The one eviction is preemption by the next frame's START;
-    the reassembler keeps no clock, so its output is a pure function of the
-    packets fed to it. :meth:`step` takes validated packets (every ``Packet``
-    is); :meth:`feed` and :meth:`step_all` store a fitting fragment themselves.
+    in seq order. The one eviction is preemption by the next frame's START.
+    Each entry point returns what it completes, and ``stats()`` is the only
+    record of every other outcome. The reassembler keeps no clock, so both are
+    a pure function of the packets fed to it. :meth:`step` takes validated
+    packets (every ``Packet`` is); :meth:`feed` and :meth:`step_all` store a
+    fitting fragment themselves.
     """
 
     def __init__(self):
@@ -258,9 +232,9 @@ class Reassembler(Receiver):
                     slot.remaining = left
                 stats.bytes_received += stored
                 stored = 0
-                event = step(pkt)
-                if event.__class__ is ImageComplete:
-                    images.append(event.image)
+                image = step(pkt)
+                if image is not None:
+                    images.append(image)
                 if self._slot is not slot:  # step opened a slot; it stores nothing in an open one
                     slot = self._slot
                     seq, count, places, left = _slot_terms(slot) if slot else _NO_SLOT
@@ -271,17 +245,18 @@ class Reassembler(Receiver):
         return images
 
     def _take(self, pkt: Packet) -> Optional[Image]:
-        event = self.step(pkt)
-        return event.image if event.__class__ is ImageComplete else None
+        return self.step(pkt)
 
-    def step(self, pkt: Packet) -> Optional[Event]:
-        """Consume one packet and report what it completed, dropped or was."""
+    def step(self, pkt: Packet) -> Optional[Image]:
+        """Consume one packet: the image it completes, or None. Every other outcome is a
+        count in ``stats()``: an orphan or a duplicate, a preempted frame, a stale START."""
         _, kind, seq, index, _, n, _, payload = pkt
         stats = self._stats
         stats.bytes_received += HEADER_SIZE + n
         if kind is not _FRAGMENT_KIND:
             # a SINGLE carries frag_count 0, which no START metadata announces
-            return self._on_start(pkt)
+            self._on_start(pkt)
+            return None
         slot = self._slot
         if slot is not None and slot.seq == seq and index < slot.frag_count:
             places = slot.places
@@ -289,37 +264,28 @@ class Reassembler(Receiver):
             if place == n:
                 places[index] = payload
                 slot.remaining -= 1
-                return None if slot.remaining else ImageComplete(self._complete(slot))
+                return None if slot.remaining else self._complete(slot)
             if place.__class__ is not int and len(place) == n:  # a filled place: a repeat
                 stats.duplicate_fragments += 1
-                return Duplicate(seq=seq, frag_index=index)
+                return None
         stats.orphan_fragments += 1
-        return Orphan(seq=seq, frag_index=index)
+        return None
 
-    def _on_start(self, pkt: Packet) -> Optional[Event]:
+    def _on_start(self, pkt: Packet) -> None:
+        stats, slot = self._stats, self._slot
         try:
             meta = _start_meta(bytes(pkt.payload))
         except WireError:
-            self._stats.orphan_fragments += 1
-            return Orphan(seq=pkt.seq)
-        if (meta.total_len == 0 or meta.frag_count != pkt.frag_count
+            meta = None
+        if (meta is None or meta.total_len == 0 or meta.frag_count != pkt.frag_count
                 or not MIN_FRAG_PAYLOAD <= meta.frag_payload <= MAX_FRAG_PAYLOAD):
-            self._stats.orphan_fragments += 1
-            return Orphan(seq=pkt.seq)
-
-        slot = self._slot
-        if slot is not None and slot.seq == pkt.seq:
-            self._stats.duplicate_fragments += 1
-            return Duplicate(seq=pkt.seq)
-        if not self._order.advance(pkt.seq):
-            return Orphan(seq=pkt.seq)
-
-        evicted = None
-        if slot is not None:
-            evicted = Dropped(seq=slot.seq)
-            self._stats.frames_dropped_preempted += 1
-        self._slot = _Slot(pkt.seq, meta, pkt.timestamp_us)
-        return evicted
+            stats.orphan_fragments += 1
+        elif slot is not None and slot.seq == pkt.seq:
+            stats.duplicate_fragments += 1
+        elif self._order.advance(pkt.seq):  # SeqOrder counts a stale one
+            if slot is not None:
+                stats.frames_dropped_preempted += 1
+            self._slot = _Slot(pkt.seq, meta, pkt.timestamp_us)
 
     def _complete(self, slot: _Slot) -> Image:
         self._slot = None

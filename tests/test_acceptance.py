@@ -30,7 +30,7 @@ from nbpk.bridge import (
     TopicBus,
 )
 from nbpk.channel import ImpairmentConfig
-from nbpk.fragment import ImageComplete, Reassembler, packetize_image
+from nbpk.fragment import Reassembler, packetize_image
 from nbpk.inertial import RigidBody, bundled_backpack_body, compose, parallel_axis
 from nbpk.recorder import (
     LogRecord,
@@ -132,13 +132,13 @@ def test_3_drop_policy_exhaustive_vs_oracle():
             delivered = []
             for pkt, keep in zip(flat, survived):
                 if keep:
-                    event = rx.step(pkt)
-                    if isinstance(event, ImageComplete):
-                        delivered.append(event.image.seq)
-                        if event.image.pixels != frames[event.image.seq].pixels:
+                    image = rx.step(pkt)
+                    if image is not None:
+                        delivered.append(image.seq)
+                        if image.pixels != frames[image.seq].pixels:
                             mismatches += 1
             want = [i for i, done in enumerate(frame_outcomes(counts, survived)) if done]
-            if delivered != want:
+            if delivered != want or rx.stats().frames_complete != len(delivered):
                 mismatches += 1
             checked += 1
     ok = mismatches == 0

@@ -1,7 +1,7 @@
 import itertools
 import random
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from operator import attrgetter
 
 import pytest
@@ -16,10 +16,6 @@ from nbpk.channel import ImpairmentConfig, StreamImpairer
 from nbpk.fragment import (
     MAX_FRAG_PAYLOAD,
     MIN_FRAG_PAYLOAD,
-    Dropped,
-    Duplicate,
-    ImageComplete,
-    Orphan,
     Reassembler,
     packetize_image,
     packetize_single,
@@ -54,7 +50,21 @@ ENTRY_POINTS = ["feed", "step_all", "step"]
 
 def step_each(rx: Reassembler, packets) -> list:
     """The images ``rx`` completes as each of ``packets`` is stepped in turn."""
-    return [event.image for p in packets if (event := rx.step(p)).__class__ is ImageComplete]
+    return [image for p in packets if (image := rx.step(p)) is not None]
+
+
+ORPHAN, DUPLICATE = {"orphan_fragments": 1}, {"duplicate_fragments": 1}
+COMPLETE, PREEMPTED, STALE = {"frames_complete": 1}, {"frames_dropped_preempted": 1}, {"frames_stale": 1}
+
+
+def moved(rx: Reassembler, pkt: Packet) -> tuple:
+    """What stepping ``pkt`` does: the image it completes (or None), and each counter of
+    ``stats()`` it moves, with by how much; ``bytes_received``, which every packet moves, is left out."""
+    before = asdict(rx.stats())
+    image = rx.step(pkt)
+    after = asdict(rx.stats())
+    return image, {name: after[name] - n for name, n in before.items()
+                   if after[name] != n and name != "bytes_received"}
 
 
 def reassemble_through(entry: str, packets: list) -> tuple:
@@ -268,14 +278,10 @@ class TestReassembler:
     def test_in_order_completion(self):
         rx = Reassembler()
         pkts = image_packets(seq=5)
-        events = [rx.step(p) for p in pkts]
-        assert all(e is None for e in events[:-1])
-        final = events[-1]
-        assert isinstance(final, ImageComplete)
-        assert final.image.seq == 5
-        assert final.image.pixels == make_image(5).pixels
-        assert rx.stats().frames_complete == 1
-        assert rx.step(pkts[1]) == Orphan(seq=5, frag_index=0)  # the frame left its slot
+        outcomes = [moved(rx, p) for p in pkts]
+        assert outcomes == [(None, {})] * (len(pkts) - 1) + [(make_image(5), COMPLETE)]
+        assert moved(rx, pkts[1]) == (None, ORPHAN)
+        assert rx._slot is None  # the frame left its slot
 
     def test_fragments_in_any_order(self):
         rx = Reassembler()
@@ -283,10 +289,8 @@ class TestReassembler:
         rx.step(pkts[0])
         frags = pkts[1:]
         for p in reversed(frags[1:]):
-            assert rx.step(p) is None
-        final = rx.step(frags[0])
-        assert isinstance(final, ImageComplete)
-        assert final.image.pixels == make_image(1).pixels
+            assert moved(rx, p) == (None, {})
+        assert moved(rx, frags[0]) == (make_image(1), COMPLETE)
 
     def test_preemptive_drop(self):
         rx = Reassembler()
@@ -294,14 +298,10 @@ class TestReassembler:
         second = image_packets(seq=2)
         rx.step(first[0])
         rx.step(first[1])  # incomplete
-        ev = rx.step(second[0])
-        assert ev == Dropped(seq=1)
-        assert rx.stats().frames_dropped_preempted == 1
-        for p in second[1:-1]:
-            rx.step(p)
-        final = rx.step(second[-1])
-        assert isinstance(final, ImageComplete)
-        assert final.image.seq == 2
+        assert moved(rx, second[0]) == (None, PREEMPTED)
+        assert rx._slot.seq == 2  # frame 1 left the slot, and its fragments have nowhere to go
+        assert moved(rx, first[2]) == (None, ORPHAN)
+        assert step_each(rx, second[1:]) == [make_image(2)]
 
     def test_late_fragment_after_preemption_is_orphan(self):
         rx = Reassembler()
@@ -309,59 +309,56 @@ class TestReassembler:
         second = image_packets(seq=2)
         rx.step(first[0])
         rx.step(second[0])
-        ev = rx.step(first[1])
-        assert ev == Orphan(seq=1, frag_index=0)
-        assert rx.stats().orphan_fragments == 1
+        assert moved(rx, first[1]) == (None, ORPHAN)
+        assert step_each(rx, second[1:]) == [make_image(2)]  # it did not disturb frame 2
 
     def test_late_start_is_stale_and_spares_the_newer_frame(self):
         rx = Reassembler()
         late, newer = image_packets(seq=4), image_packets(seq=5)
         rx.step(newer[0])
         rx.step(newer[1])
-        assert rx.step(late[0]) == Orphan(seq=4)
-        assert rx.stats().frames_stale == 1
-        assert rx.step(late[2]) == Orphan(seq=4, frag_index=1)
+        assert moved(rx, late[0]) == (None, STALE)
+        assert moved(rx, late[2]) == (None, ORPHAN)
         for p in newer[2:-1]:
             assert rx.step(p) is None
-        final = rx.step(newer[-1])
-        assert isinstance(final, ImageComplete) and final.image.seq == 5
+        assert rx.step(newer[-1]) == make_image(5)
         stats = rx.stats()
         assert (stats.frames_complete, stats.frames_dropped_preempted, stats.frames_stale) == (1, 0, 1)
 
     def test_frame_fed_twice_completes_once(self):
         rx = Reassembler()
         pkts = image_packets(seq=3)
-        events = [rx.step(p) for p in pkts + pkts]
-        assert [type(e) for e in events].count(ImageComplete) == 1
-        assert events[len(pkts)] == Orphan(seq=3)
+        outcomes = [moved(rx, p) for p in pkts + pkts]
+        assert outcomes[:len(pkts)] == [(None, {})] * (len(pkts) - 1) + [(make_image(3), COMPLETE)]
+        assert outcomes[len(pkts)] == (None, STALE)
+        assert outcomes[len(pkts) + 1:] == [(None, ORPHAN)] * (len(pkts) - 1)  # no slot reopened
         stats = rx.stats()
         assert (stats.frames_complete, stats.frames_stale, stats.sender_restarts) == (1, 1, 0)
-        assert all(isinstance(e, Orphan) for e in events[len(pkts):])  # no slot reopened
 
     def test_fragment_without_start_is_orphan(self):
         rx = Reassembler()
         pkts = image_packets(seq=9)
-        assert rx.step(pkts[1]) == Orphan(seq=9, frag_index=0)
+        assert moved(rx, pkts[1]) == (None, ORPHAN)
+        assert rx._slot is None
 
     def test_duplicate_start(self):
         rx = Reassembler()
         pkts = image_packets(seq=3)
         rx.step(pkts[0])
-        assert rx.step(pkts[0]) == Duplicate(seq=3)
-        assert rx.stats().duplicate_fragments == 1
+        assert moved(rx, pkts[0]) == (None, DUPLICATE)
+        assert step_each(rx, pkts[1:]) == [make_image(3)]  # the open frame is kept
 
     def test_duplicate_fragment(self):
         rx = Reassembler()
         pkts = image_packets(seq=3)
         rx.step(pkts[0])
         rx.step(pkts[1])
-        assert rx.step(pkts[1]) == Duplicate(seq=3, frag_index=0)
+        assert moved(rx, pkts[1]) == (None, DUPLICATE)
+        assert rx._slot.remaining == len(pkts) - 2  # the repeat filled nothing
         # the duplicate must not corrupt the frame
         for p in pkts[2:-1]:
             rx.step(p)
-        final = rx.step(pkts[-1])
-        assert isinstance(final, ImageComplete)
-        assert final.image.pixels == make_image(3).pixels
+        assert rx.step(pkts[-1]) == make_image(3)
 
     def test_wrong_length_fragment_is_orphan(self):
         rx = Reassembler()
@@ -371,8 +368,8 @@ class TestReassembler:
             stream_id=StreamId.IMAGE, kind=PacketKind.FRAGMENT, seq=3,
             frag_index=pkts[1].header.frag_index, frag_count=pkts[1].header.frag_count,
             payload_len=100, timestamp_us=0)
-        ev = rx.step(Packet(header=bad_header, payload=b"\x00" * 100))
-        assert isinstance(ev, Orphan)
+        assert moved(rx, Packet(header=bad_header, payload=b"\x00" * 100)) == (None, ORPHAN)
+        assert step_each(rx, pkts[1:]) == [make_image(3)]  # its place still takes the right one
 
     def test_out_of_range_fragment_index_is_orphan(self):
         rx = Reassembler()
@@ -384,7 +381,8 @@ class TestReassembler:
                                 seq=3, frag_index=fc + 5, frag_count=fc + 6,
                                 payload_len=1, timestamp_us=0),
             payload=b"\x00")
-        assert isinstance(rx.step(rogue), Orphan)
+        assert moved(rx, rogue) == (None, ORPHAN)
+        assert step_each(rx, pkts[1:]) == [make_image(3)]
 
     def test_start_meta_mismatch_is_orphan(self):
         # START whose header frag_count disagrees with its own metadata
@@ -397,8 +395,8 @@ class TestReassembler:
                                 frag_count=good.header.frag_count + 1,
                                 payload_len=len(good.payload), timestamp_us=0),
             payload=good.payload)
-        assert isinstance(rx.step(lying), Orphan)
-        assert rx.step(pkts[1]) == Orphan(seq=3, frag_index=0)  # it opened no slot
+        assert moved(rx, lying) == (None, ORPHAN)
+        assert moved(rx, pkts[1]) == (None, ORPHAN)  # it opened no slot
 
     def test_oversized_start_is_orphan(self):
         def start(width, height):
@@ -412,17 +410,16 @@ class TestReassembler:
                                     frag_count=-(-1280 * 960 * 2 // 1400), payload_len=1400),
                        bytes(1400))
         rx = Reassembler()
-        assert rx.step(start(1280, 962)) == Orphan(seq=3)
-        assert rx.step(first) == Orphan(seq=3, frag_index=0)  # no slot opened
-        assert rx.step(start(1280, 960)) is None
-        assert rx.step(first) is None  # the largest frame's slot takes it
+        assert moved(rx, start(1280, 962)) == (None, ORPHAN)
+        assert moved(rx, first) == (None, ORPHAN)  # no slot opened
+        assert moved(rx, start(1280, 960)) == (None, {})
+        assert moved(rx, first) == (None, {})  # the largest frame's slot takes it
 
     def test_single_packet_is_orphan(self):
         rx = Reassembler()
         pkt = packetize_single(b"reading", StreamId.MOTION, seq=8, timestamp_us=44)
-        assert rx.step(pkt) == Orphan(seq=8)
-        assert rx.stats().orphan_fragments == 1
-        assert rx.step(image_packets(seq=8)[1]) == Orphan(seq=8, frag_index=0)  # no slot opened
+        assert moved(rx, pkt) == (None, ORPHAN)
+        assert moved(rx, image_packets(seq=8)[1]) == (None, ORPHAN)  # no slot opened
 
     def test_single_mid_frame_does_not_interfere(self):
         rx = Reassembler()
@@ -430,10 +427,10 @@ class TestReassembler:
         rx.step(pkts[0])
         # valid START metadata in a SINGLE still announces no fragments
         single = packetize_single(pkts[0].payload, StreamId.IMAGE, seq=2, timestamp_us=0)
-        assert rx.step(single) == Orphan(seq=2)
+        assert moved(rx, single) == (None, ORPHAN)
         for p in pkts[1:-1]:
             rx.step(p)
-        assert isinstance(rx.step(pkts[-1]), ImageComplete)
+        assert rx.step(pkts[-1]) == make_image(1)
 
     def test_bytes_received_counts_everything(self):
         rx = Reassembler()
@@ -459,15 +456,15 @@ class TestReassembler:
         rx = Reassembler()
         start = Packet(PacketHeader(StreamId.IMAGE, PacketKind.START, seq=3, frag_count=12,
                                     payload_len=len(meta)), meta)
-        assert [rx.step(start), rx.step(start)] == [Orphan(seq=3)] * 2
-        assert rx.step(image_packets(seq=3)[1]) == Orphan(seq=3, frag_index=0)  # no slot opened
+        assert [moved(rx, start), moved(rx, start)] == [(None, ORPHAN)] * 2
+        assert moved(rx, image_packets(seq=3)[1]) == (None, ORPHAN)  # no slot opened
         assert rx.stats().orphan_fragments == 3
 
     def test_a_start_with_a_writable_payload_opens_its_frame(self):
         start, *frags = image_packets(seq=3)
         rx = Reassembler()
         assert rx.step(Packet(start.header, bytearray(start.payload))) is None
-        assert [event.image for p in frags if (event := rx.step(p)) is not None] == [make_image(3)]
+        assert step_each(rx, frags) == [make_image(3)]
 
     def test_a_parsed_start_and_a_built_one_open_equal_slots(self):
         start = image_packets(seq=3)[0]
@@ -519,16 +516,16 @@ class TestCopyPolicy:
             d[HEADER_SIZE:] = bytes(len(d) - HEADER_SIZE)
         assert [p.to_bytes() for p in pkts] == parsed
         rx = Reassembler()
-        assert [rx.step(p) for p in pkts][-1] == ImageComplete(img)
+        assert [rx.step(p) for p in pkts][-1] == img
 
     @staticmethod
     def budget(packets):
         """Feed one frame's ``packets()`` to a reassembler under tracemalloc:
         the image and the peak allocation as a multiple of its pixel bytes."""
         rx = Reassembler()
-        events = []
-        peak = peak_allocation(lambda: events.extend(rx.step(p) for p in packets()))
-        image = events[-1].image
+        images = []
+        peak = peak_allocation(lambda: images.extend(rx.step(p) for p in packets()))
+        image = images[-1]
         return image, peak / len(image.pixels)
 
     def test_packetize_then_reassemble_copies_the_pixels_once(self):
@@ -555,8 +552,7 @@ def step_feed(rx: Reassembler, datagram: bytes):
     if pkt is None or pkt.stream_id != StreamId.IMAGE or pkt.kind == PacketKind.SINGLE:
         rx._stats.malformed_packets += 1
         return None
-    event = rx.step(pkt)
-    return event.image if isinstance(event, ImageComplete) else None
+    return rx.step(pkt)
 
 
 @st.composite
@@ -762,9 +758,9 @@ class TestLossOutcomesAgainstOracle:
         for i, pkt in enumerate(all_packets):
             if not keep[i]:
                 continue
-            ev = rx.step(pkt)
-            if isinstance(ev, ImageComplete):
-                completed.append(ev.image.seq)
+            image = rx.step(pkt)
+            if image is not None:
+                completed.append(image.seq)
         return completed
 
     def test_exhaustive_two_frames_two_fragments(self):

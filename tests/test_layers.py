@@ -18,7 +18,7 @@ def test_every_stage_median_is_positive():
     assert lines[0].startswith("cores: ")  # printed before the process pins itself
     doc = json.loads(lines[-1])
     assert set(doc["stages"]) == {"gen_test_image", "packetize_image", "push_all", "step_all",
-                                  "image_ok", "frame", "header_codec", "to_bytes", "from_bytes", "feed"}
+                                  "image_ok", "frame", "header_codec", "to_bytes", "from_bytes", "feed", "step"}
     for stage, row in doc["stages"].items():
         assert row["q1"] <= row["median"] <= row["q3"], stage
         assert row["median"] > 0, stage

@@ -3,20 +3,24 @@
 
 A QVGA frame at 1 % independent loss crosses the stages ``bench.run_scenario``
 runs: ``gen_test_image``, ``packetize_image``, ``StreamImpairer.push_all``,
-``Reassembler.step_all``, and ``image_ok`` on each delivered frame. The packets
-the impairer releases then cross the header codec (``encode_header``, then
-``decode_header``, on each one's header; no workload runs it per datagram, as
-``from_bytes`` has its own test) and the datagram codec, ``Packet.to_bytes``
-and ``Packet.from_bytes``, and the datagrams are fed, one at a time, to a second
-reassembler's ``feed``, the bridge's receive path. A frame's buffers are dropped
-before the next frame starts, as ``run_scenario`` drops them.
+``Reassembler.step_all``, and ``image_ok`` on each delivered frame. A frame's
+buffers are dropped before the next frame starts, as ``run_scenario`` drops them.
+
+After a round's frames, the per-datagram passes run over the packets the impairer
+released. A twin impairer (same config and seed, pushed the same frames) rebuilds
+them, so that no buffer of theirs is alive in the frame loop. The passes are the
+header codec (``encode_header``, then ``decode_header``, on each one's header; no
+workload runs it per datagram, as ``from_bytes`` has its own test), the datagram
+codec (``Packet.to_bytes`` and ``Packet.from_bytes``), ``feed`` (each datagram in
+turn to a second reassembler, the bridge's receive path) and ``step`` (each packet
+in turn to a third reassembler, the path ``step_all`` leaves to it).
 
 Every round runs every stage on the same frames, so a host that drifts moves
 all stages alike. Each stage is reported as its median over the rounds, with
 the interquartile range: ``frame`` is the five ``run_scenario`` stages' time
 per frame sent, ``image_ok`` is per delivered frame, and ``header_codec``,
-``to_bytes``, ``from_bytes`` and ``feed`` are per datagram. ``minor_faults`` is the
-process's minor page faults (``ru_minflt``) in the five ``run_scenario``
+``to_bytes``, ``from_bytes``, ``feed`` and ``step`` are per datagram. ``minor_faults`` is
+the process's minor page faults (``ru_minflt``) in the five ``run_scenario``
 stages, per frame sent. The process prints the core count, then pins itself to one core. It
 imports nbpk from the ``src`` tree of the checkout it sits in, so a copy
 placed in another checkout measures that checkout's code.
@@ -26,8 +30,8 @@ placed in another checkout measures that checkout's code.
 
 The last line printed is one JSON object with the same figures. The exit code
 is 1 if a delivered frame fails ``image_ok``, the header codec or ``from_bytes``
-does not give back what it took, or ``feed`` and ``step_all`` complete different
-frames.
+does not give back what it took, or ``feed``, ``step`` and ``step_all`` complete
+different frames.
 """
 
 from __future__ import annotations
@@ -61,7 +65,9 @@ STAGES = {
     "to_bytes": "datagram",
     "from_bytes": "datagram",
     "feed": "datagram",
+    "step": "datagram",
 }
+PASSES = ("header_codec", "to_bytes", "from_bytes", "feed", "step")  # over a round's datagrams
 
 
 def quartiles(values: list) -> dict:
@@ -69,13 +75,15 @@ def quartiles(values: list) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassembler) -> dict:
+def run_round(frames: range, imp: StreamImpairer, twin: StreamImpairer, rx: Reassembler,
+              fed: Reassembler, stepped: Reassembler) -> dict:
     """Microseconds per unit of each stage over ``frames``, and the minor page faults
-    per frame; a stage with no unit is left out."""
+    per frame of the five ``run_scenario`` stages; a stage with no unit is left out.
+    ``twin`` has ``imp``'s config and seed, and has been pushed what ``imp`` has."""
     clock = time.perf_counter_ns
     ns = dict.fromkeys(STAGES, 0)
-    counts = {"frame": len(frames), "delivered frame": 0, "datagram": 0}
-    faults = 0
+    counts = {"frame": len(frames), "delivered frame": 0}
+    faults, delivered = 0, []
     for seq in frames:
         f0 = getrusage(RUSAGE_SELF).ru_minflt
         t0 = clock()
@@ -90,26 +98,38 @@ def run_round(frames: range, imp: StreamImpairer, rx: Reassembler, fed: Reassemb
         ok = all(image_ok(image) for image in images)
         t5 = clock()
         faults += getrusage(RUSAGE_SELF).ru_minflt - f0
-        headers = [p.header for p in released]
-        t6 = clock()
-        decoded = [decode_header(encode_header(h)) for h in headers]
-        t7 = clock()
-        datagrams = [p.to_bytes() for p in released]
-        t8 = clock()
-        parsed = [Packet.from_bytes(d) for d in datagrams]
-        t9 = clock()
-        fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
-        t10 = clock()
-        if not ok or decoded != headers or parsed != released or fed_images != images:
-            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok, the header codec or "
-                     "from_bytes did not give back what it took, or feed and step_all disagree")
-        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0, t7 - t6,
-                                      t8 - t7, t9 - t8, t10 - t9)):
+        if not ok:
+            sys.exit(f"layers: frame {seq}: a delivered frame failed image_ok")
+        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t0)):
             ns[stage] += dt
         counts["delivered frame"] += len(images)
-        counts["datagram"] += len(datagrams)
-        # before the next frame's gen_test_image and feed allocate theirs
-        del img, packets, released, images, headers, decoded, datagrams, parsed, fed_images
+        delivered += [image.seq for image in images]
+        del img, packets, released, images  # before the next frame's gen_test_image allocates its own
+
+    # The per-datagram passes, over the packets the twin releases from the same frames. Kept
+    # from the loop above, these would hold the round's pixels alive in it, as run_scenario does not.
+    stored = [p for seq in frames
+              for p in twin.push_all(packetize_image(gen_test_image(seq, WIDTH, HEIGHT), FRAG_PAYLOAD))]
+    headers = [p.header for p in stored]
+    t0 = clock()
+    decoded = [decode_header(encode_header(h)) for h in headers]
+    t1 = clock()
+    datagrams = [p.to_bytes() for p in stored]
+    t2 = clock()
+    parsed = [Packet.from_bytes(d) for d in datagrams]
+    t3 = clock()
+    fed_images = [image for d in datagrams if (image := fed.feed(d)) is not None]
+    t4 = clock()
+    stepped_images = [image for p in stored if (image := stepped.step(p)) is not None]
+    t5 = clock()
+    if (decoded != headers or parsed != stored or fed_images != stepped_images
+            or [image.seq for image in stepped_images] != delivered
+            or not all(map(image_ok, stepped_images))):
+        sys.exit(f"layers: frames {frames.start}-{frames.stop - 1}: the header codec or from_bytes "
+                 "did not give back what it took, or feed, step and step_all complete different frames")
+    for stage, dt in zip(PASSES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+        ns[stage] += dt
+    counts["datagram"] = len(stored)
     us = {stage: ns[stage] / 1e3 / counts[per] for stage, per in STAGES.items() if counts[per]}
     us["minor_faults"] = faults / len(frames)
     return us
@@ -129,9 +149,10 @@ def main(argv=None) -> None:
     os.sched_setaffinity(0, {core})
     print(f"pinned to core {core}; QVGA at {LOSS_P:.0%} loss, {args.rounds} rounds of {args.frames} frames")
 
-    imp, rx, fed = StreamImpairer(ImpairmentConfig(loss_p=LOSS_P), args.seed), Reassembler(), Reassembler()
-    run_round(range(args.frames), imp, rx, fed)  # warm-up: caches, allocator
-    rounds = [run_round(range(args.frames * k, args.frames * (k + 1)), imp, rx, fed)
+    imp, twin = (StreamImpairer(ImpairmentConfig(loss_p=LOSS_P), args.seed) for _ in range(2))
+    rx, fed, stepped = Reassembler(), Reassembler(), Reassembler()
+    run_round(range(args.frames), imp, twin, rx, fed, stepped)  # warm-up: caches, allocator
+    rounds = [run_round(range(args.frames * k, args.frames * (k + 1)), imp, twin, rx, fed, stepped)
               for k in range(1, args.rounds + 1)]
 
     rows = {}
